@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 when a common prior exists (or the command simply
 succeeded), 1 when it does not exist (or no counterexample is possible),
-2 for invalid input. All probabilities in reports are exact fractions in
-lowest terms; reports are deterministic byte for byte for a given input.
+2 for invalid input (a duplicated key in a JSON object included), 3 for
+an internal error, reported on one stderr line. A crash never exits 1.
+All probabilities in reports are exact fractions in lowest terms;
+reports are deterministic byte for byte for a given input.
 """
 
 from __future__ import annotations
@@ -20,25 +22,25 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from urprior.cohomology import cohomology_dim
+from urprior.cohomology import coboundary_dim, cohomology_dim
 from urprior.compat import (
     Asymmetry,
     Certificate,
     CycleCertificate,
     Violation,
-    decide_urprior,
+    _decide,
     pairwise_compatibility,
 )
 from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
+    coboundary_columns,
     coboundary_matrix,
     connected_components,
     from_facets,
 )
 from urprior.credence import AgentSystem, ValidationError, validate
-from urprior.numerics import Matrix, format_rational
-from urprior.numerics import rank as matrix_rank
+from urprior.numerics import Matrix, format_rational, matrix_rank
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
@@ -51,13 +53,24 @@ class CliError(Exception):
         self.code = code
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """object_pairs_hook that refuses a key given twice in one JSON object."""
+    out: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError([f"duplicate key {key!r} in one JSON object"])
+        out[key] = value
+    return out
+
+
 def _load_json(path: str) -> Any:
+    """Parse a JSON file. Raises ValidationError on a duplicated key, at any depth."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -164,7 +177,7 @@ def build_check_report(system: AgentSystem, max_dim: int = 2) -> tuple[dict[str,
     """Assemble the full check report and its exit code."""
     compatibility = pairwise_compatibility(system)
     X = build_overlap_complex(system, max_dim=max_dim)
-    result = decide_urprior(system)
+    result = _decide(system, compatibility, lambda: X)
     report: dict[str, Any] = {
         "valid": True,
         "agents": len(system.agents),
@@ -286,10 +299,8 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         raise CliError(f"{args.file}: neither a system file (agents) nor a complex file (facets)")
 
     k = args.dim
-    below = coboundary_matrix(X, k - 1)
-    at = coboundary_matrix(X, k)
-    rank_below = matrix_rank(below)
-    rank_at = matrix_rank(at)
+    rank_below = coboundary_dim(X, k)
+    rank_at = matrix_rank(coboundary_columns(X, k))
     cocycles = len(X.simplices(k)) - rank_at
     coboundaries = rank_below
     h = cocycles - coboundaries
@@ -313,7 +324,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         lines.append(
             _render_labeled_matrix(
                 f"delta_{k - 1} (rows: {k}-simplices, cols: {k - 1}-simplices)",
-                below,
+                coboundary_matrix(X, k - 1),
                 [_simplex_tag(X, s) for s in X.simplices(k)],
                 [_simplex_tag(X, s) for s in X.simplices(k - 1)],
             )
@@ -322,7 +333,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         lines.append(
             _render_labeled_matrix(
                 f"delta_{k} (rows: {k + 1}-simplices, cols: {k}-simplices)",
-                at,
+                coboundary_matrix(X, k),
                 [_simplex_tag(X, s) for s in X.simplices(k + 1)],
                 [_simplex_tag(X, s) for s in X.simplices(k)],
             )
@@ -431,6 +442,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except ValidationError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit code 1 means "no ur-prior", never "crashed"
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,11 @@
-"""Cochains, cocycle and coboundary tests, and rational cohomology dimensions."""
+"""Cochains, cocycle and coboundary tests, and rational cohomology dimensions.
+
+Everything here works on the sparse columns of the coboundary maps
+(``coboundary_columns``) through the exact column reduction of
+``urprior.numerics``; no dense matrix is built. rank delta_0 needs no
+elimination at all: it is the number of vertices minus the number of
+components, the edge count of a spanning forest.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from urprior.complexes import Simplex, SimplicialComplex, coboundary_matrix
-from urprior.numerics import in_span, mat_vec, nullspace_basis
-from urprior.numerics import rank as matrix_rank
+from urprior.complexes import (
+    Simplex,
+    SimplicialComplex,
+    SpanningForest,
+    coboundary_columns,
+    spanning_forest,
+)
+from urprior.numerics import Column, kernel_vectors, matrix_rank, solve_columns
 
 __all__ = [
     "Cochain",
@@ -53,41 +65,52 @@ def cochain_from_vector(X: SimplicialComplex, degree: int, vec: Sequence[Fractio
 
 def coboundary(c: Cochain) -> Cochain:
     """Apply the degree-c coboundary map, yielding a cochain one degree up."""
-    m = coboundary_matrix(c.complex, c.degree)
-    return cochain_from_vector(c.complex, c.degree + 1, mat_vec(m, c.vector()))
+    X = c.complex
+    out = [Fraction(0)] * len(X.simplices(c.degree + 1))
+    for value, column in zip(c.vector(), coboundary_columns(X, c.degree)):
+        if value:
+            for i, sign in column.items():
+                out[i] += sign * value
+    return cochain_from_vector(X, c.degree + 1, out)
 
 
 def is_cocycle(c: Cochain) -> bool:
-    return all(v == 0 for v in mat_vec(coboundary_matrix(c.complex, c.degree), c.vector()))
+    return all(v == 0 for v in coboundary(c).values.values())
 
 
 def coboundary_witness(c: Cochain) -> Cochain | None:
     """A degree k-1 cochain whose coboundary equals c, if one exists.
 
-    The witness is canonical up to nothing: the span solver pins all free
-    coefficients to zero.
+    The witness is canonical up to nothing: the solver pins the value on
+    every (k-1)-simplex whose column depends on earlier columns to zero.
     """
     if c.degree < 1:
         raise ValueError("a coboundary witness needs degree >= 1")
-    below = coboundary_matrix(c.complex, c.degree - 1)
-    coefficients = in_span(below.columns(), c.vector())
+    coefficients = solve_columns(coboundary_columns(c.complex, c.degree - 1), c.vector())
     if coefficients is None:
         return None
     return cochain_from_vector(c.complex, c.degree - 1, coefficients)
+
+
+def _coboundary_rank(X: SimplicialComplex, k: int) -> int:
+    """rank delta_k; for k = 0 the closed form vertices - components."""
+    if k == 0:
+        return len(spanning_forest(X).parent)
+    return matrix_rank(coboundary_columns(X, k))
 
 
 def cocycle_dim(X: SimplicialComplex, k: int) -> int:
     """Dimension of the space of k-cocycles (kernel of the degree-k map)."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return len(X.simplices(k)) - matrix_rank(coboundary_matrix(X, k))
+    return len(X.simplices(k)) - _coboundary_rank(X, k)
 
 
 def coboundary_dim(X: SimplicialComplex, k: int) -> int:
     """Dimension of the space of k-coboundaries (image of the degree k-1 map)."""
     if k < 1:
         raise ValueError("coboundaries start at degree 1")
-    return matrix_rank(coboundary_matrix(X, k - 1))
+    return _coboundary_rank(X, k - 1)
 
 
 def cohomology_dim(X: SimplicialComplex, k: int) -> int:
@@ -100,19 +123,42 @@ def cohomology_dim(X: SimplicialComplex, k: int) -> int:
 def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
     """An integer 1-cocycle that is not a coboundary, or None.
 
-    Scans the canonical kernel basis of the degree-1 map for the first
-    vector outside the image of degree 0, then rescales it to coprime
-    integers with a positive leading entry. Returns None exactly when
-    every 1-cocycle is a coboundary.
+    Scans the canonical kernel basis of the degree-1 map (the reduced
+    row-echelon one, one vector per free column, in column order) for
+    the first vector that is not a coboundary, then rescales it to
+    coprime integers with a positive leading entry. Each vector is tested
+    by integrating it along a spanning forest. Returns None exactly when
+    every 1-cocycle is a coboundary, which the dimension count settles
+    without testing every kernel vector.
     """
-    if not X.simplices(1):
+    edges = X.simplices(1)
+    if not edges or cohomology_dim(X, 1) == 0:
         return None
-    kernel = nullspace_basis(coboundary_matrix(X, 1))
-    image_columns = coboundary_matrix(X, 0).columns()
-    for vec in kernel:
-        if in_span(image_columns, vec) is None:
-            return cochain_from_vector(X, 1, _coprime_integers(vec))
-    return None
+    forest = spanning_forest(X)
+    index = {e: i for i, e in enumerate(edges)}
+    for _, vector in kernel_vectors(coboundary_columns(X, 1)):
+        if not _is_coboundary(vector, forest, index):
+            values = [Fraction(vector.get(i, 0)) for i in range(len(edges))]
+            return cochain_from_vector(X, 1, _coprime_integers(values))
+    raise AssertionError("H^1 is nonzero, yet every canonical kernel vector is a coboundary")
+
+
+def _is_coboundary(values: Column, forest: SpanningForest, index: Mapping[Simplex, int]) -> bool:
+    """Whether a sparse edge cochain (by edge index) is the coboundary of a vertex function.
+
+    Integrates it along the forest from each root, where
+    (delta f)(i, j) = f(j) - f(i), and compares the result on the non-tree edges.
+    """
+    f: dict[int, int] = {}
+    for v in forest.order:
+        u = forest.parent.get(v)
+        if u is None:
+            f[v] = 0
+        elif u < v:
+            f[v] = f[u] + values.get(index[(u, v)], 0)
+        else:
+            f[v] = f[u] - values.get(index[(v, u)], 0)
+    return all(f[j] - f[i] == values.get(index[(i, j)], 0) for i, j in forest.non_tree)
 
 
 def _coprime_integers(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:

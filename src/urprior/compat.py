@@ -9,13 +9,12 @@ not 1), and every positive answer is re-verified before it is returned.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
-from urprior.complexes import SimplicialComplex, build_overlap_complex
+from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
 from urprior.credence import AgentSystem
 from urprior.numerics import format_rational
 
@@ -187,50 +186,21 @@ def solve_scaling(
     the returned pair is not None: the scaling (keyed by vertex label) on
     success, a cycle certificate for the first failing edge otherwise.
     """
-    n = len(X.vertices)
     table = ratios.ratios
 
     def step(u: int, v: int) -> Fraction:
         return table[(u, v)] if u < v else 1 / table[(v, u)]
 
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    non_tree: list[tuple[int, int]] = []
-    for i, j in X.simplices(1):
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            non_tree.append((i, j))
-        else:
-            parent[rj] = ri
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-
+    forest = spanning_forest(X)
     scale: dict[int, Fraction] = {}
-    tree_parent: dict[int, int] = {}
-    for root in range(n):
-        if root in scale:
-            continue
-        scale[root] = Fraction(1)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adjacency[u]):
-                if v not in scale:
-                    scale[v] = scale[u] * step(u, v)
-                    tree_parent[v] = u
-                    queue.append(v)
+    for v in forest.order:
+        u = forest.parent.get(v)
+        scale[v] = Fraction(1) if u is None else scale[u] * step(u, v)
 
-    for i, j in non_tree:
+    for i, j in forest.non_tree:
         if scale[i] * step(i, j) == scale[j]:
             continue
-        path = _forest_path(j, i, tree_parent)
+        path = _forest_path(j, i, forest.parent)
         cycle = [i, j] + path[1:-1]
         start = cycle.index(min(cycle))
         cycle = cycle[start:] + cycle[:start]
@@ -240,10 +210,10 @@ def solve_scaling(
         labels = tuple(X.vertices[v] for v in cycle)
         return None, CycleCertificate(labels, holonomy, (X.vertices[i], X.vertices[j]))
 
-    return {X.vertices[v]: scale[v] for v in range(n)}, None
+    return {X.vertices[v]: scale[v] for v in range(len(X.vertices))}, None
 
 
-def _forest_path(a: int, b: int, tree_parent: dict[int, int]) -> list[int]:
+def _forest_path(a: int, b: int, tree_parent: Mapping[int, int]) -> list[int]:
     """Vertex path from a to b inside the spanning forest (inclusive)."""
 
     def chain(v: int) -> list[int]:
@@ -348,12 +318,27 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     genuine blocker on its own. When none fires, the scaled credences
     glue into a measure, which is verified exactly before being returned.
     """
-    report = pairwise_compatibility(system)
+    return _decide(
+        system, pairwise_compatibility(system), lambda: build_overlap_complex(system, max_dim=1)
+    )
+
+
+def _decide(
+    system: AgentSystem,
+    report: CompatibilityReport,
+    overlap: Callable[[], SimplicialComplex],
+) -> UrPriorResult:
+    """decide_urprior on the system's pairwise report.
+
+    ``overlap`` returns the system's overlap complex truncated at any
+    dimension >= 1 (only its 1-skeleton is read); it is called only when
+    no pairwise obstruction fires.
+    """
     if report.violations:
         return UrPriorResult("none", None, report.violations[0])
     if report.asymmetries:
         return UrPriorResult("none", None, report.asymmetries[0])
-    skeleton = build_overlap_complex(system, max_dim=1)
+    skeleton = overlap()
     scaling, cycle = solve_scaling(skeleton, ratio_cochain(system, skeleton))
     if cycle is not None:
         return UrPriorResult("none", None, cycle)

@@ -7,23 +7,27 @@ of the system, which fixes every orientation downstream.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from urprior.credence import AgentSystem
-from urprior.numerics import Matrix
+from urprior.numerics import Column, Matrix
 
 Simplex = tuple[int, ...]
 
 __all__ = [
     "Simplex",
     "SimplicialComplex",
+    "SpanningForest",
     "build_overlap_complex",
+    "coboundary_columns",
     "coboundary_matrix",
     "connected_components",
     "from_facets",
+    "spanning_forest",
 ]
 
 
@@ -156,42 +160,103 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     return SimplicialComplex(system.names, tuple(levels))
 
 
-def coboundary_matrix(X: SimplicialComplex, k: int) -> Matrix:
-    """Matrix of the degree-k coboundary map in canonical simplex order.
+def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:
+    """Sparse columns of the degree-k coboundary map in canonical simplex order.
 
-    Rows are the (k+1)-simplices, columns the k-simplices; the entry
-    against the face obtained by deleting vertex position j is (-1)**j.
+    Column j belongs to the j-th k-simplex and maps the index of each
+    (k+1)-simplex containing it to the sign of that face: (-1)**p when
+    the face is obtained by deleting vertex position p.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    row_simplices = X.simplices(k + 1)
     col_simplices = X.simplices(k)
     col_index = {s: j for j, s in enumerate(col_simplices)}
-    grid: list[list[Fraction]] = []
-    for t in row_simplices:
-        row = [Fraction(0)] * len(col_simplices)
-        for j in range(len(t)):
-            face = t[:j] + t[j + 1 :]
-            row[col_index[face]] = Fraction(1) if j % 2 == 0 else Fraction(-1)
-        grid.append(row)
-    return Matrix.from_rows(grid, cols=len(col_simplices))
+    columns: list[Column] = [{} for _ in col_simplices]
+    for i, t in enumerate(X.simplices(k + 1)):
+        for p in range(len(t)):
+            columns[col_index[t[:p] + t[p + 1 :]]][i] = 1 if p % 2 == 0 else -1
+    return columns
+
+
+def coboundary_matrix(X: SimplicialComplex, k: int) -> Matrix:
+    """Dense matrix of the degree-k coboundary map, for display.
+
+    Rows are the (k+1)-simplices, columns the k-simplices, entries as in
+    ``coboundary_columns``.
+    """
+    columns = coboundary_columns(X, k)
+    grid = [[Fraction(0)] * len(columns) for _ in X.simplices(k + 1)]
+    for j, column in enumerate(columns):
+        for i, sign in column.items():
+            grid[i][j] = Fraction(sign)
+    return Matrix.from_rows(grid, cols=len(columns))
+
+
+@dataclass(frozen=True)
+class SpanningForest:
+    """A breadth-first spanning forest of a complex's 1-skeleton.
+
+    Edges are offered to a union-find in canonical order; an edge that
+    joins two trees is a tree edge, one that closes a cycle is listed in
+    ``non_tree`` (canonical order). Each component is then walked
+    breadth-first from its smallest vertex, neighbours in increasing
+    order: ``order`` lists every vertex in walk order, components one
+    after another by their smallest vertex, and ``parent`` maps each
+    non-root vertex to its tree neighbour one step nearer the root.
+    """
+
+    order: tuple[int, ...]
+    parent: Mapping[int, int]
+    non_tree: tuple[Simplex, ...]
+
+
+def spanning_forest(X: SimplicialComplex) -> SpanningForest:
+    """The breadth-first spanning forest of X's 1-skeleton (see SpanningForest)."""
+    n = len(X.vertices)
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    non_tree: list[Simplex] = []
+    for i, j in X.simplices(1):
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            non_tree.append((i, j))
+        else:
+            root[rj] = ri
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+
+    order: list[int] = []
+    parent: dict[int, int] = {}
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in sorted(adjacency[u]):
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    queue.append(v)
+    return SpanningForest(tuple(order), parent, tuple(non_tree))
 
 
 def connected_components(X: SimplicialComplex) -> list[tuple[int, ...]]:
     """Vertex sets of the 1-skeleton's components, each sorted, ordered by minimum."""
-    parent = list(range(len(X.vertices)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in X.simplices(1):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for v in range(len(X.vertices)):
-        groups.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+    forest = spanning_forest(X)
+    components: list[list[int]] = []
+    for v in forest.order:
+        if v not in forest.parent:
+            components.append([])
+        components[-1].append(v)
+    return [tuple(sorted(c)) for c in components]

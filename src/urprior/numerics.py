@@ -1,34 +1,48 @@
-"""Exact rational scalars and dense rational linear algebra.
+"""Exact rational scalars and sparse exact linear algebra.
 
 Everything in the decision path runs over arbitrary-precision fractions;
-no floating point appears anywhere. Operations that admit a canonical
-answer (reduced row-echelon form, kernel bases, span coefficients) are
-computed deterministically so downstream reports are reproducible
-byte for byte.
+no floating point appears anywhere.
+
+The linear algebra is one sparse elimination routine: lowest-pivot column
+reduction (Edelsbrunner, Letscher and Zomorodian 2002; Bauer, "Ripser",
+2021), run fraction-free over the integers, so that ranks and kernel
+vectors are exact over the rationals. A column is a ``{row: coefficient}``
+map holding only its nonzero entries. Columns are reduced left to right,
+which makes the answers canonical: the kernel vectors are those of the
+reduced row-echelon form, and a solution puts zero on every column that
+depends on the columns left of it. Reports built on them are therefore
+reproducible byte for byte.
+
+The pivot of a column is its smallest row index: the lowest entry when
+the rows are listed in reverse, as persistent cohomology lists them.
+Which row serves as pivot changes no answer, only the work. On the
+coboundary maps of sliding-window overlap complexes the smallest index
+keeps every reduction a few steps long, where the largest index makes
+the steps grow with the number of agents (on a 3,200-agent window-4
+chain, 16k steps against 6.8M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterator, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+Column = dict[int, int]
 
 __all__ = [
+    "Column",
     "Matrix",
     "Rational",
-    "RrefResult",
     "Vector",
     "format_rational",
-    "in_span",
-    "mat_mul",
-    "mat_vec",
-    "nullspace_basis",
+    "kernel_vectors",
+    "matrix_rank",
     "parse_rational",
-    "rank",
-    "rref",
+    "solve_columns",
 ]
 
 
@@ -53,14 +67,36 @@ def parse_rational(value: object) -> Fraction:
     raise TypeError(f"cannot parse {type(value).__name__} as a rational")
 
 
+# Integers below this convert with one str() call, far under the interpreter's
+# int->str digit limit (4300 digits by default).
+_DIRECT = 10**1000
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of an integer of any size.
+
+    Larger values are split on a power of ten near half their length, so
+    no single conversion meets the interpreter's digit limit.
+    """
+    if -_DIRECT < n < _DIRECT:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # log10(2) > 0.3, so about half the digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Render a rational in lowest terms: '5/8', '0', '2'."""
-    return str(Fraction(value))
+    q = Fraction(value)
+    numerator = _decimal(q.numerator)
+    return numerator if q.denominator == 1 else f"{numerator}/{_decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense matrix of exact rationals, stored row-major."""
+    """Dense matrix of exact rationals, stored row-major; used for display."""
 
     rows: int
     cols: int
@@ -83,118 +119,110 @@ class Matrix:
             cols = len(grid[0])
         return cls(len(grid), cols, grid)
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+# Reduced columns keyed by their pivot (smallest row index), each with the
+# combination of input columns that produced it, or None when untracked.
+_Pivots = dict[int, tuple[Column, Column | None]]
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    if len(v) != m.cols:
-        raise ValueError(f"vector of length {len(v)} against {m.cols} columns")
-    return tuple(sum((a * b for a, b in zip(row, v)), start=Fraction(0)) for row in m.entries)
+def _add_scaled(x: Column, a: int, b: int, y: Column) -> None:
+    """x <- a*x + b*y in place, dropping entries that cancel."""
+    if a != 1:
+        for i in x:
+            x[i] *= a
+    for i, v in y.items():
+        w = x.get(i, 0) + b * v
+        if w:
+            x[i] = w
+        else:
+            x.pop(i, None)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    grid = [
-        [
-            sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), start=Fraction(0))
-            for j in range(b.cols)
-        ]
-        for i in range(a.rows)
-    ]
-    return Matrix.from_rows(grid, cols=b.cols)
+def _reduce(pivots: _Pivots, residue: Column, combination: Column | None) -> int | None:
+    """Clear the pivot of ``residue`` against ``pivots`` until it is new.
 
-
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: Matrix
-    pivot_cols: tuple[int, ...]
-    rank: int
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row-echelon form with pivot columns and rank.
-
-    The rref of a rational matrix is unique, which makes it usable as a
-    canonical form in regression tests.
+    Works in place: ``residue`` ends as a reduced column and, when
+    tracked, ``combination`` as the matching combination of input
+    columns. Returns the final pivot row, or None when the residue vanished.
+    Each step is ``residue = a*residue - b*pivot`` with a > 0, followed by
+    division by the common content, so entries stay small integers.
     """
-    work = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.cols):
-        source = None
-        for r in range(pivot_row, m.rows):
-            if work[r][col] != 0:
-                source = r
-                break
-        if source is None:
-            continue
-        work[pivot_row], work[source] = work[source], work[pivot_row]
-        factor = work[pivot_row][col]
-        if factor != 1:
-            work[pivot_row] = [x / factor for x in work[pivot_row]]
-        for r in range(m.rows):
-            if r != pivot_row and work[r][col] != 0:
-                scale = work[r][col]
-                work[r] = [a - scale * b for a, b in zip(work[r], work[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    return RrefResult(Matrix.from_rows(work, cols=m.cols), tuple(pivots), len(pivots))
+    while residue:
+        row = min(residue)
+        pivot = pivots.get(row)
+        if pivot is None:
+            return row
+        column, pivot_combination = pivot
+        a, b = column[row], residue[row]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a < 0:
+            a, b = -a, -b
+        _add_scaled(residue, a, -b, column)
+        if combination is not None:
+            _add_scaled(combination, a, -b, pivot_combination)
+        if a != 1:
+            parts = (residue,) if combination is None else (residue, combination)
+            content = gcd(*(v for x in parts for v in x.values()))
+            if content > 1:
+                for x in parts:
+                    for i in x:
+                        x[i] //= content
+    return None
 
 
-def rank(m: Matrix) -> int:
-    return rref(m).rank
+def _insert(pivots: _Pivots, column: Column, combination: Column | None) -> bool:
+    """Reduce a copy of ``column``; keep it as a pivot when it survives."""
+    residue = dict(column)
+    row = _reduce(pivots, residue, combination)
+    if row is None:
+        return False
+    pivots[row] = (residue, combination)
+    return True
 
 
-def nullspace_basis(m: Matrix) -> list[Vector]:
-    """Canonical kernel basis, one vector per free column.
+def matrix_rank(columns: Sequence[Column]) -> int:
+    """Exact rank over the rationals of the matrix with these sparse columns."""
+    pivots: _Pivots = {}
+    return sum(_insert(pivots, column, None) for column in columns)
 
-    Each basis vector sets its free variable to 1 and every other free
-    variable to 0, so the basis is determined by the matrix alone.
+
+def kernel_vectors(columns: Sequence[Column]) -> Iterator[tuple[int, Column]]:
+    """The canonical kernel basis, lazily, as (free column, integer vector).
+
+    A column is free when it reduces to zero against the columns left of
+    it. The combination that cancelled it is supported on that column
+    and on earlier pivot columns, with a positive entry at the free
+    column; divided by that entry it is exactly the reduced row-echelon
+    kernel vector with 1 at the free column and 0 at every other free
+    column. Vectors come in free-column order, so a caller may stop early.
     """
-    result = rref(m)
-    pivot_set = set(result.pivot_cols)
-    basis: list[Vector] = []
-    for free_col in range(m.cols):
-        if free_col in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free_col] = Fraction(1)
-        for row_idx, pivot_col in enumerate(result.pivot_cols):
-            v[pivot_col] = -result.matrix.entries[row_idx][free_col]
-        basis.append(tuple(v))
-    return basis
+    pivots: _Pivots = {}
+    for j, column in enumerate(columns):
+        combination = {j: 1}
+        if not _insert(pivots, column, combination):
+            yield j, combination
 
 
-def in_span(basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Vector | None:
-    """Exact span membership test.
+def solve_columns(columns: Sequence[Column], target: Sequence[Fraction]) -> Vector | None:
+    """Coefficients c with sum(c[j] * columns[j]) == target, or None.
 
-    Returns coefficients c with sum(c[k] * basis[k]) == target, or None
-    when the target lies outside the span. When the solution is not
-    unique the free coefficients are pinned to 0, so the answer is
-    canonical.
+    None means the target lies outside the span of the columns. The
+    coefficient of every column that depends on the columns left of it
+    is pinned to 0, so the answer is canonical.
     """
-    n = len(target)
-    for v in basis:
-        if len(v) != n:
-            raise ValueError("span test requires vectors of one shared length")
-    k = len(basis)
-    if k == 0:
-        return () if all(x == 0 for x in target) else None
-    augmented = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    result = rref(Matrix.from_rows(augmented, cols=k + 1))
-    if k in result.pivot_cols:
+    pivots: _Pivots = {}
+    for j, column in enumerate(columns):
+        _insert(pivots, column, {j: 1})
+    scale = lcm(*(Fraction(x).denominator for x in target))
+    residue = {i: int(x * scale) for i, x in enumerate(target) if x}
+    marker = len(columns)  # the target's own slot in the combination
+    combination = {marker: 1}
+    if _reduce(pivots, residue, combination) is not None:
         return None
-    coeffs = [Fraction(0)] * k
-    for row_idx, pivot_col in enumerate(result.pivot_cols):
-        coeffs[pivot_col] = result.matrix.entries[row_idx][k]
-    return tuple(coeffs)
+    # 0 == combination[marker] * scale * target + sum(combination[j] * columns[j])
+    unit = -combination.pop(marker) * scale
+    coefficients = [Fraction(0)] * len(columns)
+    for j, c in combination.items():
+        coefficients[j] = Fraction(c, unit)
+    return tuple(coefficients)

@@ -1,0 +1,148 @@
+"""Dense exact linear algebra: the reference the sparse kernel is tested against.
+
+This is the dense ``Fraction`` reduced row-echelon code that computed
+every rank, kernel basis and span test of the library before the sparse
+column reduction replaced it. It is kept here, unchanged in behaviour,
+so that tests can require the sparse results to equal the dense ones.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from urprior.cohomology import Cochain, _coprime_integers, cochain_from_vector
+from urprior.complexes import SimplicialComplex, coboundary_matrix
+from urprior.numerics import Matrix, Vector
+
+
+def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
+    if len(v) != m.cols:
+        raise ValueError(f"vector of length {len(v)} against {m.cols} columns")
+    return tuple(sum((a * b for a, b in zip(row, v)), start=Fraction(0)) for row in m.entries)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    grid = [
+        [
+            sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), start=Fraction(0))
+            for j in range(b.cols)
+        ]
+        for i in range(a.rows)
+    ]
+    return Matrix.from_rows(grid, cols=b.cols)
+
+
+def columns(m: Matrix) -> list[Vector]:
+    return [tuple(row[j] for row in m.entries) for j in range(m.cols)]
+
+
+@dataclass(frozen=True)
+class RrefResult:
+    matrix: Matrix
+    pivot_cols: tuple[int, ...]
+    rank: int
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Reduced row-echelon form with pivot columns and rank.
+
+    The rref of a rational matrix is unique, which makes it usable as a
+    canonical form in regression tests.
+    """
+    work = [list(row) for row in m.entries]
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(m.cols):
+        source = None
+        for r in range(pivot_row, m.rows):
+            if work[r][col] != 0:
+                source = r
+                break
+        if source is None:
+            continue
+        work[pivot_row], work[source] = work[source], work[pivot_row]
+        factor = work[pivot_row][col]
+        if factor != 1:
+            work[pivot_row] = [x / factor for x in work[pivot_row]]
+        for r in range(m.rows):
+            if r != pivot_row and work[r][col] != 0:
+                scale = work[r][col]
+                work[r] = [a - scale * b for a, b in zip(work[r], work[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == m.rows:
+            break
+    return RrefResult(Matrix.from_rows(work, cols=m.cols), tuple(pivots), len(pivots))
+
+
+def rank(m: Matrix) -> int:
+    return rref(m).rank
+
+
+def nullspace_basis(m: Matrix) -> list[Vector]:
+    """Canonical kernel basis, one vector per free column.
+
+    Each basis vector sets its free variable to 1 and every other free
+    variable to 0, so the basis is determined by the matrix alone.
+    """
+    result = rref(m)
+    pivot_set = set(result.pivot_cols)
+    basis: list[Vector] = []
+    for free_col in range(m.cols):
+        if free_col in pivot_set:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[free_col] = Fraction(1)
+        for row_idx, pivot_col in enumerate(result.pivot_cols):
+            v[pivot_col] = -result.matrix.entries[row_idx][free_col]
+        basis.append(tuple(v))
+    return basis
+
+
+def in_span(basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> Vector | None:
+    """Exact span membership test.
+
+    Returns coefficients c with sum(c[k] * basis[k]) == target, or None
+    when the target lies outside the span. When the solution is not
+    unique the free coefficients are pinned to 0, so the answer is
+    canonical.
+    """
+    n = len(target)
+    for v in basis:
+        if len(v) != n:
+            raise ValueError("span test requires vectors of one shared length")
+    k = len(basis)
+    if k == 0:
+        return () if all(x == 0 for x in target) else None
+    augmented = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
+    result = rref(Matrix.from_rows(augmented, cols=k + 1))
+    if k in result.pivot_cols:
+        return None
+    coeffs = [Fraction(0)] * k
+    for row_idx, pivot_col in enumerate(result.pivot_cols):
+        coeffs[pivot_col] = result.matrix.entries[row_idx][k]
+    return tuple(coeffs)
+
+
+def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
+    """The dense original: first canonical kernel vector of delta_1 outside the image of delta_0."""
+    if not X.simplices(1):
+        return None
+    image_columns = columns(coboundary_matrix(X, 0))
+    for vec in nullspace_basis(coboundary_matrix(X, 1)):
+        if in_span(image_columns, vec) is None:
+            return cochain_from_vector(X, 1, _coprime_integers(vec))
+    return None
+
+
+def coboundary_witness(c: Cochain) -> Cochain | None:
+    """The dense original: span coefficients of c over the columns of delta_(k-1)."""
+    coefficients = in_span(columns(coboundary_matrix(c.complex, c.degree - 1)), c.vector())
+    if coefficients is None:
+        return None
+    return cochain_from_vector(c.complex, c.degree - 1, coefficients)
+

@@ -86,3 +86,58 @@ def holonomy_from_pmfs(system: AgentSystem, cycle: tuple[str, ...]) -> Fraction:
         shared = u.support & v.support
         product *= u.mass(shared) / v.mass(shared)
     return product
+
+
+def window_chain(
+    rng: random.Random, agents: int, window: int = 4
+) -> tuple[AgentSystem, dict[str, Fraction]]:
+    """Agent i is aware of outcomes i .. i+window-1, all conditioned from one hidden measure.
+
+    Returns the system and the hidden measure normalized over the union,
+    which is the ur-prior the decision must find.
+    """
+    count = agents + window - 1
+    outcomes = tuple(f"o{k}" for k in range(count))
+    weights = [Fraction(rng.randint(1, 6)) for _ in range(count)]
+    agent_list = []
+    for i in range(agents):
+        sector = sum(weights[i : i + window])
+        pmf = {outcomes[k]: weights[k] / sector for k in range(i, i + window)}
+        agent_list.append(CredenceFunction(f"a{i}", pmf))
+    total = sum(weights)
+    return AgentSystem(OutcomeSpace(outcomes), tuple(agent_list)), {
+        x: w / total for x, w in zip(outcomes, weights)
+    }
+
+
+def geometric_chain(agents: int, ratio: int) -> AgentSystem:
+    """Agent i is aware of outcomes i and i+1 and weights them 1 : ratio.
+
+    The only common prior is proportional to ratio**k on outcome k, so its
+    numbers grow by a factor of ``ratio`` per agent.
+    """
+    outcomes = tuple(f"o{k}" for k in range(agents + 1))
+    agent_list = [
+        CredenceFunction(
+            f"a{i}",
+            {outcomes[i]: Fraction(1, ratio + 1), outcomes[i + 1]: Fraction(ratio, ratio + 1)},
+        )
+        for i in range(agents)
+    ]
+    return AgentSystem(OutcomeSpace(outcomes), tuple(agent_list))
+
+
+def annulus(rng: random.Random, m: int) -> SimplicialComplex:
+    """A triangulated annulus: rings u0..u(m-1) and v0..v(m-1), 2m vertices, 4m edges, 2m triangles.
+
+    H^1 = 1. The vertex order is shuffled by the seed, which changes every
+    orientation and the canonical simplex order.
+    """
+    facets = []
+    for i in range(m):
+        j = (i + 1) % m
+        facets.append([f"u{i}", f"u{j}", f"v{i}"])
+        facets.append([f"u{j}", f"v{i}", f"v{j}"])
+    vertices = [f"u{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
+    rng.shuffle(vertices)
+    return from_facets(vertices, facets)

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from urprior import cli
+from urprior import cli, compat
+
+from .generators import geometric_chain
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -179,6 +184,16 @@ class TestCounterexample:
         _, second, _ = run(capsys, "counterexample", str(data_dir / "c5.json"))
         assert first == second
 
+    def test_golden_outputs(self, data_dir, capsys):
+        # recorded from the dense-elimination implementation; the chosen
+        # cocycle, and so every emitted system, must not change
+        golden = json.loads((GOLDEN / "counterexample.json").read_text())
+        files = sorted(data_dir.glob("*.json"))
+        assert sorted(golden) == [p.name for p in files if "facets" in json.loads(p.read_text())]
+        for name, expected in golden.items():
+            code, out, err = run(capsys, "counterexample", str(data_dir / name))
+            assert {"exit": code, "stdout": out, "stderr": err} == expected, name
+
 
 class TestOracle:
     def test_feasible(self, data_dir, capsys):
@@ -211,3 +226,61 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestInputRobustness:
+    def test_duplicate_key_is_rejected(self, tmp_path, capsys):
+        # last-wins would read this as the valid pmf {a: 1/2, b: 1/2}
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"outcomes": ["a", "b"], "agents": '
+            '[{"name": "1", "credence": {"a": "1/2", "b": "1/2", "a": "1/2"}}]}'
+        )
+        code, report, _ = run_json(capsys, "check", str(path), "--json")
+        assert code == 2
+        assert report["valid"] is False
+        assert report["errors"] == ["duplicate key 'a' in one JSON object"]
+        code, out, _ = run(capsys, "oracle", str(path))
+        assert code == 2
+        assert "duplicate key 'a'" in out
+        code, _, err = run(capsys, "cohomology", str(path))
+        assert code == 2
+        assert "duplicate key 'a'" in err
+
+    def test_duplicate_key_in_a_complex_file(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"vertices": ["1", "2"], "facets": [["1", "2"]], "vertices": ["1"]}')
+        code, _, err = run(capsys, "counterexample", str(path))
+        assert code == 2
+        assert "duplicate key 'vertices'" in err
+
+    def test_numbers_beyond_the_int_to_str_digit_limit(self, tmp_path, capsys):
+        # the ur-prior is proportional to (10**100)**k on outcome k, so its
+        # common denominator has 5001 digits
+        path = tmp_path / "geometric.json"
+        path.write_text(json.dumps(cli.system_to_dict(geometric_chain(50, 10**100))))
+        denominator = "1" + ("0" * 99 + "1") * 50
+        for command in ("check", "oracle"):
+            code, report, _ = run_json(capsys, command, str(path), "--json")
+            assert code == 0
+            assert report["ur_prior"]["o0"] == "1/" + denominator
+
+    def test_internal_error_exits_three(self, data_dir, capsys, monkeypatch):
+        # a glued measure that fails re-verification raises GluingError
+        monkeypatch.setattr(compat, "glue_urprior", lambda system, scaling: {})
+        code, out, err = run(capsys, "check", str(data_dir / "ex1.json"), "--json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: GluingError: ")
+        assert err.count("\n") == 1
+
+    def test_unexpected_exception_exits_three(self, data_dir, capsys, monkeypatch):
+        def broken(system):
+            raise KeyError("lost\noutcome")
+
+        monkeypatch.setattr(cli, "feasibility_oracle", broken)
+        code, out, err = run(capsys, "oracle", str(data_dir / "ex1.json"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: KeyError: ")
+        assert err.count("\n") == 1

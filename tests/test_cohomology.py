@@ -16,9 +16,16 @@ from urprior.cohomology import (
     is_cocycle,
     noncoboundary_cocycle,
 )
-from urprior.complexes import build_overlap_complex, from_facets
+from urprior.complexes import (
+    build_overlap_complex,
+    coboundary_columns,
+    coboundary_matrix,
+    from_facets,
+)
+from urprior.numerics import kernel_vectors
 
-from .generators import random_complex
+from . import dense_reference as dense
+from .generators import annulus, random_complex
 
 
 def _edge_cochain(X, values):
@@ -150,3 +157,50 @@ class TestNonCoboundary:
         cx, cy = noncoboundary_cocycle(X), noncoboundary_cocycle(Y)
         assert cx is not None and cy is not None
         assert cx.vector() == cy.vector()
+
+
+def _reference_complexes(seed: int):
+    rng = random.Random(seed)
+    out = [random_complex(rng) for _ in range(120)] + [random_complex(rng, 9) for _ in range(40)]
+    out += [annulus(rng, m) for m in (3, 4, 5, 6, 8) for _ in range(4)]
+    return out
+
+
+class TestAgainstDenseReference:
+    """Sparse results equal the dense rref reference of tests/dense_reference.py."""
+
+    def test_dimensions(self):
+        for X in _reference_complexes(51):
+            for k in range(4):
+                assert cocycle_dim(X, k) == len(X.simplices(k)) - dense.rank(coboundary_matrix(X, k))
+            for k in range(1, 4):
+                assert coboundary_dim(X, k) == dense.rank(coboundary_matrix(X, k - 1))
+
+    def test_kernel_vectors(self):
+        for X in _reference_complexes(52):
+            for k in (0, 1, 2):
+                m = coboundary_matrix(X, k)
+                sparse = [
+                    tuple(Fraction(v.get(i, 0), v[j]) for i in range(m.cols))
+                    for j, v in kernel_vectors(coboundary_columns(X, k))
+                ]
+                assert sparse == dense.nullspace_basis(m)
+
+    def test_noncoboundary_cocycle(self):
+        for X in _reference_complexes(53):
+            assert noncoboundary_cocycle(X) == dense.noncoboundary_cocycle(X)
+
+    def test_coboundary_witness(self):
+        rng = random.Random(54)
+        for X in _reference_complexes(55):
+            for k in (1, 2):
+                if not X.simplices(k):
+                    continue
+                below = Cochain(X, k - 1, {s: Fraction(rng.randint(-3, 3)) for s in X.simplices(k - 1)})
+                anything = Cochain(
+                    X, k, {s: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for s in X.simplices(k)}
+                )
+                for c in (coboundary(below), anything):
+                    assert coboundary_witness(c) == dense.coboundary_witness(c)
+                    image = dense.mat_vec(coboundary_matrix(X, k), c.vector())
+                    assert is_cocycle(c) == all(v == 0 for v in image)

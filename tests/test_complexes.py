@@ -2,19 +2,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
+    coboundary_columns,
     coboundary_matrix,
     connected_components,
     from_facets,
+    spanning_forest,
 )
 from urprior.credence import overlap_mass
-from urprior.numerics import Matrix, mat_mul
+from urprior.numerics import Matrix
 
 from .generators import random_system
 
@@ -130,13 +131,31 @@ class TestCoboundaryMatrix:
 
         for _ in range(30):
             X = random_complex(rng)
-            for k in (0, 1):
-                product = mat_mul(coboundary_matrix(X, k + 1), coboundary_matrix(X, k))
-                assert all(e == Fraction(0) for row in product.entries for e in row)
+            for k in (0, 1, 2):
+                upper = coboundary_columns(X, k + 1)
+                for column in coboundary_columns(X, k):
+                    image: dict[int, int] = {}
+                    for row, a in column.items():
+                        for t, b in upper[row].items():
+                            image[t] = image.get(t, 0) + a * b
+                    assert not any(image.values())
+
+    def test_sparse_columns_match_the_matrix(self):
+        rng = random.Random(23)
+        from .generators import random_complex
+
+        for _ in range(30):
+            X = random_complex(rng)
+            for k in (0, 1, 2):
+                m = coboundary_matrix(X, k)
+                dense = [{i: int(row[j]) for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)]
+                assert coboundary_columns(X, k) == dense
 
     def test_rejects_negative_degree(self, tri_filled):
         with pytest.raises(ValueError):
             coboundary_matrix(tri_filled, -1)
+        with pytest.raises(ValueError):
+            coboundary_columns(tri_filled, -1)
 
 
 class TestComponents:
@@ -150,3 +169,31 @@ class TestComponents:
     def test_isolated_vertex_is_own_component(self):
         X = from_facets(("a", "b", "c"), [("a", "b")])
         assert connected_components(X) == [(0, 1), (2,)]
+
+
+class TestSpanningForest:
+    def test_tree_and_non_tree_edges(self, tri_unfilled):
+        forest = spanning_forest(tri_unfilled)
+        assert forest.order == (0, 1, 2)
+        assert dict(forest.parent) == {1: 0, 2: 0}
+        assert forest.non_tree == ((1, 2),)
+
+    def test_breadth_first_from_each_smallest_vertex(self):
+        X = from_facets(tuple("abcdef"), [("a", "d"), ("d", "b"), ("a", "b"), ("c", "e"), ("e", "f")])
+        forest = spanning_forest(X)
+        assert forest.order == (0, 1, 3, 2, 4, 5)
+        assert dict(forest.parent) == {1: 0, 3: 0, 4: 2, 5: 4}
+        assert forest.non_tree == ((1, 3),)
+
+    def test_every_edge_is_tree_or_non_tree(self):
+        rng = random.Random(24)
+        from .generators import random_complex
+
+        for _ in range(40):
+            X = random_complex(rng)
+            forest = spanning_forest(X)
+            tree = {tuple(sorted(e)) for e in forest.parent.items()}
+            assert sorted(tree | set(forest.non_tree)) == list(X.simplices(1))
+            assert not tree & set(forest.non_tree)
+            assert sorted(forest.order) == list(range(len(X.vertices)))
+            assert len(X.vertices) - len(forest.parent) == len(connected_components(X))

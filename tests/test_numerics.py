@@ -8,14 +8,13 @@ import pytest
 from urprior.numerics import (
     Matrix,
     format_rational,
-    in_span,
-    mat_mul,
-    mat_vec,
-    nullspace_basis,
+    kernel_vectors,
+    matrix_rank,
     parse_rational,
-    rank,
-    rref,
+    solve_columns,
 )
+
+from .dense_reference import columns, in_span, mat_mul, mat_vec, nullspace_basis, rank, rref
 
 
 def _f(x) -> Fraction:
@@ -58,6 +57,24 @@ class TestParseRational:
         assert format_rational(Fraction(3, 27)) == "1/9"
         assert format_rational(Fraction(0)) == "0"
         assert format_rational(Fraction(2, 1)) == "2"
+
+    def test_format_beyond_the_int_to_str_digit_limit(self):
+        assert format_rational(Fraction(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7" + "/3"
+        assert format_rational(-(10**5000)) == "-1" + "0" * 5000
+        assert format_rational(Fraction(1, 7**9000)).startswith("1/")
+
+    def test_format_huge_values_round_trip(self):
+        # parse back in chunks, each far below the interpreter's digit limit
+        rng = random.Random(15)
+        for _ in range(5):
+            n = rng.getrandbits(rng.randint(14000, 60000)) | 1
+            text = format_rational(n)
+            assert text[0] != "0"
+            value = 0
+            for start in range(0, len(text), 1000):
+                chunk = text[start : start + 1000]
+                value = value * 10 ** len(chunk) + int(chunk)
+            assert value == n
 
 
 class TestRref:
@@ -203,3 +220,57 @@ class TestMatrixOps:
         assert mat_vec(empty, (_f(1), _f(2))) == ()
         product = mat_mul(empty, Matrix.from_rows([[1], [2]]))
         assert product.rows == 0 and product.cols == 1
+
+
+def _sparse_columns(m: Matrix) -> list[dict[int, int]]:
+    return [{i: int(x) for i, x in enumerate(col) if x} for col in columns(m)]
+
+
+def _random_integer_matrix(rng: random.Random, rows: int, cols: int, density: float) -> Matrix:
+    def entry() -> int:
+        return rng.choice((-2, -1, 1, 1, 3)) if rng.random() < density else 0
+
+    return Matrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+class TestSparseKernel:
+    """The sparse column reduction against the dense reference in tests/dense_reference.py."""
+
+    def _matrices(self, seed: int, count: int = 120):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield _random_integer_matrix(rng, rng.randint(0, 7), rng.randint(1, 8), rng.choice((0.2, 0.4, 0.7)))
+
+    def test_rank_matches_reference(self):
+        for m in self._matrices(41):
+            assert matrix_rank(_sparse_columns(m)) == rank(m)
+
+    def test_kernel_vectors_are_the_rref_basis(self):
+        for m in self._matrices(42):
+            sparse = []
+            for j, vector in kernel_vectors(_sparse_columns(m)):
+                assert vector[j] > 0
+                sparse.append(tuple(Fraction(vector.get(i, 0), vector[j]) for i in range(m.cols)))
+            assert sparse == nullspace_basis(m)
+
+    def test_rank_plus_nullity(self):
+        for m in self._matrices(43):
+            cols = _sparse_columns(m)
+            assert matrix_rank(cols) + len(list(kernel_vectors(cols))) == m.cols
+
+    def test_solve_matches_in_span(self):
+        rng = random.Random(44)
+        for m in self._matrices(45):
+            basis = columns(m)
+            mix = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+            inside = tuple(sum((c * v[i] for c, v in zip(mix, basis)), start=_f(0)) for i in range(m.rows))
+            anywhere = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m.rows))
+            for target in (inside, anywhere):
+                assert solve_columns(_sparse_columns(m), target) == in_span(basis, target)
+
+    def test_degenerate_shapes(self):
+        assert matrix_rank([]) == 0
+        assert list(kernel_vectors([{}, {}])) == [(0, {0: 1}), (1, {1: 1})]
+        assert solve_columns([], (_f(0), _f(0))) == ()
+        assert solve_columns([], (_f(1), _f(0))) is None
+        assert solve_columns([{}], (_f(0),)) == (_f(0),)

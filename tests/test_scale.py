@@ -1,0 +1,50 @@
+"""Inputs far beyond the small fixtures, checked exactly. No timing is asserted."""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+from urprior import cli
+from urprior.cohomology import cohomology_dim
+from urprior.compat import verify_urprior
+
+from .generators import annulus, holonomy_from_pmfs, window_chain
+
+
+def test_check_on_a_200_agent_window_chain(tmp_path, capsys):
+    system, hidden = window_chain(random.Random(200), 200)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(cli.system_to_dict(system)))
+    code = cli.main(["check", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdict"] == "exists"
+    assert report["complex"]["counts"] == [200, 3 * 200 - 6, 3 * 200 - 8]
+    assert report["h1"] == 0
+    measure = {x: Fraction(v) for x, v in report["ur_prior"].items()}
+    assert measure == hidden
+    assert verify_urprior(system, measure).ok
+
+
+def test_counterexample_round_trip_on_a_1280_edge_annulus(tmp_path, capsys):
+    X = annulus(random.Random(1280), 320)
+    assert X.counts() == [640, 1280, 640]
+    assert cohomology_dim(X, 1) == 1
+    complex_path = tmp_path / "annulus.json"
+    complex_path.write_text(json.dumps(cli.complex_to_dict(X)))
+    system_path = tmp_path / "system.json"
+    assert cli.main(["counterexample", str(complex_path), "--output", str(system_path)]) == 0
+    capsys.readouterr()
+    code = cli.main(["check", str(system_path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["pairwise"]["compatible"] is True
+    assert report["complex"]["counts"] == [640, 1280, 640]
+    assert report["h1"] == 1
+    cert = report["certificate"]
+    assert cert["kind"] == "cycle_holonomy"
+    holonomy = holonomy_from_pmfs(cli.load_system(str(system_path)), tuple(cert["cycle"]))
+    assert holonomy != 1
+    assert holonomy == Fraction(cert["holonomy"])
