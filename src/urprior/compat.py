@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Mapping, Union
 
 from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
@@ -126,19 +125,19 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     A pair is tested only when both sides give the overlap positive mass;
     conditionals are compared by cross-multiplication, so the test is
     exact. A pair where exactly one side weights the overlap is recorded
-    as an asymmetry instead. The witness outcome of a violation is the
-    alphabetically first failing one.
+    as an asymmetry instead. Pairs come in canonical order from the
+    system's overlap table, so pairs that share nothing cost nothing. The
+    witness outcome of a violation is the alphabetically first failing one.
     """
+    agents = system.agents
     violations: list[Violation] = []
     asymmetries: list[Asymmetry] = []
-    for left, right in combinations(system.agents, 2):
-        shared = left.support & right.support
-        if not shared:
-            continue
-        mass_left = left.mass(shared)
-        mass_right = right.mass(shared)
+    for (i, j), (shared, mass_left, mass_right) in system.overlaps.items():
+        left, right = agents[i], agents[j]
         if mass_left > 0 and mass_right > 0:
-            for x in sorted(shared):
+            # Both sides' conditionals sum to 1, so a disagreement shows at
+            # two outcomes at least: the last outcome never comes first.
+            for x in shared[:-1]:
                 if left.pmf[x] * mass_right != right.pmf[x] * mass_left:
                     violations.append(
                         Violation(
@@ -158,20 +157,19 @@ def ratio_cochain(system: AgentSystem, X: SimplicialComplex) -> RatioCochain:
     """Edge ratios r[i,j] = mass_i(overlap) / mass_j(overlap).
 
     ``X`` must be (a truncation of) the system's overlap complex, which is
-    exactly what guarantees both masses on every edge are positive.
+    exactly what guarantees both masses on every edge are positive. The
+    masses are read from the system's overlap table.
     """
-    agents = system.agents
+    overlaps = system.overlaps
     ratios: dict[tuple[int, int], Fraction] = {}
-    for i, j in X.simplices(1):
-        shared = agents[i].support & agents[j].support
-        mass_i = agents[i].mass(shared)
-        mass_j = agents[j].mass(shared)
+    for edge in X.simplices(1):
+        _, mass_i, mass_j = overlaps.get(edge, ((), 0, 0))
         if mass_i <= 0 or mass_j <= 0:
             raise ValueError(
-                f"edge {X.label((i, j))} lacks a two-sided positive overlap; "
+                f"edge {X.label(edge)} lacks a two-sided positive overlap; "
                 "X is not this system's overlap complex"
             )
-        ratios[(i, j)] = mass_i / mass_j
+        ratios[edge] = mass_i / mass_j
     return RatioCochain(X, ratios)
 
 

@@ -124,38 +124,46 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     """The complex of agent groups whose joint overlap every member weights.
 
     A group J is a simplex exactly when each member assigns positive mass
-    to the intersection of all awareness sets of J. The family is closed
-    downward (shrinking J grows the intersection), so enumeration runs
-    level by level, extending a simplex only when all of its facets
-    survived the previous level.
+    to the intersection of all awareness sets of J. The edges are the
+    pairs of the system's overlap table that both sides weight. The
+    family is closed downward (shrinking J grows the intersection), so
+    higher levels are enumerated level by level: a simplex s is extended
+    only by neighbours of s[0] above s[-1], and only when all facets of
+    the extension survived the previous level. Masses are nonnegative, so
+    a mass is positive exactly when one of its terms is.
     """
     agents = system.agents
     n = len(agents)
-    supports = [a.support for a in agents]
-    pmfs = [a.pmf for a in agents]
+    vertices: tuple[Simplex, ...] = tuple((i,) for i in range(n))
+    edges = tuple(
+        pair for pair, (_, mass_i, mass_j) in system.overlaps.items() if mass_i > 0 and mass_j > 0
+    )
+    if (max_dim is not None and max_dim < 1) or not edges:
+        return SimplicialComplex(system.names, (vertices,))
+    up: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        up[i].append(j)
 
-    levels: list[tuple[Simplex, ...]] = [tuple((i,) for i in range(n))]
-    k = 1
+    levels: list[tuple[Simplex, ...]] = [vertices, edges]
+    k = 2
     while max_dim is None or k <= max_dim:
         prev = levels[k - 1]
         prev_set = set(prev)
         found: list[Simplex] = []
         for s in prev:
-            shared = supports[s[0]]
+            shared = agents[s[0]].support
             for i in s[1:]:
-                shared = shared & supports[i]
-            for v in range(s[-1] + 1, n):
+                shared = shared & agents[i].support
+            for v in up[s[0]]:
+                if v <= s[-1] or any(s[:j] + s[j + 1 :] + (v,) not in prev_set for j in range(k)):
+                    continue
                 cand = s + (v,)
-                if any(cand[:j] + cand[j + 1 :] not in prev_set for j in range(len(cand))):
-                    continue
-                overlap = shared & supports[v]
-                if not overlap:
-                    continue
-                if all(sum(pmfs[i][x] for x in overlap) > 0 for i in cand):
+                overlap = shared & agents[v].support
+                if overlap and all(any(agents[i].pmf[x] > 0 for x in overlap) for i in cand):
                     found.append(cand)
         if not found:
             break
-        levels.append(tuple(sorted(found)))
+        levels.append(tuple(found))
         k += 1
     return SimplicialComplex(system.names, tuple(levels))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from urprior.numerics import format_rational, parse_rational
@@ -59,7 +60,7 @@ class CredenceFunction:
         if sum(self.pmf.values()) != 1:
             raise ValueError(f"agent {self.name}: masses must sum to exactly 1")
 
-    @property
+    @cached_property
     def support(self) -> frozenset[str]:
         """Awareness set: all pmf keys, zero-mass outcomes included."""
         return frozenset(self.pmf)
@@ -67,6 +68,11 @@ class CredenceFunction:
     def mass(self, event: Iterable[str]) -> Fraction:
         """Exact mass of an event, restricted to the awareness set."""
         return sum((self.pmf[x] for x in event if x in self.pmf), start=Fraction(0))
+
+
+# The outcomes two agents i < j share, sorted by label, then the mass
+# agent i and the mass agent j give them.
+Overlap = tuple[tuple[str, ...], Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,30 @@ class AgentSystem:
             if a.name == name:
                 return a
         raise KeyError(f"no agent named {name!r}")
+
+    @cached_property
+    def overlaps(self) -> dict[tuple[int, int], Overlap]:
+        """Every pair of agents (i, j), i < j, that shares an outcome, in canonical order.
+
+        Built once from an outcome -> agents index, so the cost follows the
+        number of (pair, shared outcome) incidences, not the number of pairs.
+        The pairwise scan, the overlap complex and the ratio cochain all
+        read this one table.
+        """
+        aware: dict[str, list[int]] = {}
+        for i, agent in enumerate(self.agents):
+            for x in agent.pmf:
+                aware.setdefault(x, []).append(i)
+        shared: dict[tuple[int, int], list[str]] = {}
+        for x, holders in aware.items():
+            for a, i in enumerate(holders):
+                for j in holders[a + 1 :]:
+                    shared.setdefault((i, j), []).append(x)
+        table: dict[tuple[int, int], Overlap] = {}
+        for i, j in sorted(shared):
+            xs = tuple(sorted(shared[(i, j)]))
+            table[(i, j)] = (xs, self.agents[i].mass(xs), self.agents[j].mass(xs))
+        return table
 
     def union_support(self) -> frozenset[str]:
         out: set[str] = set()

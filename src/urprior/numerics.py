@@ -24,6 +24,7 @@ chain, 16k steps against 6.8M).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -46,12 +47,35 @@ __all__ = [
 ]
 
 
+# A literal as Python 3.11's ``fractions.Fraction`` reads it: sign, then an
+# integer, "p/q", or a decimal with an optional exponent; digits may be
+# grouped by single underscores.
+_LITERAL = re.compile(
+    r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>(?:\d+(?:_\d+)*)?)
+    (?:
+        /(?P<denom>\d+(?:_\d+)*)
+    |
+        (?:\.(?P<decimal>(?:\d+(?:_\d+)*)?))?
+        (?:E(?P<exp>[-+]?\d+(?:_\d+)*))?
+    )
+    \s*\Z
+    """,
+    re.VERBOSE | re.IGNORECASE,
+)
+
+# Literals longer than this are echoed in error messages only in part.
+_ECHO = 40
+
+
 def parse_rational(value: object) -> Fraction:
     """Parse an exact rational from an int or a string.
 
     Accepts integer strings ("3"), fraction strings ("5/8"), and decimal
-    literals ("0.3", read exactly as 3/10). Floats are rejected outright:
-    they carry binary rounding error and would poison exact comparisons.
+    literals ("0.3", read exactly as 3/10), with any number of digits.
+    Floats are rejected outright: they carry binary rounding error and
+    would poison exact comparisons.
     """
     if isinstance(value, bool):
         raise TypeError("cannot interpret a boolean as a rational")
@@ -61,15 +85,46 @@ def parse_rational(value: object) -> Fraction:
         raise TypeError(f"refusing inexact float {value!r}; write it as a string such as '3/10'")
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return _parse_literal(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+            shown = repr(value)
+            if len(value) > _ECHO:
+                shown = f"{value[:_ECHO]!r}... ({len(value)} characters)"
+            raise ValueError(f"not a rational literal: {shown}") from exc
     raise TypeError(f"cannot parse {type(value).__name__} as a rational")
+
+
+def _parse_literal(text: str) -> Fraction:
+    match = _LITERAL.match(text)
+    if match is None:
+        raise ValueError("no match")
+    if match["denom"]:
+        value = Fraction(_integer(match["num"]), _integer(match["denom"]))
+    else:
+        decimal = (match["decimal"] or "").replace("_", "")
+        value = Fraction(_integer(match["num"] + decimal or "0"), 10 ** len(decimal))
+        if match["exp"]:
+            value *= Fraction(10) ** int(match["exp"])
+    return -value if match["sign"] == "-" else value
 
 
 # Integers below this convert with one str() call, far under the interpreter's
 # int->str digit limit (4300 digits by default).
-_DIRECT = 10**1000
+_DIRECT_DIGITS = 1000
+_DIRECT = 10**_DIRECT_DIGITS
+
+
+def _integer(digits: str) -> int:
+    """Value of a digit string of any length (underscores allowed), the inverse of _decimal.
+
+    Longer strings are split on a power of ten at half their length, so
+    no single conversion meets the interpreter's digit limit.
+    """
+    digits = digits.replace("_", "")
+    if len(digits) <= _DIRECT_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _integer(digits[:-half]) * 10**half + _integer(digits[-half:])
 
 
 def _decimal(n: int) -> str:

@@ -32,29 +32,34 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     """
     agents = system.agents
     n = len(agents)
-    union = [x for x in system.space.outcomes if any(x in a.pmf for a in agents)]
+    aware_at: dict[str, list[int]] = {}
+    for i, agent in enumerate(agents):
+        for x in agent.pmf:
+            aware_at.setdefault(x, []).append(i)
+    union = [x for x in system.space.outcomes if x in aware_at]
 
     # An outcome one agent rules out and another weights positively is an
     # immediate contradiction: the measure would need to be 0 and > 0.
     positive_at: dict[str, list[int]] = {}
     for x in union:
-        aware = [(i, agents[i].pmf[x]) for i in range(n) if x in agents[i].pmf]
-        positives = [i for i, m in aware if m > 0]
+        aware = aware_at[x]
+        positives = [i for i in aware if agents[i].pmf[x] > 0]
         if positives and len(positives) != len(aware):
             return None
         positive_at[x] = positives
 
+    # Linking every positive agent at x to the first one pins the same
+    # sector ratios as linking every pair of them.
     links: list[tuple[int, int, Fraction]] = []  # s_j == s_i * ratio
     adjacency: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(n)}
     for x in union:
         positives = positive_at[x]
-        for a in range(len(positives)):
-            for b in range(a + 1, len(positives)):
-                i, j = positives[a], positives[b]
-                ratio = agents[i].pmf[x] / agents[j].pmf[x]
-                links.append((i, j, ratio))
-                adjacency[i].append((j, ratio))
-                adjacency[j].append((i, 1 / ratio))
+        for j in positives[1:]:
+            i = positives[0]
+            ratio = agents[i].pmf[x] / agents[j].pmf[x]
+            links.append((i, j, ratio))
+            adjacency[i].append((j, ratio))
+            adjacency[j].append((i, 1 / ratio))
 
     sector: dict[int, Fraction] = {}
     for root in range(n):
@@ -83,7 +88,7 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
 
     # Full direct re-check of the constraints that define feasibility.
     for agent in agents:
-        s = sum((candidate[x] for x in union if x in agent.pmf), start=Fraction(0))
+        s = sum((candidate[x] for x in agent.pmf), start=Fraction(0))
         if s <= 0:
             return None
         for x in agent.pmf:

@@ -265,6 +265,34 @@ class TestInputRobustness:
             assert code == 0
             assert report["ur_prior"]["o0"] == "1/" + denominator
 
+    def test_printed_ur_prior_beyond_the_digit_limit_reads_back(self, tmp_path, capsys):
+        system = geometric_chain(50, 10**100)
+        path = tmp_path / "geometric.json"
+        path.write_text(json.dumps(cli.system_to_dict(system)))
+        code, report, _ = run_json(capsys, "check", str(path), "--json")
+        assert code == 0
+        printed = report["ur_prior"]
+        assert max(len(v) for v in printed.values()) > 5000
+        # the printed measure, taken as one agent's credence, reads back exactly
+        echo = tmp_path / "echo.json"
+        agent = {"name": "all", "credence": printed}
+        echo.write_text(json.dumps({"outcomes": list(printed), "agents": [agent]}))
+        assert cli.load_system(str(echo)).agents[0].pmf == compat.decide_urprior(system).measure
+        code, again, _ = run_json(capsys, "check", str(echo), "--json")
+        assert code == 0
+        assert again["ur_prior"] == printed
+
+    def test_long_invalid_literal_gives_a_short_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        literal = "1/" + "1" * 4997 + "x"
+        agent = {"name": "1", "credence": {"a": literal}}
+        path.write_text(json.dumps({"outcomes": ["a"], "agents": [agent]}))
+        code, report, _ = run_json(capsys, "check", str(path), "--json")
+        assert code == 2
+        (error,) = report["errors"]
+        assert len(error) < 120
+        assert error.startswith("agent 1: outcome 'a': not a rational literal: '1/111")
+
     def test_internal_error_exits_three(self, data_dir, capsys, monkeypatch):
         # a glued measure that fails re-verification raises GluingError
         monkeypatch.setattr(compat, "glue_urprior", lambda system, scaling: {})

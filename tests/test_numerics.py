@@ -53,6 +53,55 @@ class TestParseRational:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    def test_parse_beyond_the_int_to_str_digit_limit(self):
+        big = "1" * 5000
+        assert parse_rational("1/" + big) == Fraction(1, (10**5000 - 1) // 9)
+        assert parse_rational(big) == (10**5000 - 1) // 9
+        assert parse_rational("-" + big + "/3") == -Fraction((10**5000 - 1) // 9, 3)
+        assert parse_rational("0." + "0" * 4999 + "7") == Fraction(7, 10**5000)
+        assert parse_rational("1" + "0" * 5000 + "e-5000") == 1
+        assert parse_rational("1_" + "0" * 4800 + "_0") == 10**4801
+
+    def test_parse_reads_back_what_format_writes(self):
+        rng = random.Random(16)
+        for _ in range(20):
+            q = Fraction(rng.getrandbits(rng.randint(1, 40000)) - 2**20, rng.getrandbits(20000) | 1)
+            assert parse_rational(format_rational(q)) == q
+
+    def test_parse_matches_fraction_on_short_literals(self):
+        # digit groups as Python 3.11 reads them (3.10's Fraction rejects them)
+        assert parse_rational("1_000/3") == Fraction(1000, 3)
+        assert parse_rational("1_0.0_5e-1_0") == Fraction(1005, 10**12)
+        for text in ["1__0", "_1", "1_", "1_/2", "1._5", "1e_1"]:
+            with pytest.raises(ValueError, match="not a rational literal"):
+                parse_rational(text)
+        rng = random.Random(17)
+        digits = lambda low, high: "".join(rng.choices("0123456789", k=rng.randint(low, high)))
+        for _ in range(2000):
+            text = rng.choice(["", "-", "+"]) + digits(0, 5)
+            text += rng.choice(["", "/" + digits(1, 4), "." + digits(0, 4)])
+            if rng.random() < 0.4:
+                text += rng.choice("eE") + rng.choice(["", "-", "+"]) + digits(1, 2)
+            text = rng.choice(["", " "]) + text + rng.choice(["", "\t"])
+            try:
+                expected = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(ValueError, match="not a rational literal"):
+                    parse_rational(text)
+            else:
+                assert parse_rational(text) == expected
+
+    def test_error_message_shows_a_short_prefix_of_a_long_literal(self):
+        for text in ["x" * 5000, "1/" + "1" * 4997 + "x", "1" * 4998 + "/0"]:
+            with pytest.raises(ValueError) as caught:
+                parse_rational(text)
+            message = str(caught.value)
+            assert len(message) < 120
+            assert message.startswith("not a rational literal: " + repr(text[:40]))
+            assert "5000 characters" in message
+        with pytest.raises(ValueError, match=r"^not a rational literal: 'three tenths'$"):
+            parse_rational("three tenths")
+
     def test_format_lowest_terms(self):
         assert format_rational(Fraction(3, 27)) == "1/9"
         assert format_rational(Fraction(0)) == "0"

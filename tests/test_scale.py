@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from urprior import cli
 from urprior.cohomology import cohomology_dim
-from urprior.compat import verify_urprior
+from urprior.compat import decide_urprior, verify_urprior
 
 from .generators import annulus, holonomy_from_pmfs, window_chain
 
@@ -26,6 +26,25 @@ def test_check_on_a_200_agent_window_chain(tmp_path, capsys):
     measure = {x: Fraction(v) for x, v in report["ur_prior"].items()}
     assert measure == hidden
     assert verify_urprior(system, measure).ok
+
+
+def test_decide_and_check_on_a_3000_agent_window_chain(tmp_path, capsys):
+    # 4.5M agent pairs, of which 9k share an outcome: the pairwise scan and
+    # the overlap complex only visit the sharing ones
+    n = 3000
+    system, hidden = window_chain(random.Random(n), n)
+    result = decide_urprior(system)
+    assert result.verdict == "exists"
+    assert result.measure == hidden
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(cli.system_to_dict(system)))
+    code = cli.main(["check", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdict"] == "exists"
+    assert report["complex"]["counts"] == [n, 3 * n - 6, 3 * n - 8]
+    assert report["h1"] == 0
+    assert {x: Fraction(v) for x, v in report["ur_prior"].items()} == hidden
 
 
 def test_counterexample_round_trip_on_a_1280_edge_annulus(tmp_path, capsys):
