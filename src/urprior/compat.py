@@ -5,12 +5,20 @@ a spanning-forest scaling solution, gluing, and verification. Every
 negative answer comes with a finite certificate (a conditional
 disagreement, a one-sided overlap, or a cycle whose ratio product is
 not 1), and every positive answer is re-verified before it is returned.
+
+The equalities behind each step are decided by integer
+cross-multiplication: over each agent's own denominator
+(``CredenceFunction.counts``), over the numerators and denominators of
+two fractions, or, in verification, over one common denominator of the
+measure. A reduced ``Fraction`` is built only for what is returned or
+printed: measures, scalings, ratios, certificates and diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Union
 
 from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
@@ -122,12 +130,15 @@ class GluingError(RuntimeError):
 def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     """Check every pair of agents on their shared outcomes.
 
-    A pair is tested only when both sides give the overlap positive mass;
-    conditionals are compared by cross-multiplication, so the test is
-    exact. A pair where exactly one side weights the overlap is recorded
-    as an asymmetry instead. Pairs come in canonical order from the
-    system's overlap table, so pairs that share nothing cost nothing. The
-    witness outcome of a violation is the alphabetically first failing one.
+    A pair is tested only when both sides give the overlap positive mass.
+    With agent i's pmf written as n_x / d over its own denominator, the
+    conditionals of the two sides agree at x exactly when
+    n_x(left) * M(right) == n_x(right) * M(left), M being the sum of n_x
+    over the overlap: an integer cross-multiplication. A pair where
+    exactly one side weights the overlap is recorded as an asymmetry
+    instead. Pairs come in canonical order from the system's overlap
+    table, so pairs that share nothing cost nothing. The witness outcome
+    of a violation is the alphabetically first failing one.
     """
     agents = system.agents
     violations: list[Violation] = []
@@ -135,10 +146,13 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     for (i, j), (shared, mass_left, mass_right) in system.overlaps.items():
         left, right = agents[i], agents[j]
         if mass_left > 0 and mass_right > 0:
+            counts_left, counts_right = left.counts[1], right.counts[1]
+            sum_left = sum(counts_left[x] for x in shared)
+            sum_right = sum(counts_right[x] for x in shared)
             # Both sides' conditionals sum to 1, so a disagreement shows at
             # two outcomes at least: the last outcome never comes first.
             for x in shared[:-1]:
-                if left.pmf[x] * mass_right != right.pmf[x] * mass_left:
+                if counts_left[x] * sum_right != counts_right[x] * sum_left:
                     violations.append(
                         Violation(
                             (left.name, right.name),
@@ -196,7 +210,9 @@ def solve_scaling(
         scale[v] = Fraction(1) if u is None else scale[u] * step(u, v)
 
     for i, j in forest.non_tree:
-        if scale[i] * step(i, j) == scale[j]:
+        # scale[i] * ratio[i, j] == scale[j], cross-multiplied (non-tree edges have i < j)
+        a, r, b = scale[i], table[(i, j)], scale[j]
+        if a.numerator * r.numerator * b.denominator == b.numerator * a.denominator * r.denominator:
             continue
         path = _forest_path(j, i, forest.parent)
         cycle = [i, j] + path[1:-1]
@@ -233,26 +249,31 @@ def glue_urprior(system: AgentSystem, scaling: Mapping[str, Fraction]) -> dict[s
 
     Under the pipeline's preconditions (pairwise compatible, no overlap
     asymmetry, scaling solved) the rescaled masses agree wherever
-    awareness sets meet. A disagreement means an internal invariant
+    awareness sets meet. An outcome's rescaled mass is computed at its
+    first agent; each later agent is compared with it by integer
+    cross-multiplication. A disagreement means an internal invariant
     broke, so it raises GluingError rather than guessing.
     """
     merged: dict[str, Fraction] = {}
     first_source: dict[str, str] = {}
     for agent in system.agents:
         factor = scaling.get(agent.name)
-        if factor is None or factor <= 0:
+        if not isinstance(factor, (int, Fraction)) or factor <= 0:
             raise ValueError(f"scaling must assign a positive factor to agent {agent.name}")
         for outcome, p in agent.pmf.items():
-            mass = factor * p
-            if outcome in merged:
-                if merged[outcome] != mass:
-                    raise GluingError(
-                        f"agents {first_source[outcome]} and {agent.name} assign different "
-                        f"rescaled masses to {outcome!r}"
-                    )
-            else:
-                merged[outcome] = mass
+            m = merged.get(outcome)
+            if m is None:
+                merged[outcome] = factor * p
                 first_source[outcome] = agent.name
+            # m == factor * p, cross-multiplied
+            elif (
+                m.numerator * factor.denominator * p.denominator
+                != factor.numerator * p.numerator * m.denominator
+            ):
+                raise GluingError(
+                    f"agents {first_source[outcome]} and {agent.name} assign different "
+                    f"rescaled masses to {outcome!r}"
+                )
     total = sum(merged.values(), start=Fraction(0))
     if total <= 0:
         raise GluingError("glued measure has zero total mass")
@@ -266,41 +287,52 @@ def verify_urprior(system: AgentSystem, measure: Mapping[str, Fraction]) -> Veri
     awareness sets, and for every agent a positive sector mass with
     measure(x) == pmf(x) * sector for each aware outcome. One diagnostic
     line per agent.
+
+    The measure is written over one common denominator D, w_x / D, so the
+    total and every sector are integer sums; with the agent's pmf as
+    n_x / d, each conditional check is w_x * d == n_x * sector. A
+    reduced ``Fraction`` is built only for a diagnostic.
     """
     diagnostics: list[str] = []
     ok = True
     values = {x: Fraction(v) for x, v in measure.items()}
+    D = 1
+    for v in values.values():
+        if D % v.denominator:
+            D = lcm(D, v.denominator)
+    w = {x: v.numerator * (D // v.denominator) for x, v in values.items()}
 
-    negatives = sorted(x for x, v in values.items() if v < 0)
+    negatives = sorted(x for x, n in w.items() if n < 0)
     if negatives:
         ok = False
         diagnostics.append(f"negative mass on {negatives[0]!r}")
-    total = sum(values.values(), start=Fraction(0))
-    if total != 1:
+    total = sum(w.values())
+    if total != D:
         ok = False
-        diagnostics.append(f"total mass is {format_rational(total)}, not 1")
+        diagnostics.append(f"total mass is {format_rational(Fraction(total, D))}, not 1")
     union = system.union_support()
-    stray = sorted(x for x, v in values.items() if v != 0 and x not in union)
+    stray = sorted(x for x, n in w.items() if n != 0 and x not in union)
     if stray:
         ok = False
         diagnostics.append(f"positive mass outside every awareness set: {stray}")
 
     for agent in system.agents:
-        sector = sum((values.get(x, Fraction(0)) for x in agent.support), start=Fraction(0))
+        d, counts = agent.counts
+        sector = sum(w.get(x, 0) for x in agent.support)
         if sector == 0:
             ok = False
             diagnostics.append(f"agent {agent.name}: awareness set carries zero mass")
             continue
         bad = None
         for x in sorted(agent.support):
-            if values.get(x, Fraction(0)) != agent.pmf[x] * sector:
+            if w.get(x, 0) * d != counts[x] * sector:
                 bad = x
                 break
         if bad is None:
             diagnostics.append(f"agent {agent.name}: ok")
         else:
             ok = False
-            got = values.get(bad, Fraction(0)) / sector
+            got = Fraction(w.get(bad, 0), sector)
             diagnostics.append(
                 f"agent {agent.name}: conditional of {bad!r} is {format_rational(got)}, "
                 f"expected {format_rational(agent.pmf[bad])}"

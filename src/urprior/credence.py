@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping
 
 from urprior.numerics import format_rational, parse_rational
@@ -45,7 +46,14 @@ class CredenceFunction:
 
     The key set of ``pmf`` is the awareness set. An outcome carried with
     mass zero is awareness without weight, which is different from the
-    outcome being absent.
+    outcome being absent. Masses must be ``int`` or ``Fraction`` values;
+    a float, bool or string is rejected.
+
+    ``counts`` is the same pmf in integer form, ``(d, {x: n_x})`` with
+    ``pmf[x] == n_x / d`` and ``d`` the lcm of the pmf's denominators.
+    The exact checks downstream compare these per-agent integers by
+    cross-multiplication, so deciding an equality never reduces a
+    fraction; ``mass`` still returns a reduced ``Fraction``.
     """
 
     name: str
@@ -55,19 +63,38 @@ class CredenceFunction:
         object.__setattr__(self, "pmf", dict(self.pmf))
         if not self.pmf:
             raise ValueError(f"agent {self.name}: awareness set is empty")
+        for x, v in self.pmf.items():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(
+                    f"agent {self.name}: outcome {x!r}: mass {v!r} is not an int or a Fraction"
+                )
         if any(v < 0 for v in self.pmf.values()):
             raise ValueError(f"agent {self.name}: negative mass")
-        if sum(self.pmf.values()) != 1:
-            raise ValueError(f"agent {self.name}: masses must sum to exactly 1")
+        d, counts = self.counts
+        total = sum(counts.values())
+        if total != d:
+            raise ValueError(
+                f"pmf sum != 1 for agent {self.name} (sum {format_rational(Fraction(total, d))})"
+            )
 
     @cached_property
     def support(self) -> frozenset[str]:
         """Awareness set: all pmf keys, zero-mass outcomes included."""
         return frozenset(self.pmf)
 
+    @cached_property
+    def counts(self) -> tuple[int, dict[str, int]]:
+        """The pmf over one common denominator: ``(d, {x: n_x})``, ``pmf[x] == n_x / d``."""
+        d = 1
+        for v in self.pmf.values():
+            if d % v.denominator:
+                d = lcm(d, v.denominator)
+        return d, {x: v.numerator * (d // v.denominator) for x, v in self.pmf.items()}
+
     def mass(self, event: Iterable[str]) -> Fraction:
         """Exact mass of an event, restricted to the awareness set."""
-        return sum((self.pmf[x] for x in event if x in self.pmf), start=Fraction(0))
+        d, counts = self.counts
+        return Fraction(sum(counts[x] for x in event if x in counts), d)
 
 
 # The outcomes two agents i < j share, sorted by label, then the mass
@@ -192,7 +219,6 @@ def validate(raw: object) -> AgentSystem:
             continue
         pmf: dict[str, Fraction] = {}
         ok = True
-        total = Fraction(0)
         for outcome, value in table.items():
             if outcome not in known:
                 violations.append(f"agent {name}: outcome {outcome!r} is not in the outcome space")
@@ -211,12 +237,11 @@ def validate(raw: object) -> AgentSystem:
                 ok = False
                 continue
             pmf[outcome] = q
-            total += q
-        if ok and total != 1:
-            violations.append(f"pmf sum != 1 for agent {name} (sum {format_rational(total)})")
-            ok = False
         if ok:
-            agents.append(CredenceFunction(name, pmf))
+            try:
+                agents.append(CredenceFunction(name, pmf))
+            except ValueError as exc:  # the masses do not sum to 1
+                violations.append(str(exc))
 
     if violations:
         raise ValidationError(violations)

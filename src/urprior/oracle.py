@@ -5,13 +5,17 @@ solutions: it treats the problem as plain linear feasibility in the
 sector masses and propagates constraints through the graph of outcomes
 that two agents both weight positively. It exists to cross-check the
 main pipeline, so it deliberately shares nothing with it beyond the data
-model and exact rational arithmetic.
+model and exact rational arithmetic. Its link test and its final
+re-check compare integers by cross-multiplication, reading the
+numerators and denominators of the pmf on its own; the candidate it
+returns is a measure of reduced ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from urprior.credence import AgentSystem
 
@@ -49,17 +53,22 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
         positive_at[x] = positives
 
     # Linking every positive agent at x to the first one pins the same
-    # sector ratios as linking every pair of them.
-    links: list[tuple[int, int, Fraction]] = []  # s_j == s_i * ratio
-    adjacency: dict[int, list[tuple[int, Fraction]]] = {i: [] for i in range(n)}
+    # sector ratios as linking every pair of them. A link (i, j, p, q)
+    # says s_j == s_i * p / q, with p / q == pmf_i(x) / pmf_j(x) unreduced.
+    links: list[tuple[int, int, int, int]] = []
+    adjacency: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(n)}
     for x in union:
         positives = positive_at[x]
+        if not positives:
+            continue
+        i = positives[0]
+        mi = agents[i].pmf[x]
         for j in positives[1:]:
-            i = positives[0]
-            ratio = agents[i].pmf[x] / agents[j].pmf[x]
-            links.append((i, j, ratio))
-            adjacency[i].append((j, ratio))
-            adjacency[j].append((i, 1 / ratio))
+            mj = agents[j].pmf[x]
+            p, q = mi.numerator * mj.denominator, mi.denominator * mj.numerator
+            links.append((i, j, p, q))
+            adjacency[i].append((j, p, q))
+            adjacency[j].append((i, q, p))
 
     sector: dict[int, Fraction] = {}
     for root in range(n):
@@ -69,12 +78,13 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v, ratio in adjacency[u]:
+            for v, p, q in adjacency[u]:
                 if v not in sector:
-                    sector[v] = sector[u] * ratio
+                    sector[v] = sector[u] * p / q
                     queue.append(v)
-    for i, j, ratio in links:
-        if sector[j] != sector[i] * ratio:
+    for i, j, p, q in links:
+        si, sj = sector[i], sector[j]
+        if sj.numerator * si.denominator * q != si.numerator * p * sj.denominator:
             return None
 
     raw: dict[str, Fraction] = {}
@@ -86,12 +96,20 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
         return None
     candidate = {x: raw[x] / total for x in union}
 
-    # Full direct re-check of the constraints that define feasibility.
+    # Full direct re-check of the constraints that define feasibility, on
+    # the candidate written as w_x / D over one common denominator: agent
+    # i's sector is the integer sum S of w_x over its awareness set, and
+    # candidate(x) == pmf_i(x) * S / D reads w_x * den == num * S.
+    D = 1
+    for v in candidate.values():
+        if D % v.denominator:
+            D = lcm(D, v.denominator)
+    w = {x: v.numerator * (D // v.denominator) for x, v in candidate.items()}
     for agent in agents:
-        s = sum((candidate[x] for x in agent.pmf), start=Fraction(0))
-        if s <= 0:
+        S = sum(w[x] for x in agent.pmf)
+        if S <= 0:
             return None
-        for x in agent.pmf:
-            if candidate[x] != agent.pmf[x] * s:
+        for x, m in agent.pmf.items():
+            if w[x] * m.denominator != m.numerator * S:
                 return None
     return candidate

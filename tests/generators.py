@@ -10,7 +10,7 @@ from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 
 
 def random_system(
-    rng: random.Random, max_agents: int = 6, max_outcomes: int = 8
+    rng: random.Random, max_agents: int = 6, max_outcomes: int = 8, min_agents: int = 1
 ) -> AgentSystem:
     """Unconstrained random system: arbitrary supports and integer-weight pmfs.
 
@@ -19,7 +19,7 @@ def random_system(
     """
     n_outcomes = rng.randint(2, max_outcomes)
     outcomes = tuple(f"o{i}" for i in range(1, n_outcomes + 1))
-    n_agents = rng.randint(1, max_agents)
+    n_agents = rng.randint(min_agents, max_agents)
     agents = []
     for a in range(1, n_agents + 1):
         support = rng.sample(outcomes, rng.randint(1, n_outcomes))
@@ -37,6 +37,7 @@ def conditioned_system(
     max_agents: int = 6,
     max_outcomes: int = 8,
     common_outcome: bool = False,
+    min_agents: int = 2,
 ) -> AgentSystem:
     """Pairwise-compatible system: every agent conditions one hidden measure.
 
@@ -53,7 +54,7 @@ def conditioned_system(
     weights[core] = Fraction(rng.randint(1, 6))
     positive = [x for x in outcomes if weights[x] > 0]
 
-    n_agents = rng.randint(2, max_agents)
+    n_agents = rng.randint(min_agents, max_agents)
     agents = []
     for a in range(1, n_agents + 1):
         support = set(rng.sample(outcomes, rng.randint(1, n_outcomes)))
@@ -141,3 +142,41 @@ def annulus(rng: random.Random, m: int) -> SimplicialComplex:
     vertices = [f"u{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
     rng.shuffle(vertices)
     return from_facets(vertices, facets)
+
+
+def _system(outcomes: str, *pmfs: dict[str, Fraction | int]) -> AgentSystem:
+    agents = tuple(CredenceFunction(str(k), pmf) for k, pmf in enumerate(pmfs, start=1))
+    return AgentSystem(OutcomeSpace(tuple(outcomes)), agents)
+
+
+HALF = Fraction(1, 2)
+
+EDGE_CASES = {
+    "single agent": _system("ab", {"a": HALF, "b": HALF}),
+    "disjoint agents": _system("abcd", {"a": HALF, "b": HALF}, {"c": 1}, {"d": 1}),
+    "zero-mass awareness": _system(
+        "abc", {"a": 1, "b": 0}, {"b": 0, "c": 1}, {"a": HALF, "b": 0, "c": HALF}
+    ),
+    "one-sided overlap": _system("abc", {"a": 0, "b": 1}, {"a": HALF, "c": HALF}, {"a": 1}),
+    "shared zero on both sides": _system("abc", {"a": 1, "b": 0}, {"b": 0, "c": 1}),
+    "violation": _system("abc", {"a": HALF, "b": HALF}, {"a": Fraction(1, 3), "b": Fraction(2, 3)}),
+    "same agent twice": _system("ab", {"a": HALF, "b": HALF}, {"a": HALF, "b": HALF}),
+}
+
+
+def seeded_systems() -> list[AgentSystem]:
+    """231 seeded systems of every kind, the edge cases above among them.
+
+    The library's fast paths are tested against their reference versions
+    on this set.
+    """
+    rng = random.Random(2024)
+    out = list(EDGE_CASES.values())
+    for k in range(120):
+        out.append(random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9))
+    for k in range(100):
+        sizes = {"max_agents": 2 + k % 9, "max_outcomes": 3 + k % 8}
+        out.append(conditioned_system(rng, **sizes, common_outcome=k % 3 == 0))
+    for agents in (1, 2, 5, 12):
+        out.append(window_chain(rng, agents, window=1 + agents % 4)[0])
+    return out

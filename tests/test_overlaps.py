@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,48 +9,13 @@ import pytest
 
 from urprior.compat import pairwise_compatibility, ratio_cochain
 from urprior.complexes import build_overlap_complex, from_facets
-from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, validate
+from urprior.credence import validate
 from urprior.oracle import feasibility_oracle
 
 from . import overlap_reference as reference
-from .generators import conditioned_system, random_system, window_chain
+from .generators import EDGE_CASES, seeded_systems
 
-
-def _system(outcomes: str, *pmfs: dict[str, Fraction | int]) -> AgentSystem:
-    agents = tuple(CredenceFunction(str(k), pmf) for k, pmf in enumerate(pmfs, start=1))
-    return AgentSystem(OutcomeSpace(tuple(outcomes)), agents)
-
-
-HALF = Fraction(1, 2)
-
-EDGE_CASES = {
-    "single agent": _system("ab", {"a": HALF, "b": HALF}),
-    "disjoint agents": _system("abcd", {"a": HALF, "b": HALF}, {"c": 1}, {"d": 1}),
-    "zero-mass awareness": _system(
-        "abc", {"a": 1, "b": 0}, {"b": 0, "c": 1}, {"a": HALF, "b": 0, "c": HALF}
-    ),
-    "one-sided overlap": _system("abc", {"a": 0, "b": 1}, {"a": HALF, "c": HALF}, {"a": 1}),
-    "shared zero on both sides": _system("abc", {"a": 1, "b": 0}, {"b": 0, "c": 1}),
-    "violation": _system("abc", {"a": HALF, "b": HALF}, {"a": Fraction(1, 3), "b": Fraction(2, 3)}),
-    "same agent twice": _system("ab", {"a": HALF, "b": HALF}, {"a": HALF, "b": HALF}),
-}
-
-
-def _systems() -> list[AgentSystem]:
-    """Seeded random systems of every kind, the edge cases above among them."""
-    rng = random.Random(2024)
-    out = list(EDGE_CASES.values())
-    for k in range(120):
-        out.append(random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9))
-    for k in range(100):
-        sizes = {"max_agents": 2 + k % 9, "max_outcomes": 3 + k % 8}
-        out.append(conditioned_system(rng, **sizes, common_outcome=k % 3 == 0))
-    for agents in (1, 2, 5, 12):
-        out.append(window_chain(rng, agents, window=1 + agents % 4)[0])
-    return out
-
-
-SYSTEMS = _systems()
+SYSTEMS = seeded_systems()
 
 
 def test_enough_systems():
