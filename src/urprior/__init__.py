@@ -33,7 +33,7 @@ from urprior.compat import (
     solve_scaling,
     verify_urprior,
 )
-from urprior.complexes import SimplicialComplex, build_overlap_complex, coboundary_matrix, from_facets
+from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets
 from urprior.credence import (
     AgentSystem,
     CredenceFunction,
@@ -64,7 +64,6 @@ __all__ = [
     "Violation",
     "build_overlap_complex",
     "coboundary",
-    "coboundary_matrix",
     "coboundary_witness",
     "cohomology_dim",
     "decide_urprior",

@@ -35,12 +35,11 @@ from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
     coboundary_columns,
-    coboundary_matrix,
     connected_components,
     from_facets,
 )
 from urprior.credence import AgentSystem, ValidationError, validate
-from urprior.numerics import Matrix, format_rational, matrix_rank
+from urprior.numerics import Column, format_rational, matrix_rank
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
@@ -268,11 +267,12 @@ def _simplex_tag(X: SimplicialComplex, s: Sequence[int]) -> str:
 
 
 def _render_labeled_matrix(
-    title: str, m: Matrix, row_labels: list[str], col_labels: list[str]
+    title: str, columns: Sequence[Column], row_labels: list[str], col_labels: list[str]
 ) -> str:
+    """A sparse matrix as a right-aligned table; a cell absent from its column reads 0."""
     header = [""] + col_labels
     body = [
-        [row_labels[i]] + [format_rational(x) for x in m.entries[i]] for i in range(m.rows)
+        [label] + [str(column.get(i, 0)) for column in columns] for i, label in enumerate(row_labels)
     ]
     table = [header] + body
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
@@ -287,6 +287,8 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         raise CliError("--dim must be at least 1")
     raw = _load_json(args.file)
     if isinstance(raw, Mapping) and "agents" in raw:
+        if args.max_dim is not None and args.max_dim < args.dim + 1:
+            raise CliError(f"--max-dim must be at least dim + 1 = {args.dim + 1} for system files")
         try:
             system = validate(raw)
         except ValidationError as exc:
@@ -324,7 +326,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         lines.append(
             _render_labeled_matrix(
                 f"delta_{k - 1} (rows: {k}-simplices, cols: {k - 1}-simplices)",
-                coboundary_matrix(X, k - 1),
+                coboundary_columns(X, k - 1),
                 [_simplex_tag(X, s) for s in X.simplices(k)],
                 [_simplex_tag(X, s) for s in X.simplices(k - 1)],
             )
@@ -333,7 +335,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         lines.append(
             _render_labeled_matrix(
                 f"delta_{k} (rows: {k + 1}-simplices, cols: {k}-simplices)",
-                coboundary_matrix(X, k),
+                coboundary_columns(X, k),
                 [_simplex_tag(X, s) for s in X.simplices(k + 1)],
                 [_simplex_tag(X, s) for s in X.simplices(k)],
             )
@@ -411,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-dim",
         type=int,
         default=None,
-        help="overlap enumeration depth for system files (default: dim+1)",
+        help="overlap enumeration depth for system files, at least dim+1 (default: dim+1)",
     )
     p_coh.add_argument(
         "--dump-matrices", action="store_true", help="print the labeled coboundary matrices"

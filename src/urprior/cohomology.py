@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from urprior.complexes import (
@@ -125,11 +125,12 @@ def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
 
     Scans the canonical kernel basis of the degree-1 map (the reduced
     row-echelon one, one vector per free column, in column order) for
-    the first vector that is not a coboundary, then rescales it to
-    coprime integers with a positive leading entry. Each vector is tested
-    by integrating it along a spanning forest. Returns None exactly when
-    every 1-cocycle is a coboundary, which the dimension count settles
-    without testing every kernel vector.
+    the first vector that is not a coboundary, then divides it by the
+    gcd of its entries and negates it when its entry at the lowest edge
+    index is negative: coprime integers, leading entry positive. Each
+    vector is tested by integrating it along a spanning forest. Returns
+    None exactly when every 1-cocycle is a coboundary, which the
+    dimension count settles without testing every kernel vector.
     """
     edges = X.simplices(1)
     if not edges or cohomology_dim(X, 1) == 0:
@@ -138,8 +139,10 @@ def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
     index = {e: i for i, e in enumerate(edges)}
     for _, vector in kernel_vectors(coboundary_columns(X, 1)):
         if not _is_coboundary(vector, forest, index):
-            values = [Fraction(vector.get(i, 0)) for i in range(len(edges))]
-            return cochain_from_vector(X, 1, _coprime_integers(values))
+            common = gcd(*vector.values())
+            sign = -1 if vector[min(vector)] < 0 else 1
+            values = [sign * vector.get(i, 0) // common for i in range(len(edges))]
+            return cochain_from_vector(X, 1, values)
     raise AssertionError("H^1 is nonzero, yet every canonical kernel vector is a coboundary")
 
 
@@ -159,14 +162,3 @@ def _is_coboundary(values: Column, forest: SpanningForest, index: Mapping[Simple
         else:
             f[v] = f[u] - values.get(index[(v, u)], 0)
     return all(f[j] - f[i] == values.get(index[(i, j)], 0) for i, j in forest.non_tree)
-
-
-def _coprime_integers(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    denominator_lcm = lcm(*(x.denominator for x in vec))
-    ints = [x * denominator_lcm for x in vec]
-    common = gcd(*(abs(int(x)) for x in ints))
-    scaled = [x / common for x in ints]
-    lead = next((x for x in scaled if x != 0), Fraction(0))
-    if lead < 0:
-        scaled = [-x for x in scaled]
-    return tuple(scaled)

@@ -10,20 +10,20 @@ The equalities behind each step are decided by integer
 cross-multiplication: over each agent's own denominator
 (``CredenceFunction.counts``), over the numerators and denominators of
 two fractions, or, in verification, over one common denominator of the
-measure. A reduced ``Fraction`` is built only for what is returned or
-printed: measures, scalings, ratios, certificates and diagnostics.
+measure. Both integer forms come from ``numerics.common_denominator``.
+A reduced ``Fraction`` is built only for what is returned or printed:
+measures, scalings, ratios, certificates and diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Mapping, Union
 
 from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
 from urprior.credence import AgentSystem
-from urprior.numerics import format_rational
+from urprior.numerics import common_denominator, format_rational
 
 __all__ = [
     "Asymmetry",
@@ -291,16 +291,16 @@ def verify_urprior(system: AgentSystem, measure: Mapping[str, Fraction]) -> Veri
     The measure is written over one common denominator D, w_x / D, so the
     total and every sector are integer sums; with the agent's pmf as
     n_x / d, each conditional check is w_x * d == n_x * sector. A
-    reduced ``Fraction`` is built only for a diagnostic.
+    reduced ``Fraction`` is built only for a diagnostic. Masses must be
+    ``int`` or ``Fraction`` values; a float, bool or string raises
+    ValueError.
     """
     diagnostics: list[str] = []
     ok = True
-    values = {x: Fraction(v) for x, v in measure.items()}
-    D = 1
-    for v in values.values():
-        if D % v.denominator:
-            D = lcm(D, v.denominator)
-    w = {x: v.numerator * (D // v.denominator) for x, v in values.items()}
+    for x, v in measure.items():
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(f"measure: outcome {x!r}: mass {v!r} is not an int or a Fraction")
+    D, w = common_denominator(measure)
 
     negatives = sorted(x for x, n in w.items() if n < 0)
     if negatives:

@@ -2,19 +2,20 @@
 
 A complex stores, per dimension, the lexicographically sorted tuples of
 vertex indices. For overlap complexes the index order is the agent order
-of the system, which fixes every orientation downstream.
+of the system, which fixes every orientation downstream. A coboundary
+map exists only as sparse integer columns (``coboundary_columns``); no
+dense matrix is built, not even for display.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from urprior.credence import AgentSystem
-from urprior.numerics import Column, Matrix
+from urprior.numerics import Column
 
 Simplex = tuple[int, ...]
 
@@ -24,7 +25,6 @@ __all__ = [
     "SpanningForest",
     "build_overlap_complex",
     "coboundary_columns",
-    "coboundary_matrix",
     "connected_components",
     "from_facets",
     "spanning_forest",
@@ -184,20 +184,6 @@ def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:
         for p in range(len(t)):
             columns[col_index[t[:p] + t[p + 1 :]]][i] = 1 if p % 2 == 0 else -1
     return columns
-
-
-def coboundary_matrix(X: SimplicialComplex, k: int) -> Matrix:
-    """Dense matrix of the degree-k coboundary map, for display.
-
-    Rows are the (k+1)-simplices, columns the k-simplices, entries as in
-    ``coboundary_columns``.
-    """
-    columns = coboundary_columns(X, k)
-    grid = [[Fraction(0)] * len(columns) for _ in X.simplices(k + 1)]
-    for j, column in enumerate(columns):
-        for i, sign in column.items():
-            grid[i][j] = Fraction(sign)
-    return Matrix.from_rows(grid, cols=len(columns))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Mapping
 
-from urprior.numerics import format_rational, parse_rational
+from urprior.numerics import common_denominator, format_rational, parse_rational
 
 __all__ = [
     "AgentSystem",
@@ -85,11 +84,7 @@ class CredenceFunction:
     @cached_property
     def counts(self) -> tuple[int, dict[str, int]]:
         """The pmf over one common denominator: ``(d, {x: n_x})``, ``pmf[x] == n_x / d``."""
-        d = 1
-        for v in self.pmf.values():
-            if d % v.denominator:
-                d = lcm(d, v.denominator)
-        return d, {x: v.numerator * (d // v.denominator) for x, v in self.pmf.items()}
+        return common_denominator(self.pmf)
 
     def mass(self, event: Iterable[str]) -> Fraction:
         """Exact mass of an event, restricted to the awareness set."""

@@ -7,7 +7,8 @@ The linear algebra is one sparse elimination routine: lowest-pivot column
 reduction (Edelsbrunner, Letscher and Zomorodian 2002; Bauer, "Ripser",
 2021), run fraction-free over the integers, so that ranks and kernel
 vectors are exact over the rationals. A column is a ``{row: coefficient}``
-map holding only its nonzero entries. Columns are reduced left to right,
+map holding only its nonzero entries; sparse columns are the only form a
+matrix takes in the library. Columns are reduced left to right,
 which makes the answers canonical: the kernel vectors are those of the
 reduced row-echelon form, and a solution puts zero on every column that
 depends on the columns left of it. Reports built on them are therefore
@@ -20,25 +21,26 @@ coboundary maps of sliding-window overlap complexes the smallest index
 keeps every reduction a few steps long, where the largest index makes
 the steps grow with the number of agents (on a 3,200-agent window-4
 chain, 16k steps against 6.8M).
+
+Rationals become integers over a common denominator in one place,
+``common_denominator``: each agent's pmf counts, the measure that
+verification checks and the target of ``solve_columns`` go through it,
+so that their equalities are decided by integer arithmetic. (The oracle
+keeps its own copy, to stay independent of the main pipeline.)
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence, TypeVar
 
-Rational = Fraction
-Vector = tuple[Fraction, ...]
 Column = dict[int, int]
+K = TypeVar("K")
 
 __all__ = [
     "Column",
-    "Matrix",
-    "Rational",
-    "Vector",
     "format_rational",
     "kernel_vectors",
     "matrix_rank",
@@ -149,30 +151,17 @@ def format_rational(value: Fraction | int) -> str:
     return numerator if q.denominator == 1 else f"{numerator}/{_decimal(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Dense matrix of exact rationals, stored row-major; used for display."""
+def common_denominator(values: Mapping[K, Fraction | int]) -> tuple[int, dict[K, int]]:
+    """The values over one common denominator: ``(D, {k: n_k})`` with ``values[k] == n_k / D``.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
-            raise ValueError("entry grid does not match the declared dimensions")
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[Fraction | int]], *, cols: int | None = None
-    ) -> "Matrix":
-        grid = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if cols is None:
-            if not grid:
-                raise ValueError("cols is required for a matrix with no rows")
-            cols = len(grid[0])
-        return cls(len(grid), cols, grid)
+    D is the lcm of the denominators (1 for no values); each ``lcm`` is
+    taken only when D is not yet a multiple of the next denominator.
+    """
+    D = 1
+    for v in values.values():
+        if D % v.denominator:
+            D = lcm(D, v.denominator)
+    return D, {k: v.numerator * (D // v.denominator) for k, v in values.items()}
 
 
 # Reduced columns keyed by their pivot (smallest row index), each with the
@@ -259,7 +248,9 @@ def kernel_vectors(columns: Sequence[Column]) -> Iterator[tuple[int, Column]]:
             yield j, combination
 
 
-def solve_columns(columns: Sequence[Column], target: Sequence[Fraction]) -> Vector | None:
+def solve_columns(
+    columns: Sequence[Column], target: Sequence[Fraction]
+) -> tuple[Fraction, ...] | None:
     """Coefficients c with sum(c[j] * columns[j]) == target, or None.
 
     None means the target lies outside the span of the columns. The
@@ -269,8 +260,7 @@ def solve_columns(columns: Sequence[Column], target: Sequence[Fraction]) -> Vect
     pivots: _Pivots = {}
     for j, column in enumerate(columns):
         _insert(pivots, column, {j: 1})
-    scale = lcm(*(Fraction(x).denominator for x in target))
-    residue = {i: int(x * scale) for i, x in enumerate(target) if x}
+    scale, residue = common_denominator({i: x for i, x in enumerate(target) if x})
     marker = len(columns)  # the target's own slot in the combination
     combination = {marker: 1}
     if _reduce(pivots, residue, combination) is not None:

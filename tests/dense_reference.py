@@ -2,19 +2,75 @@
 
 This is the dense ``Fraction`` reduced row-echelon code that computed
 every rank, kernel basis and span test of the library before the sparse
-column reduction replaced it. It is kept here, unchanged in behaviour,
-so that tests can require the sparse results to equal the dense ones.
+column reduction replaced it, together with the dense matrix type, the
+dense coboundary matrix and the ``Fraction`` rescaling of a kernel
+vector to coprime integers that went with it. It is kept here, unchanged
+in behaviour, so that tests can require the sparse results to equal the
+dense ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from urprior.cohomology import Cochain, _coprime_integers, cochain_from_vector
-from urprior.complexes import SimplicialComplex, coboundary_matrix
-from urprior.numerics import Matrix, Vector
+from urprior.cohomology import Cochain, cochain_from_vector
+from urprior.complexes import SimplicialComplex, coboundary_columns
+
+Vector = tuple[Fraction, ...]
+
+
+@dataclass(frozen=True)
+class Matrix:
+    """Dense matrix of exact rationals, stored row-major."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
+            raise ValueError("entry grid does not match the declared dimensions")
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[Sequence[Fraction | int]], *, cols: int | None = None
+    ) -> "Matrix":
+        grid = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        if cols is None:
+            if not grid:
+                raise ValueError("cols is required for a matrix with no rows")
+            cols = len(grid[0])
+        return cls(len(grid), cols, grid)
+
+
+def coboundary_matrix(X: SimplicialComplex, k: int) -> Matrix:
+    """Dense matrix of the degree-k coboundary map.
+
+    Rows are the (k+1)-simplices, columns the k-simplices, entries as in
+    ``coboundary_columns``.
+    """
+    columns = coboundary_columns(X, k)
+    grid = [[Fraction(0)] * len(columns) for _ in X.simplices(k + 1)]
+    for j, column in enumerate(columns):
+        for i, sign in column.items():
+            grid[i][j] = Fraction(sign)
+    return Matrix.from_rows(grid, cols=len(columns))
+
+
+def _coprime_integers(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    denominator_lcm = lcm(*(x.denominator for x in vec))
+    ints = [x * denominator_lcm for x in vec]
+    common = gcd(*(abs(int(x)) for x in ints))
+    scaled = [x / common for x in ints]
+    lead = next((x for x in scaled if x != 0), Fraction(0))
+    if lead < 0:
+        scaled = [-x for x in scaled]
+    return tuple(scaled)
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
@@ -71,7 +127,7 @@ def rref(m: Matrix) -> RrefResult:
         for r in range(m.rows):
             if r != pivot_row and work[r][col] != 0:
                 scale = work[r][col]
-                work[r] = [a - scale * b for a, b in zip(work[r], work[pivot_row])]
+                work[r] = [a - scale * b if b else a for a, b in zip(work[r], work[pivot_row])]
         pivots.append(col)
         pivot_row += 1
         if pivot_row == m.rows:

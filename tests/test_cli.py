@@ -145,6 +145,31 @@ class TestCohomology:
         assert "1,2,3" in out
         assert "2-simplices" in out
 
+    def test_golden_outputs(self, data_dir, capsys):
+        # text, --json and --dump-matrices at dims 1 and 2 on every data file,
+        # recorded before the dense coboundary matrices left the library
+        golden = json.loads((GOLDEN / "cohomology.json").read_text())
+        assert sorted(golden) == [p.name for p in sorted(data_dir.glob("*.json"))]
+        for name, variants in golden.items():
+            for flags, expected in variants.items():
+                code, out, err = run(capsys, "cohomology", str(data_dir / name), *flags.split())
+                assert {"exit": code, "stdout": out, "stderr": err} == expected, (name, flags)
+
+    @pytest.mark.parametrize("dim, max_dim", [(1, 1), (1, 0), (2, 2)])
+    def test_max_dim_below_the_next_degree_is_rejected(self, data_dir, capsys, dim, max_dim):
+        # delta_k needs the (k+1)-simplices: a shallower complex would
+        # report the H^k of a truncation, not of the overlap complex
+        argv = ["cohomology", str(data_dir / "ex1.json"), "--dim", str(dim), "--max-dim", str(max_dim)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--max-dim" in err and err.count("\n") == 1
+
+    def test_max_dim_is_ignored_for_complex_files(self, data_dir, capsys):
+        path = str(data_dir / "tri_unfilled.json")
+        expected = run(capsys, "cohomology", path, "--dim", "1")
+        assert run(capsys, "cohomology", path, "--dim", "1", "--max-dim", "0") == expected
+
     def test_degree_zero_rejected(self, data_dir, capsys):
         code, _, err = run(capsys, "cohomology", str(data_dir / "tri_filled.json"), "--dim", "0")
         assert code == 2

@@ -16,15 +16,11 @@ from urprior.cohomology import (
     is_cocycle,
     noncoboundary_cocycle,
 )
-from urprior.complexes import (
-    build_overlap_complex,
-    coboundary_columns,
-    coboundary_matrix,
-    from_facets,
-)
+from urprior.complexes import build_overlap_complex, coboundary_columns, from_facets
 from urprior.numerics import kernel_vectors
 
 from . import dense_reference as dense
+from .dense_reference import coboundary_matrix
 from .generators import annulus, random_complex
 
 

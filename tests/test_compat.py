@@ -195,6 +195,17 @@ class TestGlueAndVerify:
     def test_verify_rejects_stray_support(self, ex1):
         assert not verify_urprior(ex1, {"nonsense": Fraction(1)}).ok
 
+    @pytest.mark.parametrize(
+        "measure", [{"a": 0.5, "b": 0.5}, {"a": "1/2", "b": "1/2"}, {"a": True, "b": False}]
+    )
+    def test_verify_rejects_inexact_values(self, measure):
+        # a float or string would otherwise be converted, and a bool read as 0 or 1
+        halves = validate(
+            {"outcomes": ["a", "b"], "agents": [{"name": "1", "credence": {"a": "1/2", "b": "1/2"}}]}
+        )
+        with pytest.raises(ValueError, match="outcome 'a': mass .* is not an int or a Fraction"):
+            verify_urprior(halves, measure)
+
     def test_glue_requires_positive_factors(self, ex1):
         with pytest.raises(ValueError):
             glue_urprior(ex1, {name: Fraction(0) for name in ex1.names})

@@ -9,14 +9,13 @@ from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
     coboundary_columns,
-    coboundary_matrix,
     connected_components,
     from_facets,
     spanning_forest,
 )
 from urprior.credence import overlap_mass
-from urprior.numerics import Matrix
 
+from .dense_reference import coboundary_matrix
 from .generators import random_system
 
 
@@ -98,32 +97,34 @@ class TestOverlapComplex:
 
 
 class TestCoboundaryMatrix:
+    # literal sparse columns: column j maps each (k+1)-simplex index to its sign
     def test_vertex_to_edge_on_triangle(self, tri_filled):
-        d0 = coboundary_matrix(tri_filled, 0)
-        assert d0 == Matrix.from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+        d0 = coboundary_columns(tri_filled, 0)
+        assert d0 == [{0: -1, 1: -1}, {0: 1, 2: -1}, {1: 1, 2: 1}]
 
     def test_edge_to_triangle_on_filled(self, tri_filled):
-        d1 = coboundary_matrix(tri_filled, 1)
-        assert d1 == Matrix.from_rows([[1, -1, 1]])
+        d1 = coboundary_columns(tri_filled, 1)
+        assert d1 == [{0: 1}, {0: -1}, {0: 1}]
 
     def test_edge_to_triangle_on_plugged(self, plugged):
-        d1 = coboundary_matrix(plugged, 1)
-        assert d1.rows == 3 and d1.cols == 6
-        assert d1 == Matrix.from_rows(
-            [
-                [1, 0, -1, 0, 1, 0],
-                [0, 1, -1, 0, 0, 1],
-                [0, 0, 0, 1, -1, 1],
-            ]
-        )
+        d1 = coboundary_columns(plugged, 1)
+        assert len(plugged.simplices(2)) == 3 and len(d1) == 6
+        assert d1 == [
+            {0: 1},
+            {1: 1},
+            {0: -1, 1: -1},
+            {2: 1},
+            {0: 1, 2: -1},
+            {1: 1, 2: 1},
+        ]
 
     def test_hollow_tetra_shapes(self, ex4):
         X = build_overlap_complex(ex4, max_dim=3)
-        assert coboundary_matrix(X, 0).cols == 4
-        d1 = coboundary_matrix(X, 1)
-        assert (d1.rows, d1.cols) == (4, 6)
-        d2 = coboundary_matrix(X, 2)
-        assert d2.rows == 0 and d2.cols == 4
+        assert len(coboundary_columns(X, 0)) == 4
+        d1 = coboundary_columns(X, 1)
+        assert (len(X.simplices(2)), len(d1)) == (4, 6)
+        d2 = coboundary_columns(X, 2)
+        assert not X.simplices(3) and d2 == [{}, {}, {}, {}]
 
     def test_composition_vanishes(self):
         rng = random.Random(22)
@@ -152,8 +153,6 @@ class TestCoboundaryMatrix:
                 assert coboundary_columns(X, k) == dense
 
     def test_rejects_negative_degree(self, tri_filled):
-        with pytest.raises(ValueError):
-            coboundary_matrix(tri_filled, -1)
         with pytest.raises(ValueError):
             coboundary_columns(tri_filled, -1)
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from urprior.numerics import (
-    Matrix,
     format_rational,
     kernel_vectors,
     matrix_rank,
@@ -14,7 +13,7 @@ from urprior.numerics import (
     solve_columns,
 )
 
-from .dense_reference import columns, in_span, mat_mul, mat_vec, nullspace_basis, rank, rref
+from .dense_reference import Matrix, columns, in_span, mat_mul, mat_vec, nullspace_basis, rank, rref
 
 
 def _f(x) -> Fraction:

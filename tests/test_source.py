@@ -1,0 +1,60 @@
+"""Static checks on the library source: stdlib-only imports, and no dead ones."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "urprior").glob("*.py"))
+
+
+def _imports(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(top-level module, bound name, line) for every import in the module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                out.append((alias.name.split(".")[0], bound, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            module = "urprior" if node.level else node.module or ""
+            if module == "__future__":
+                continue
+            for alias in node.names:
+                out.append((module.split(".")[0], alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "numerics.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_urprior(path):
+    tree = ast.parse(path.read_text())
+    foreign = [
+        f"line {line}: {module}"
+        for module, _, line in _imports(tree)
+        if module != "urprior" and module not in sys.stdlib_module_names
+    ]
+    assert not foreign
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    unused = [f"line {line}: {name}" for _, name, line in _imports(tree) if name not in used]
+    assert not unused

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from urprior.cohomology import coboundary_witness, is_cocycle
-from urprior.compat import decide_urprior, pairwise_compatibility
+from urprior.cohomology import coboundary_witness, cohomology_dim, is_cocycle, noncoboundary_cocycle
+from urprior.compat import CycleCertificate, decide_urprior, pairwise_compatibility
 from urprior.complexes import build_overlap_complex
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
-from .generators import random_complex
+from . import dense_reference as dense
+from .generators import holonomy_from_pmfs, random_complex
 
 
 class TestGoldenWitness:
@@ -84,6 +85,26 @@ class TestRoundTrip:
             if tried >= 25:
                 break
         assert tried >= 25
+
+    def test_large_random_holed_complexes(self):
+        # 20 draws of 20 to 60 vertices with H^1 >= 1: the emitted system
+        # must rebuild X, pass the pairwise test, and fail only by a cycle
+        # whose holonomy recomputes from the pmfs alone
+        rng = random.Random(62)
+        tried = 0
+        while tried < 20:
+            X = random_complex(rng, 60)
+            if len(X.vertices) < 20 or cohomology_dim(X, 1) == 0:
+                continue
+            tried += 1
+            assert noncoboundary_cocycle(X) == dense.noncoboundary_cocycle(X)
+            system = generate_counterexample(X)
+            assert build_overlap_complex(system, max_dim=max(X.dim, 1) + 1) == X
+            assert pairwise_compatibility(system).compatible
+            certificate = decide_urprior(system).certificate
+            assert isinstance(certificate, CycleCertificate)
+            assert holonomy_from_pmfs(system, certificate.cycle) == certificate.holonomy != 1
+            assert feasibility_oracle(system) is None
 
 
 class TestTwistStructure:
