@@ -12,11 +12,16 @@ succeeded), 1 when it does not exist (or no counterexample is possible),
 an internal error, reported on one stderr line. A crash never exits 1.
 All probabilities in reports are exact fractions in lowest terms;
 reports are deterministic byte for byte for a given input.
+
+``main`` may be called many times in one process: it builds its
+argument parser on the first call and reuses it, and each call parses
+its own arguments afresh, so nothing carries over from an earlier call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -387,7 +392,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if measure is not None else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones.
+
+    Each ``parse_args`` returns a fresh namespace, so no option carries
+    over between calls; the handlers read library functions through
+    module globals when they run, not when the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="urprior",
         description="Decide whether overlapping credence functions admit a common prior.",

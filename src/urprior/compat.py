@@ -104,7 +104,7 @@ class RatioCochain:
         object.__setattr__(self, "ratios", {e: Fraction(v) for e, v in self.ratios.items()})
         if set(self.ratios) != set(self.complex.simplices(1)):
             raise ValueError("ratios must cover exactly the edges of the complex")
-        if any(v <= 0 for v in self.ratios.values()):
+        if any(v.numerator <= 0 for v in self.ratios.values()):
             raise ValueError("edge ratios must be strictly positive")
 
 
@@ -145,7 +145,7 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     asymmetries: list[Asymmetry] = []
     for (i, j), (shared, mass_left, mass_right) in system.overlaps.items():
         left, right = agents[i], agents[j]
-        if mass_left > 0 and mass_right > 0:
+        if mass_left.numerator > 0 and mass_right.numerator > 0:
             counts_left, counts_right = left.counts[1], right.counts[1]
             sum_left = sum(counts_left[x] for x in shared)
             sum_right = sum(counts_right[x] for x in shared)
@@ -162,7 +162,7 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
                         )
                     )
                     break
-        elif mass_left > 0 or mass_right > 0:
+        elif mass_left.numerator > 0 or mass_right.numerator > 0:
             asymmetries.append(Asymmetry((left.name, right.name), mass_left, mass_right))
     return CompatibilityReport(not violations, tuple(violations), tuple(asymmetries))
 
@@ -178,7 +178,7 @@ def ratio_cochain(system: AgentSystem, X: SimplicialComplex) -> RatioCochain:
     ratios: dict[tuple[int, int], Fraction] = {}
     for edge in X.simplices(1):
         _, mass_i, mass_j = overlaps.get(edge, ((), 0, 0))
-        if mass_i <= 0 or mass_j <= 0:
+        if mass_i.numerator <= 0 or mass_j.numerator <= 0:
             raise ValueError(
                 f"edge {X.label(edge)} lacks a two-sided positive overlap; "
                 "X is not this system's overlap complex"

@@ -136,7 +136,9 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     n = len(agents)
     vertices: tuple[Simplex, ...] = tuple((i,) for i in range(n))
     edges = tuple(
-        pair for pair, (_, mass_i, mass_j) in system.overlaps.items() if mass_i > 0 and mass_j > 0
+        pair
+        for pair, (_, mass_i, mass_j) in system.overlaps.items()
+        if mass_i.numerator > 0 and mass_j.numerator > 0
     )
     if (max_dim is not None and max_dim < 1) or not edges:
         return SimplicialComplex(system.names, (vertices,))
@@ -159,7 +161,7 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
                     continue
                 cand = s + (v,)
                 overlap = shared & agents[v].support
-                if overlap and all(any(agents[i].pmf[x] > 0 for x in overlap) for i in cand):
+                if overlap and all(any(agents[i].pmf[x].numerator > 0 for x in overlap) for i in cand):
                     found.append(cand)
         if not found:
             break

@@ -46,7 +46,9 @@ class CredenceFunction:
     The key set of ``pmf`` is the awareness set. An outcome carried with
     mass zero is awareness without weight, which is different from the
     outcome being absent. Masses must be ``int`` or ``Fraction`` values;
-    a float, bool or string is rejected.
+    a float, bool or string is rejected. Both types carry ``numerator``
+    and a ``Fraction``'s denominator is positive, so the library tests
+    the sign of a mass on its numerator, an ``int`` comparison.
 
     ``counts`` is the same pmf in integer form, ``(d, {x: n_x})`` with
     ``pmf[x] == n_x / d`` and ``d`` the lcm of the pmf's denominators.
@@ -67,7 +69,7 @@ class CredenceFunction:
                 raise ValueError(
                     f"agent {self.name}: outcome {x!r}: mass {v!r} is not an int or a Fraction"
                 )
-        if any(v < 0 for v in self.pmf.values()):
+        if any(v.numerator < 0 for v in self.pmf.values()):
             raise ValueError(f"agent {self.name}: negative mass")
         d, counts = self.counts
         total = sum(counts.values())
@@ -225,7 +227,7 @@ def validate(raw: object) -> AgentSystem:
                 violations.append(f"agent {name}: outcome {outcome!r}: {exc}")
                 ok = False
                 continue
-            if q < 0:
+            if q.numerator < 0:
                 violations.append(
                     f"agent {name}: outcome {outcome!r} has negative mass {format_rational(q)}"
                 )

@@ -47,7 +47,7 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     positive_at: dict[str, list[int]] = {}
     for x in union:
         aware = aware_at[x]
-        positives = [i for i in aware if agents[i].pmf[x] > 0]
+        positives = [i for i in aware if agents[i].pmf[x].numerator > 0]
         if positives and len(positives) != len(aware):
             return None
         positive_at[x] = positives

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from urprior import cli, compat
 from .generators import geometric_chain
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 def run(capsys, *argv):
@@ -251,6 +255,88 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def run_anyhow(capsys, *argv):
+    """Like ``run``, but an argparse exit is returned as its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_alone(capsys, *argv):
+    """One call on a freshly built parser, as in a process of its own."""
+    cli._build_parser.cache_clear()
+    return run_anyhow(capsys, *argv)
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser; no call may see what an earlier one parsed."""
+
+    def sequence(self, capsys, *calls):
+        alone = [run_alone(capsys, *argv) for argv in calls]
+        cli._build_parser.cache_clear()
+        in_turn = [run_anyhow(capsys, *argv) for argv in calls]
+        assert in_turn == alone
+        return in_turn
+
+    def test_check_flags_do_not_carry_over(self, data_dir, capsys):
+        path = str(data_dir / "ex1.json")
+        results = self.sequence(
+            capsys,
+            ["check", path],
+            ["check", path, "--json"],
+            ["check", path, "--max-dim", "3"],
+            ["check", path],
+        )
+        assert results[0] == results[3]
+        assert results[0][1].startswith("agents: 3")
+        assert json.loads(results[1][1])["verdict"] == "exists"
+
+    def test_cohomology_max_dim_default_comes_back(self, data_dir, capsys):
+        path = str(data_dir / "ex4.json")
+        results = self.sequence(
+            capsys, ["cohomology", path, "--dim", "2", "--max-dim", "3"], ["cohomology", path]
+        )
+        assert "H2 = 1" in results[0][1]
+        assert "H1 = 0" in results[1][1]
+
+    def test_parser_error_then_valid_call(self, data_dir, capsys):
+        results = self.sequence(capsys, ["frobnicate"], ["oracle", str(data_dir / "ex1.json")])
+        assert results[0][0] == 2 and "invalid choice" in results[0][2]
+        assert results[1][0] == 0 and results[1][2] == ""
+
+    def test_help_twice(self, capsys):
+        first, second = self.sequence(capsys, ["--help"], ["--help"])
+        assert first == second
+        assert first[0] == 0 and "check" in first[1]
+
+
+class TestEntryPoint:
+    """``python -m urprior.cli`` reads sys.argv through ``main(None)``."""
+
+    @pytest.mark.parametrize(
+        "argv, expected_code", [(["check", "ex1.json", "--json"], 0), (["oracle", "gap.json"], 1)]
+    )
+    def test_process_matches_in_process(self, data_dir, capsys, argv, expected_code):
+        command, name, *flags = argv
+        env = dict(os.environ)
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        process = subprocess.run(
+            [sys.executable, "-m", "urprior.cli", command, f"tests/data/{name}", *flags],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code, out, err = run(capsys, command, str(data_dir / name), *flags)
+        assert code == expected_code
+        assert (process.returncode, process.stdout, process.stderr) == (code, out, err)
 
 
 class TestInputRobustness:

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from urprior.compat import (
+    Asymmetry,
     CycleCertificate,
+    RatioCochain,
     Violation,
     decide_urprior,
     glue_urprior,
@@ -15,8 +17,9 @@ from urprior.compat import (
     solve_scaling,
     verify_urprior,
 )
-from urprior.complexes import build_overlap_complex
-from urprior.credence import validate
+from urprior.complexes import build_overlap_complex, from_facets
+from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, validate
+from urprior.oracle import feasibility_oracle
 
 from .generators import conditioned_system, holonomy_from_pmfs, random_system
 
@@ -68,6 +71,25 @@ class TestPairwise:
         assert report.compatible
         assert report.asymmetries == ()
 
+    @pytest.mark.parametrize("zero_side", [0, 1])
+    def test_zero_mass_awareness_on_one_side(self, zero_side):
+        # one agent is aware of "a" but gives it mass 0, the other puts all
+        # its mass there: an asymmetry, no edge, and no ur-prior
+        pmfs = [{"a": 0, "b": 1}, {"a": 1}]
+        if zero_side:
+            pmfs.reverse()
+        agents = tuple(CredenceFunction(str(k + 1), pmf) for k, pmf in enumerate(pmfs))
+        system = AgentSystem(OutcomeSpace(("a", "b")), agents)
+        report = pairwise_compatibility(system)
+        masses = (Fraction(0), Fraction(1)) if zero_side == 0 else (Fraction(1), Fraction(0))
+        assert report.compatible
+        assert report.asymmetries == (Asymmetry(("1", "2"), *masses),)
+        assert build_overlap_complex(system).counts() == [2]
+        result = decide_urprior(system)
+        assert result.verdict == "none"
+        assert result.certificate == report.asymmetries[0]
+        assert feasibility_oracle(system) is None
+
 
 class TestRatioCochain:
     def test_ex1_ratios(self, ex1):
@@ -95,6 +117,13 @@ class TestRatioCochain:
                 found_triangle = True
                 assert r.ratios[(i, j)] * r.ratios[(j, k)] == r.ratios[(i, k)]
         assert found_triangle
+
+    @pytest.mark.parametrize("ratio", [0, -1, Fraction(-1, 2)])
+    def test_rejects_nonpositive_ratios(self, ratio):
+        X = from_facets(("1", "2"), [("1", "2")])
+        assert RatioCochain(X, {(0, 1): 2}).ratios == {(0, 1): Fraction(2)}
+        with pytest.raises(ValueError, match="strictly positive"):
+            RatioCochain(X, {(0, 1): ratio})
 
     def test_rejects_edge_without_two_sided_overlap(self, gap):
         from urprior.complexes import from_facets

@@ -70,6 +70,14 @@ class TestValidate:
             )
         assert any("negative" in v for v in exc.value.violations)
 
+    def test_negative_zero_literal_is_mass_zero(self):
+        system = validate(
+            _raw(["a", "b", "c"], [{"name": "1", "credence": {"a": "-0", "b": "1", "c": "-0/7"}}])
+        )
+        agent = system.agent("1")
+        assert agent.pmf == {"a": 0, "b": 1, "c": 0}
+        assert agent.support == frozenset({"a", "b", "c"})
+
     def test_rejects_float_masses(self):
         with pytest.raises(ValidationError):
             validate(_raw(["a"], [{"name": "1", "credence": {"a": 1.0}}]))
@@ -108,6 +116,14 @@ class TestModel:
         agent = CredenceFunction("1", {"a": Fraction(1, 4), "b": Fraction(3, 4)})
         assert agent.mass({"a", "b"}) == Fraction(1)
         assert agent.mass({"c"}) == Fraction(0)
+
+    def test_plain_int_masses(self):
+        # zero is awareness without weight, not a negative mass
+        agent = CredenceFunction("1", {"a": 1, "b": 0})
+        assert agent.support == frozenset({"a", "b"})
+        assert agent.mass({"b"}) == 0
+        with pytest.raises(ValueError, match="negative mass"):
+            CredenceFunction("1", {"a": 2, "b": -1})
 
     def test_pmf_must_sum_to_one(self):
         with pytest.raises(ValueError):
