@@ -1,10 +1,13 @@
 """Cochains, cocycle and coboundary tests, and rational cohomology dimensions.
 
-Everything here works on the sparse columns of the coboundary maps
-(``coboundary_columns``) through the exact column reduction of
-``urprior.numerics``; no dense matrix is built. rank delta_0 needs no
-elimination at all: it is the number of vertices minus the number of
-components, the edge count of a spanning forest.
+Ranks and kernel vectors come from the sparse columns of the coboundary
+maps (``coboundary_columns``) through the exact column reduction of
+``urprior.numerics``; no dense matrix is built. Degree 0 needs no
+elimination at all. rank delta_0 is the number of vertices minus the
+number of components, the edge count of a spanning forest. Whether a
+1-cochain is a coboundary, and of which vertex function, is settled by
+integrating it along that forest (``_integrate``), which serves both
+``coboundary_witness`` and ``noncoboundary_cocycle``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from urprior.complexes import (
     SimplicialComplex,
     SpanningForest,
     coboundary_columns,
+    connected_components,
     spanning_forest,
 )
-from urprior.numerics import Column, kernel_vectors, matrix_rank, solve_columns
+from urprior.numerics import kernel_vectors, matrix_rank
 
 __all__ = [
     "Cochain",
@@ -79,17 +83,26 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def coboundary_witness(c: Cochain) -> Cochain | None:
-    """A degree k-1 cochain whose coboundary equals c, if one exists.
+    """A vertex function whose coboundary equals the 1-cochain c, if one exists.
 
-    The witness is canonical up to nothing: the solver pins the value on
-    every (k-1)-simplex whose column depends on earlier columns to zero.
+    c is integrated along the spanning forest, then each component is
+    shifted to read 0 at its largest vertex: the vertex whose delta_0
+    column depends on the columns before it, so the witness is the
+    canonical solution that pins every dependent column to 0. Any other
+    degree raises ValueError.
     """
-    if c.degree < 1:
-        raise ValueError("a coboundary witness needs degree >= 1")
-    coefficients = solve_columns(coboundary_columns(c.complex, c.degree - 1), c.vector())
-    if coefficients is None:
+    if c.degree != 1:
+        raise ValueError("a coboundary witness needs a 1-cochain")
+    X = c.complex
+    f = _integrate(c.values, spanning_forest(X))
+    if f is None:
         return None
-    return cochain_from_vector(c.complex, c.degree - 1, coefficients)
+    values = [Fraction(0)] * len(X.vertices)
+    for component in connected_components(X):
+        top = f[component[-1]]
+        for v in component:
+            values[v] = f[v] - top
+    return cochain_from_vector(X, 0, values)
 
 
 def _coboundary_rank(X: SimplicialComplex, k: int) -> int:
@@ -136,9 +149,8 @@ def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
     if not edges or cohomology_dim(X, 1) == 0:
         return None
     forest = spanning_forest(X)
-    index = {e: i for i, e in enumerate(edges)}
     for _, vector in kernel_vectors(coboundary_columns(X, 1)):
-        if not _is_coboundary(vector, forest, index):
+        if _integrate({edges[i]: v for i, v in vector.items()}, forest) is None:
             common = gcd(*vector.values())
             sign = -1 if vector[min(vector)] < 0 else 1
             values = [sign * vector.get(i, 0) // common for i in range(len(edges))]
@@ -146,19 +158,25 @@ def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
     raise AssertionError("H^1 is nonzero, yet every canonical kernel vector is a coboundary")
 
 
-def _is_coboundary(values: Column, forest: SpanningForest, index: Mapping[Simplex, int]) -> bool:
-    """Whether a sparse edge cochain (by edge index) is the coboundary of a vertex function.
+def _integrate(
+    values: Mapping[Simplex, Fraction | int], forest: SpanningForest
+) -> dict[int, Fraction | int] | None:
+    """The vertex function f with delta f == values and f == 0 at every root, or None.
 
-    Integrates it along the forest from each root, where
-    (delta f)(i, j) = f(j) - f(i), and compares the result on the non-tree edges.
+    ``values`` is a sparse edge cochain (a missing edge reads 0). It is
+    integrated along the forest from each root, where
+    (delta f)(i, j) = f(j) - f(i); None when a non-tree edge disagrees,
+    that is, when no vertex function has these values as its coboundary.
     """
-    f: dict[int, int] = {}
+    f: dict[int, Fraction | int] = {}
     for v in forest.order:
         u = forest.parent.get(v)
         if u is None:
             f[v] = 0
         elif u < v:
-            f[v] = f[u] + values.get(index[(u, v)], 0)
+            f[v] = f[u] + values.get((u, v), 0)
         else:
-            f[v] = f[u] - values.get(index[(v, u)], 0)
-    return all(f[j] - f[i] == values.get(index[(i, j)], 0) for i, j in forest.non_tree)
+            f[v] = f[u] - values.get((v, u), 0)
+    if any(f[j] - f[i] != values.get((i, j), 0) for i, j in forest.non_tree):
+        return None
+    return f

@@ -258,7 +258,7 @@ def glue_urprior(system: AgentSystem, scaling: Mapping[str, Fraction]) -> dict[s
     first_source: dict[str, str] = {}
     for agent in system.agents:
         factor = scaling.get(agent.name)
-        if not isinstance(factor, (int, Fraction)) or factor <= 0:
+        if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)) or factor <= 0:
             raise ValueError(f"scaling must assign a positive factor to agent {agent.name}")
         for outcome, p in agent.pmf.items():
             m = merged.get(outcome)

@@ -10,8 +10,7 @@ vectors are exact over the rationals. A column is a ``{row: coefficient}``
 map holding only its nonzero entries; sparse columns are the only form a
 matrix takes in the library. Columns are reduced left to right,
 which makes the answers canonical: the kernel vectors are those of the
-reduced row-echelon form, and a solution puts zero on every column that
-depends on the columns left of it. Reports built on them are therefore
+reduced row-echelon form. Reports built on them are therefore
 reproducible byte for byte.
 
 The pivot of a column is its smallest row index: the lowest entry when
@@ -23,10 +22,10 @@ the steps grow with the number of agents (on a 3,200-agent window-4
 chain, 16k steps against 6.8M).
 
 Rationals become integers over a common denominator in one place,
-``common_denominator``: each agent's pmf counts, the measure that
-verification checks and the target of ``solve_columns`` go through it,
-so that their equalities are decided by integer arithmetic. (The oracle
-keeps its own copy, to stay independent of the main pipeline.)
+``common_denominator``: each agent's pmf counts and the measure that
+verification checks go through it, so that their equalities are decided
+by integer arithmetic. (The oracle keeps its own copy, to stay
+independent of the main pipeline.)
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "kernel_vectors",
     "matrix_rank",
     "parse_rational",
-    "solve_columns",
 ]
 
 
@@ -70,12 +68,18 @@ _LITERAL = re.compile(
 # Literals longer than this are echoed in error messages only in part.
 _ECHO = 40
 
+# Largest decimal exponent a literal may carry, either sign. The digits of a
+# literal are bounded by the length of the input, but its exponent is not:
+# "1e-10000000" alone would take seconds to read as a 33M-bit denominator.
+_MAX_EXPONENT = 10_000
+
 
 def parse_rational(value: object) -> Fraction:
     """Parse an exact rational from an int or a string.
 
     Accepts integer strings ("3"), fraction strings ("5/8"), and decimal
-    literals ("0.3", read exactly as 3/10), with any number of digits.
+    literals ("0.3", read exactly as 3/10), with any number of digits and
+    an exponent of at most 10,000 in absolute value ("1e-5").
     Floats are rejected outright: they carry binary rounding error and
     would poison exact comparisons.
     """
@@ -88,11 +92,12 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, str):
         try:
             return _parse_literal(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             shown = repr(value)
             if len(value) > _ECHO:
                 shown = f"{value[:_ECHO]!r}... ({len(value)} characters)"
-            raise ValueError(f"not a rational literal: {shown}") from exc
+            problem = exc.args[0] if isinstance(exc, OverflowError) else "not a rational literal"
+            raise ValueError(f"{problem}: {shown}") from exc
     raise TypeError(f"cannot parse {type(value).__name__} as a rational")
 
 
@@ -106,7 +111,10 @@ def _parse_literal(text: str) -> Fraction:
         decimal = (match["decimal"] or "").replace("_", "")
         value = Fraction(_integer(match["num"] + decimal or "0"), 10 ** len(decimal))
         if match["exp"]:
-            value *= Fraction(10) ** int(match["exp"])
+            exponent = int(match["exp"])
+            if abs(exponent) > _MAX_EXPONENT:
+                raise OverflowError(f"decimal exponent beyond {_MAX_EXPONENT} in absolute value")
+            value *= Fraction(10) ** exponent
     return -value if match["sign"] == "-" else value
 
 
@@ -182,27 +190,29 @@ def _add_scaled(x: Column, a: int, b: int, y: Column) -> None:
             x.pop(i, None)
 
 
-def _reduce(pivots: _Pivots, residue: Column, combination: Column | None) -> int | None:
-    """Clear the pivot of ``residue`` against ``pivots`` until it is new.
+def _insert(pivots: _Pivots, column: Column, combination: Column | None) -> bool:
+    """Reduce a copy of ``column`` against ``pivots``; keep it as a pivot when it survives.
 
-    Works in place: ``residue`` ends as a reduced column and, when
-    tracked, ``combination`` as the matching combination of input
-    columns. Returns the final pivot row, or None when the residue vanished.
-    Each step is ``residue = a*residue - b*pivot`` with a > 0, followed by
-    division by the common content, so entries stay small integers.
+    The copy's pivot is cleared until it is new or the copy vanishes;
+    ``combination``, when tracked, follows along in place as the matching
+    combination of input columns. Each step is
+    ``residue = a*residue - b*pivot`` with a > 0, followed by division by
+    the common content, so entries stay small integers.
     """
+    residue = dict(column)
     while residue:
         row = min(residue)
         pivot = pivots.get(row)
         if pivot is None:
-            return row
-        column, pivot_combination = pivot
-        a, b = column[row], residue[row]
+            pivots[row] = (residue, combination)
+            return True
+        pivot_column, pivot_combination = pivot
+        a, b = pivot_column[row], residue[row]
         g = gcd(a, b)
         a, b = a // g, b // g
         if a < 0:
             a, b = -a, -b
-        _add_scaled(residue, a, -b, column)
+        _add_scaled(residue, a, -b, pivot_column)
         if combination is not None:
             _add_scaled(combination, a, -b, pivot_combination)
         if a != 1:
@@ -212,17 +222,7 @@ def _reduce(pivots: _Pivots, residue: Column, combination: Column | None) -> int
                 for x in parts:
                     for i in x:
                         x[i] //= content
-    return None
-
-
-def _insert(pivots: _Pivots, column: Column, combination: Column | None) -> bool:
-    """Reduce a copy of ``column``; keep it as a pivot when it survives."""
-    residue = dict(column)
-    row = _reduce(pivots, residue, combination)
-    if row is None:
-        return False
-    pivots[row] = (residue, combination)
-    return True
+    return False
 
 
 def matrix_rank(columns: Sequence[Column]) -> int:
@@ -246,28 +246,3 @@ def kernel_vectors(columns: Sequence[Column]) -> Iterator[tuple[int, Column]]:
         combination = {j: 1}
         if not _insert(pivots, column, combination):
             yield j, combination
-
-
-def solve_columns(
-    columns: Sequence[Column], target: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """Coefficients c with sum(c[j] * columns[j]) == target, or None.
-
-    None means the target lies outside the span of the columns. The
-    coefficient of every column that depends on the columns left of it
-    is pinned to 0, so the answer is canonical.
-    """
-    pivots: _Pivots = {}
-    for j, column in enumerate(columns):
-        _insert(pivots, column, {j: 1})
-    scale, residue = common_denominator({i: x for i, x in enumerate(target) if x})
-    marker = len(columns)  # the target's own slot in the combination
-    combination = {marker: 1}
-    if _reduce(pivots, residue, combination) is not None:
-        return None
-    # 0 == combination[marker] * scale * target + sum(combination[j] * columns[j])
-    unit = -combination.pop(marker) * scale
-    coefficients = [Fraction(0)] * len(columns)
-    for j, c in combination.items():
-        coefficients[j] = Fraction(c, unit)
-    return tuple(coefficients)

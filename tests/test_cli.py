@@ -404,6 +404,19 @@ class TestInputRobustness:
         assert len(error) < 120
         assert error.startswith("agent 1: outcome 'a': not a rational literal: '1/111")
 
+    def test_huge_exponent_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        agent = {"name": "1", "credence": {"a": "1e-10000000", "b": "1"}}
+        path.write_text(json.dumps({"outcomes": ["a", "b"], "agents": [agent]}))
+        code, report, _ = run_json(capsys, "check", str(path), "--json")
+        assert code == 2
+        assert report["errors"] == [
+            "agent 1: outcome 'a': decimal exponent beyond 10000 in absolute value: '1e-10000000'"
+        ]
+        code, out, _ = run(capsys, "oracle", str(path))
+        assert code == 2
+        assert out.startswith("invalid system file:\n")
+
     def test_internal_error_exits_three(self, data_dir, capsys, monkeypatch):
         # a glued measure that fails re-verification raises GluingError
         monkeypatch.setattr(compat, "glue_urprior", lambda system, scaling: {})

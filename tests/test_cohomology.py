@@ -16,7 +16,13 @@ from urprior.cohomology import (
     is_cocycle,
     noncoboundary_cocycle,
 )
-from urprior.complexes import build_overlap_complex, coboundary_columns, from_facets
+from urprior.complexes import (
+    build_overlap_complex,
+    coboundary_columns,
+    connected_components,
+    from_facets,
+    spanning_forest,
+)
 from urprior.numerics import kernel_vectors
 
 from . import dense_reference as dense
@@ -102,11 +108,44 @@ class TestCocycles:
 
     def test_no_witness_across_a_hole(self, tri_unfilled):
         assert coboundary_witness(_edge_cochain(tri_unfilled, [1, 0, 0])) is None
+        # the hole in one component, beside another component
+        X = from_facets("abcde", [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
+        assert coboundary_witness(_edge_cochain(X, [0, 0, 1, 7])) is None
 
     def test_witness_needs_positive_degree(self, tri_filled):
         f = cochain_from_vector(tri_filled, 0, (Fraction(1), Fraction(1), Fraction(1)))
         with pytest.raises(ValueError):
             coboundary_witness(f)
+
+    def test_witness_is_for_1_cochains_only(self, tri_filled):
+        # a 2-coboundary: delta of the 1-cochain that is 1 on edge (0, 1)
+        c = coboundary(_edge_cochain(tri_filled, [1, 0, 0]))
+        with pytest.raises(ValueError, match="1-cochain"):
+            coboundary_witness(c)
+
+    def test_witness_on_a_disconnected_complex(self):
+        # components {a, c, e}, {b, d}, and the isolated vertices f and g
+        X = from_facets("abcdefg", [("a", "c", "e"), ("b", "d")])
+        assert connected_components(X) == [(0, 2, 4), (1, 3), (5,), (6,)]
+        f = cochain_from_vector(X, 0, [Fraction(v) for v in (3, -1, 1, 4, -5, 9, 2)])
+        c = coboundary(f)
+        w = coboundary_witness(c)
+        assert w is not None
+        assert coboundary(w) == c
+        # each component shifted to read 0 at its largest vertex
+        assert w.vector() == (8, -5, 6, 0, 0, 0, 0)
+        assert w == dense.coboundary_witness(c)
+
+    def test_witness_pins_the_largest_vertex_not_the_last_one_walked(self):
+        # breadth-first from 0 walks 0, 1, 3, 2: the largest vertex comes third
+        X = from_facets("0123", [("0", "1"), ("0", "3"), ("1", "2")])
+        assert spanning_forest(X).order == (0, 1, 3, 2)
+        c = _edge_cochain(X, [1, 5, 2])  # edges (0, 1), (0, 3), (1, 2)
+        w = coboundary_witness(c)
+        assert w is not None
+        assert w.vector() == (-5, -4, -2, 0)
+        assert coboundary(w) == c
+        assert w == dense.coboundary_witness(c)
 
 
 class TestNonCoboundary:
@@ -187,16 +226,24 @@ class TestAgainstDenseReference:
             assert noncoboundary_cocycle(X) == dense.noncoboundary_cocycle(X)
 
     def test_coboundary_witness(self):
+        # edgeless and disconnected complexes included: random_complex draws both
         rng = random.Random(54)
         for X in _reference_complexes(55):
+            below = Cochain(X, 0, {s: Fraction(rng.randint(-3, 3)) for s in X.simplices(0)})
+            anything = Cochain(
+                X, 1, {s: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for s in X.simplices(1)}
+            )
+            for c in (coboundary(below), anything):
+                assert coboundary_witness(c) == dense.coboundary_witness(c)
+
+    def test_is_cocycle(self):
+        rng = random.Random(56)
+        for X in _reference_complexes(57):
             for k in (1, 2):
-                if not X.simplices(k):
-                    continue
                 below = Cochain(X, k - 1, {s: Fraction(rng.randint(-3, 3)) for s in X.simplices(k - 1)})
                 anything = Cochain(
                     X, k, {s: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for s in X.simplices(k)}
                 )
                 for c in (coboundary(below), anything):
-                    assert coboundary_witness(c) == dense.coboundary_witness(c)
                     image = dense.mat_vec(coboundary_matrix(X, k), c.vector())
                     assert is_cocycle(c) == all(v == 0 for v in image)

@@ -236,8 +236,9 @@ class TestGlueAndVerify:
             verify_urprior(halves, measure)
 
     def test_glue_requires_positive_factors(self, ex1):
-        with pytest.raises(ValueError):
-            glue_urprior(ex1, {name: Fraction(0) for name in ex1.names})
+        for factor in (Fraction(0), True, 0.5, "1"):
+            with pytest.raises(ValueError, match="scaling must assign a positive factor to agent"):
+                glue_urprior(ex1, {name: factor for name in ex1.names})
 
 
 class TestDecide:

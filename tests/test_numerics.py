@@ -1,17 +1,12 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from urprior.numerics import (
-    format_rational,
-    kernel_vectors,
-    matrix_rank,
-    parse_rational,
-    solve_columns,
-)
+from urprior.numerics import format_rational, kernel_vectors, matrix_rank, parse_rational
 
 from .dense_reference import Matrix, columns, in_span, mat_mul, mat_vec, nullspace_basis, rank, rref
 
@@ -60,6 +55,16 @@ class TestParseRational:
         assert parse_rational("0." + "0" * 4999 + "7") == Fraction(7, 10**5000)
         assert parse_rational("1" + "0" * 5000 + "e-5000") == 1
         assert parse_rational("1_" + "0" * 4800 + "_0") == 10**4801
+
+    def test_exponent_is_capped(self):
+        assert parse_rational("1e10000") == 10**10000
+        assert parse_rational("1e-10000") == Fraction(1, 10**10000)
+        for text in ["1e-10001", "1e10001", "1e-10000000", "1e+10000000", "-0.5E1_000_000"]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as caught:
+                parse_rational(text)
+            assert time.perf_counter() - start < 0.5
+            assert str(caught.value) == f"decimal exponent beyond 10000 in absolute value: {text!r}"
 
     def test_parse_reads_back_what_format_writes(self):
         rng = random.Random(16)
@@ -306,19 +311,6 @@ class TestSparseKernel:
             cols = _sparse_columns(m)
             assert matrix_rank(cols) + len(list(kernel_vectors(cols))) == m.cols
 
-    def test_solve_matches_in_span(self):
-        rng = random.Random(44)
-        for m in self._matrices(45):
-            basis = columns(m)
-            mix = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
-            inside = tuple(sum((c * v[i] for c, v in zip(mix, basis)), start=_f(0)) for i in range(m.rows))
-            anywhere = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m.rows))
-            for target in (inside, anywhere):
-                assert solve_columns(_sparse_columns(m), target) == in_span(basis, target)
-
     def test_degenerate_shapes(self):
         assert matrix_rank([]) == 0
         assert list(kernel_vectors([{}, {}])) == [(0, {0: 1}), (1, {1: 1})]
-        assert solve_columns([], (_f(0), _f(0))) == ()
-        assert solve_columns([], (_f(1), _f(0))) is None
-        assert solve_columns([{}], (_f(0),)) == (_f(0),)
