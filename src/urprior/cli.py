@@ -25,7 +25,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from urprior.cohomology import coboundary_dim, cohomology_dim
 from urprior.compat import (
@@ -44,7 +44,7 @@ from urprior.complexes import (
     from_facets,
 )
 from urprior.credence import AgentSystem, ValidationError, validate
-from urprior.numerics import Column, format_rational, matrix_rank
+from urprior.numerics import Column, format_rational
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
@@ -238,11 +238,9 @@ def render_check_text(report: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: Mapping[str, Any], text: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _emit(payload: Mapping[str, Any], render: Callable[[], str], as_json: bool) -> None:
+    """Print the payload as JSON, or the text report; ``render`` runs only for the latter."""
+    print(json.dumps(payload, indent=2) if as_json else render())
 
 
 def _invalid_system(exc: ValidationError, as_json: bool) -> int:
@@ -263,7 +261,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         return _invalid_system(exc, args.json)
     report, code = build_check_report(system, max_dim=args.max_dim)
-    _emit(report, render_check_text(report), args.json)
+    _emit(report, lambda: render_check_text(report), args.json)
     return code
 
 
@@ -307,7 +305,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
     k = args.dim
     rank_below = coboundary_dim(X, k)
-    rank_at = matrix_rank(coboundary_columns(X, k))
+    rank_at = coboundary_dim(X, k + 1)
     cocycles = len(X.simplices(k)) - rank_at
     coboundaries = rank_below
     h = cocycles - coboundaries
@@ -320,32 +318,28 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         "coboundaries": coboundaries,
         "h": h,
     }
-    lines = [
-        "simplices: " + " ".join(f"X{d}={c}" for d, c in enumerate(X.counts())),
-        f"rank delta_{k - 1} = {rank_below}",
-        f"rank delta_{k} = {rank_at}",
-        f"cocycles {cocycles}, coboundaries {coboundaries}, H{k} = {h}",
-    ]
-    if args.dump_matrices:
-        lines.append("")
-        lines.append(
-            _render_labeled_matrix(
-                f"delta_{k - 1} (rows: {k}-simplices, cols: {k - 1}-simplices)",
-                coboundary_columns(X, k - 1),
-                [_simplex_tag(X, s) for s in X.simplices(k)],
-                [_simplex_tag(X, s) for s in X.simplices(k - 1)],
-            )
-        )
-        lines.append("")
-        lines.append(
-            _render_labeled_matrix(
-                f"delta_{k} (rows: {k + 1}-simplices, cols: {k}-simplices)",
-                coboundary_columns(X, k),
-                [_simplex_tag(X, s) for s in X.simplices(k + 1)],
-                [_simplex_tag(X, s) for s in X.simplices(k)],
-            )
-        )
-    _emit(payload, "\n".join(lines), args.json)
+
+    def render() -> str:
+        lines = [
+            "simplices: " + " ".join(f"X{d}={c}" for d, c in enumerate(X.counts())),
+            f"rank delta_{k - 1} = {rank_below}",
+            f"rank delta_{k} = {rank_at}",
+            f"cocycles {cocycles}, coboundaries {coboundaries}, H{k} = {h}",
+        ]
+        if args.dump_matrices:
+            for d in (k - 1, k):
+                lines.append("")
+                lines.append(
+                    _render_labeled_matrix(
+                        f"delta_{d} (rows: {d + 1}-simplices, cols: {d}-simplices)",
+                        coboundary_columns(X, d),
+                        [_simplex_tag(X, s) for s in X.simplices(d + 1)],
+                        [_simplex_tag(X, s) for s in X.simplices(d)],
+                    )
+                )
+        return "\n".join(lines)
+
+    _emit(payload, render, args.json)
     return 0
 
 
@@ -382,13 +376,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "verdict": verdict,
         "ur_prior": _measure_to_json(measure, system) if measure is not None else None,
     }
-    if measure is not None:
+
+    def render() -> str:
+        if measure is None:
+            return "verdict: no ur-prior"
         lines = ["verdict: ur-prior exists", "ur-prior:"]
         lines.extend(f"  {x} = {v}" for x, v in payload["ur_prior"].items())
-        text = "\n".join(lines)
-    else:
-        text = "verdict: no ur-prior"
-    _emit(payload, text, args.json)
+        return "\n".join(lines)
+
+    _emit(payload, render, args.json)
     return 0 if measure is not None else 1
 
 

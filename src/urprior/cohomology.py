@@ -1,13 +1,24 @@
 """Cochains, cocycle and coboundary tests, and rational cohomology dimensions.
 
-Ranks and kernel vectors come from the sparse columns of the coboundary
-maps (``coboundary_columns``) through the exact column reduction of
-``urprior.numerics``; no dense matrix is built. Degree 0 needs no
-elimination at all. rank delta_0 is the number of vertices minus the
-number of components, the edge count of a spanning forest. Whether a
-1-cochain is a coboundary, and of which vertex function, is settled by
-integrating it along that forest (``_integrate``), which serves both
-``coboundary_witness`` and ``noncoboundary_cocycle``.
+Ranks and kernel vectors come from sparse integer columns through the
+exact column reduction of ``urprior.numerics``; no dense matrix is built.
+Every rank of a coboundary map is read through this module, and degrees 0
+and 1 read the complex's cached spanning forest (``spanning_forest``):
+
+- rank delta_0 is the number of vertices minus the number of components,
+  the edge count of the forest, with no elimination at all;
+- rank delta_1 equals rank d_2, the rank of the triangles' boundaries. A
+  1-cycle is fixed by its values on the forest's non-tree edges, so each
+  boundary is restricted to them, at most 3 entries, and the reduction
+  stops once the rank reaches the number of non-tree edges (H^1 = 0),
+  the technique of Ripser (Bauer 2021): reduce small boundary columns,
+  exit early. The wide delta_1 columns are reduced only for the
+  canonical cocycle of ``noncoboundary_cocycle``;
+- degrees 2 and up reduce the columns of ``coboundary_columns``.
+
+Whether a 1-cochain is a coboundary, and of which vertex function, is
+settled by integrating it along the forest (``_integrate``), which serves
+both ``coboundary_witness`` and ``noncoboundary_cocycle``.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from urprior.complexes import (
     Simplex,
@@ -25,7 +36,7 @@ from urprior.complexes import (
     connected_components,
     spanning_forest,
 )
-from urprior.numerics import kernel_vectors, matrix_rank
+from urprior.numerics import Column, kernel_vectors, matrix_rank
 
 __all__ = [
     "Cochain",
@@ -106,10 +117,28 @@ def coboundary_witness(c: Cochain) -> Cochain | None:
 
 
 def _coboundary_rank(X: SimplicialComplex, k: int) -> int:
-    """rank delta_k; for k = 0 the closed form vertices - components."""
+    """rank delta_k: by the forest for k = 0 and 1 (see the module notes), else by reduction."""
     if k == 0:
         return len(spanning_forest(X).parent)
-    return matrix_rank(coboundary_columns(X, k))
+    if k == 1:
+        return _cycle_space_rank(X)
+    return matrix_rank(coboundary_columns(X, k), len(X.simplices(k + 1)))
+
+
+def _cycle_space_rank(X: SimplicialComplex) -> int:
+    """rank delta_1, as the rank of the triangles' boundaries on the non-tree edges."""
+    non_tree = {e: r for r, e in enumerate(spanning_forest(X).non_tree)}
+
+    def boundaries() -> Iterator[Column]:
+        for a, b, c in X.simplices(2):
+            column: Column = {}
+            for face, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
+                row = non_tree.get(face)
+                if row is not None:
+                    column[row] = sign
+            yield column
+
+    return matrix_rank(boundaries(), len(non_tree))
 
 
 def cocycle_dim(X: SimplicialComplex, k: int) -> int:

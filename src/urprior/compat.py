@@ -101,7 +101,11 @@ class RatioCochain:
     ratios: Mapping[tuple[int, int], Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ratios", {e: Fraction(v) for e, v in self.ratios.items()})
+        object.__setattr__(
+            self,
+            "ratios",
+            {e: v if isinstance(v, Fraction) else Fraction(v) for e, v in self.ratios.items()},
+        )
         if set(self.ratios) != set(self.complex.simplices(1)):
             raise ValueError("ratios must cover exactly the edges of the complex")
         if any(v.numerator <= 0 for v in self.ratios.values()):
@@ -134,21 +138,21 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     With agent i's pmf written as n_x / d over its own denominator, the
     conditionals of the two sides agree at x exactly when
     n_x(left) * M(right) == n_x(right) * M(left), M being the sum of n_x
-    over the overlap: an integer cross-multiplication. A pair where
-    exactly one side weights the overlap is recorded as an asymmetry
-    instead. Pairs come in canonical order from the system's overlap
-    table, so pairs that share nothing cost nothing. The witness outcome
-    of a violation is the alphabetically first failing one.
+    over the overlap, read from the system's overlap table: an integer
+    cross-multiplication. A pair where exactly one side weights the
+    overlap is recorded as an asymmetry instead. Pairs come in canonical
+    order from the overlap table, so pairs that share nothing cost
+    nothing. The witness outcome of a violation is the alphabetically
+    first failing one. A certificate's fractions are built only when it
+    fires.
     """
     agents = system.agents
     violations: list[Violation] = []
     asymmetries: list[Asymmetry] = []
-    for (i, j), (shared, mass_left, mass_right) in system.overlaps.items():
+    for (i, j), (shared, sum_left, sum_right) in system.overlaps.items():
         left, right = agents[i], agents[j]
-        if mass_left.numerator > 0 and mass_right.numerator > 0:
+        if sum_left > 0 and sum_right > 0:
             counts_left, counts_right = left.counts[1], right.counts[1]
-            sum_left = sum(counts_left[x] for x in shared)
-            sum_right = sum(counts_right[x] for x in shared)
             # Both sides' conditionals sum to 1, so a disagreement shows at
             # two outcomes at least: the last outcome never comes first.
             for x in shared[:-1]:
@@ -157,13 +161,19 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
                         Violation(
                             (left.name, right.name),
                             x,
-                            left.pmf[x] / mass_left,
-                            right.pmf[x] / mass_right,
+                            Fraction(counts_left[x], sum_left),
+                            Fraction(counts_right[x], sum_right),
                         )
                     )
                     break
-        elif mass_left.numerator > 0 or mass_right.numerator > 0:
-            asymmetries.append(Asymmetry((left.name, right.name), mass_left, mass_right))
+        elif sum_left > 0 or sum_right > 0:
+            asymmetries.append(
+                Asymmetry(
+                    (left.name, right.name),
+                    Fraction(sum_left, left.counts[0]),
+                    Fraction(sum_right, right.counts[0]),
+                )
+            )
     return CompatibilityReport(not violations, tuple(violations), tuple(asymmetries))
 
 
@@ -172,18 +182,20 @@ def ratio_cochain(system: AgentSystem, X: SimplicialComplex) -> RatioCochain:
 
     ``X`` must be (a truncation of) the system's overlap complex, which is
     exactly what guarantees both masses on every edge are positive. The
-    masses are read from the system's overlap table.
+    masses are read from the system's overlap table as M_i / d_i and
+    M_j / d_j, so each ratio is one ``Fraction(M_i * d_j, M_j * d_i)``.
     """
-    overlaps = system.overlaps
+    agents, overlaps = system.agents, system.overlaps
     ratios: dict[tuple[int, int], Fraction] = {}
     for edge in X.simplices(1):
-        _, mass_i, mass_j = overlaps.get(edge, ((), 0, 0))
-        if mass_i.numerator <= 0 or mass_j.numerator <= 0:
+        _, sum_i, sum_j = overlaps.get(edge, ((), 0, 0))
+        if sum_i <= 0 or sum_j <= 0:
             raise ValueError(
                 f"edge {X.label(edge)} lacks a two-sided positive overlap; "
                 "X is not this system's overlap complex"
             )
-        ratios[edge] = mass_i / mass_j
+        i, j = edge
+        ratios[edge] = Fraction(sum_i * agents[j].counts[0], sum_j * agents[i].counts[0])
     return RatioCochain(X, ratios)
 
 
@@ -192,9 +204,9 @@ def solve_scaling(
 ) -> tuple[dict[str, Fraction] | None, CycleCertificate | None]:
     """Find positive per-vertex scales with ratio[i,j] == scale[j] / scale[i].
 
-    Builds a spanning forest by scanning edges in canonical order,
-    propagates scale 1 outward from the smallest vertex of each
-    component, then verifies every non-tree edge. Exactly one element of
+    Reads X's spanning forest (built once per complex), propagates
+    scale 1 outward from the smallest vertex of each component, then
+    verifies every non-tree edge. Exactly one element of
     the returned pair is not None: the scaling (keyed by vertex label) on
     success, a cycle certificate for the first failing edge otherwise.
     """

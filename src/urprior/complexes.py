@@ -4,13 +4,17 @@ A complex stores, per dimension, the lexicographically sorted tuples of
 vertex indices. For overlap complexes the index order is the agent order
 of the system, which fixes every orientation downstream. A coboundary
 map exists only as sparse integer columns (``coboundary_columns``); no
-dense matrix is built, not even for display.
+dense matrix is built, not even for display. A complex is immutable, so
+its spanning forest is built once, on first use, and cached on it: the
+components, the scaling solve, rank delta_0 and the degree-1 cohomology
+all read that one forest.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -82,6 +86,11 @@ class SimplicialComplex:
         top = self.dim if upto is None else upto
         return [len(self.simplices(k)) for k in range(top + 1)]
 
+    @cached_property
+    def forest(self) -> SpanningForest:
+        """The breadth-first spanning forest of the 1-skeleton, built on first use."""
+        return _build_forest(self)
+
     def label(self, simplex: Simplex) -> str:
         return "{" + ",".join(self.vertices[i] for i in simplex) + "}"
 
@@ -130,15 +139,18 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     higher levels are enumerated level by level: a simplex s is extended
     only by neighbours of s[0] above s[-1], and only when all facets of
     the extension survived the previous level. Masses are nonnegative, so
-    a mass is positive exactly when one of its terms is.
+    a mass is positive exactly when one of its terms is: the edges read
+    the signs of the overlap table's integer sums, and a larger group is
+    tested against each member's positive outcomes
+    (``CredenceFunction.positive``).
     """
     agents = system.agents
     n = len(agents)
     vertices: tuple[Simplex, ...] = tuple((i,) for i in range(n))
     edges = tuple(
         pair
-        for pair, (_, mass_i, mass_j) in system.overlaps.items()
-        if mass_i.numerator > 0 and mass_j.numerator > 0
+        for pair, (_, sum_i, sum_j) in system.overlaps.items()
+        if sum_i > 0 and sum_j > 0
     )
     if (max_dim is not None and max_dim < 1) or not edges:
         return SimplicialComplex(system.names, (vertices,))
@@ -161,7 +173,7 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
                     continue
                 cand = s + (v,)
                 overlap = shared & agents[v].support
-                if overlap and all(any(agents[i].pmf[x].numerator > 0 for x in overlap) for i in cand):
+                if not any(overlap.isdisjoint(agents[i].positive) for i in cand):
                     found.append(cand)
         if not found:
             break
@@ -207,7 +219,15 @@ class SpanningForest:
 
 
 def spanning_forest(X: SimplicialComplex) -> SpanningForest:
-    """The breadth-first spanning forest of X's 1-skeleton (see SpanningForest)."""
+    """The breadth-first spanning forest of X's 1-skeleton (see SpanningForest).
+
+    Built once per complex and cached on it, so every call returns the
+    same object.
+    """
+    return X.forest
+
+
+def _build_forest(X: SimplicialComplex) -> SpanningForest:
     n = len(X.vertices)
     root = list(range(n))
 

@@ -54,7 +54,9 @@ class CredenceFunction:
     ``pmf[x] == n_x / d`` and ``d`` the lcm of the pmf's denominators.
     The exact checks downstream compare these per-agent integers by
     cross-multiplication, so deciding an equality never reduces a
-    fraction; ``mass`` still returns a reduced ``Fraction``.
+    fraction; ``mass`` still returns a reduced ``Fraction``. ``positive``
+    is the set of outcomes of positive mass, which the overlap complex
+    tests groups against. Both are computed once, on first use.
     """
 
     name: str
@@ -84,6 +86,11 @@ class CredenceFunction:
         return frozenset(self.pmf)
 
     @cached_property
+    def positive(self) -> frozenset[str]:
+        """The outcomes of positive mass: the awareness set less its zero-mass outcomes."""
+        return frozenset(x for x, v in self.pmf.items() if v.numerator > 0)
+
+    @cached_property
     def counts(self) -> tuple[int, dict[str, int]]:
         """The pmf over one common denominator: ``(d, {x: n_x})``, ``pmf[x] == n_x / d``."""
         return common_denominator(self.pmf)
@@ -94,9 +101,10 @@ class CredenceFunction:
         return Fraction(sum(counts[x] for x in event if x in counts), d)
 
 
-# The outcomes two agents i < j share, sorted by label, then the mass
-# agent i and the mass agent j give them.
-Overlap = tuple[tuple[str, ...], Fraction, Fraction]
+# The outcomes two agents i < j share, sorted by label, then M_i and M_j:
+# each agent's integer counts summed over them, so that agent k gives the
+# overlap mass M_k / d_k over its own denominator d_k (``counts``).
+Overlap = tuple[tuple[str, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -139,8 +147,10 @@ class AgentSystem:
 
         Built once from an outcome -> agents index, so the cost follows the
         number of (pair, shared outcome) incidences, not the number of pairs.
-        The pairwise scan, the overlap complex and the ratio cochain all
-        read this one table.
+        Each entry holds the shared outcomes and the two integer sums
+        M_i, M_j of ``Overlap``; no fraction is reduced to build it. The
+        pairwise scan, the overlap complex and the ratio cochain all read
+        this one table, the sign of a mass being the sign of its M.
         """
         aware: dict[str, list[int]] = {}
         for i, agent in enumerate(self.agents):
@@ -151,10 +161,12 @@ class AgentSystem:
             for a, i in enumerate(holders):
                 for j in holders[a + 1 :]:
                     shared.setdefault((i, j), []).append(x)
+        counts = [agent.counts[1] for agent in self.agents]
         table: dict[tuple[int, int], Overlap] = {}
         for i, j in sorted(shared):
             xs = tuple(sorted(shared[(i, j)]))
-            table[(i, j)] = (xs, self.agents[i].mass(xs), self.agents[j].mass(xs))
+            left, right = counts[i], counts[j]
+            table[(i, j)] = (xs, sum(left[x] for x in xs), sum(right[x] for x in xs))
         return table
 
     def union_support(self) -> frozenset[str]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Column = dict[int, int]
 K = TypeVar("K")
@@ -111,11 +111,21 @@ def _parse_literal(text: str) -> Fraction:
         decimal = (match["decimal"] or "").replace("_", "")
         value = Fraction(_integer(match["num"] + decimal or "0"), 10 ** len(decimal))
         if match["exp"]:
-            exponent = int(match["exp"])
-            if abs(exponent) > _MAX_EXPONENT:
-                raise OverflowError(f"decimal exponent beyond {_MAX_EXPONENT} in absolute value")
-            value *= Fraction(10) ** exponent
+            value *= Fraction(10) ** _exponent(match["exp"])
     return -value if match["sign"] == "-" else value
+
+
+def _exponent(text: str) -> int:
+    """A decimal exponent's value, rejected beyond _MAX_EXPONENT before it is converted.
+
+    The sign, underscores and leading zeros go first, so an exponent of
+    any length is judged by its significant digits, and a long one never
+    reaches the interpreter's int-from-str digit limit.
+    """
+    digits = text.lstrip("+-").replace("_", "").lstrip("0") or "0"
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+        raise OverflowError(f"decimal exponent beyond {_MAX_EXPONENT} in absolute value")
+    return -int(digits) if text[0] == "-" else int(digits)
 
 
 # Integers below this convert with one str() call, far under the interpreter's
@@ -225,10 +235,22 @@ def _insert(pivots: _Pivots, column: Column, combination: Column | None) -> bool
     return False
 
 
-def matrix_rank(columns: Sequence[Column]) -> int:
-    """Exact rank over the rationals of the matrix with these sparse columns."""
+def matrix_rank(columns: Iterable[Column], rows: int) -> int:
+    """Exact rank over the rationals of the matrix with these sparse columns and ``rows`` rows.
+
+    The rank cannot exceed the number of rows, so the reduction stops as
+    soon as it reaches it; ``columns`` may be a lazy iterable, read only
+    that far.
+    """
+    if rows == 0:
+        return 0
     pivots: _Pivots = {}
-    return sum(_insert(pivots, column, None) for column in columns)
+    rank = 0
+    for column in columns:
+        rank += _insert(pivots, column, None)
+        if rank == rows:
+            break
+    return rank
 
 
 def kernel_vectors(columns: Sequence[Column]) -> Iterator[tuple[int, Column]]:

@@ -111,6 +111,28 @@ def window_chain(
     }
 
 
+def hub_system(rng: random.Random, agents: int) -> tuple[AgentSystem, dict[str, Fraction]]:
+    """Agent i is aware of one shared outcome and one private outcome, all conditioned from one measure.
+
+    Every group of agents shares the hub outcome, which all of them
+    weight, so the overlap complex is the full simplex on the agents:
+    every pair is an edge and every triple a triangle. Returns the system
+    and the hidden measure normalized over the union, the ur-prior the
+    decision must find.
+    """
+    outcomes = ("hub",) + tuple(f"p{i}" for i in range(agents))
+    weights = {x: Fraction(rng.randint(1, 6)) for x in outcomes}
+    agent_list = []
+    for i in range(agents):
+        mine = ("hub", f"p{i}")
+        sector = sum(weights[x] for x in mine)
+        agent_list.append(CredenceFunction(f"a{i}", {x: weights[x] / sector for x in mine}))
+    total = sum(weights.values())
+    return AgentSystem(OutcomeSpace(outcomes), tuple(agent_list)), {
+        x: w / total for x, w in weights.items()
+    }
+
+
 def geometric_chain(agents: int, ratio: int) -> AgentSystem:
     """Agent i is aware of outcomes i and i+1 and weights them 1 : ratio.
 

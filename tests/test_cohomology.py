@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from urprior.cohomology import (
     Cochain,
+    _coboundary_rank,
     coboundary,
     coboundary_dim,
     coboundary_witness,
@@ -27,7 +30,7 @@ from urprior.numerics import kernel_vectors
 
 from . import dense_reference as dense
 from .dense_reference import coboundary_matrix
-from .generators import annulus, random_complex
+from .generators import annulus, hub_system, random_complex
 
 
 def _edge_cochain(X, values):
@@ -247,3 +250,56 @@ class TestAgainstDenseReference:
                 for c in (coboundary(below), anything):
                     image = dense.mat_vec(coboundary_matrix(X, k), c.vector())
                     assert is_cocycle(c) == all(v == 0 for v in image)
+
+
+def _full_skeleton(n: int, max_dim: int = 2):
+    """Every group of at most max_dim + 1 of n vertices is a simplex."""
+    vertices = [str(i) for i in range(n)]
+    return from_facets(vertices, itertools.combinations(vertices, min(n, max_dim + 1)))
+
+
+class TestCycleSpaceRank:
+    """rank delta_1 from the triangles' boundaries on the non-tree edges equals the dense rank."""
+
+    def _complexes(self):
+        rng = random.Random(58)
+        out = [random_complex(rng) for _ in range(150)] + [random_complex(rng, 10) for _ in range(60)]
+        out += [annulus(rng, m) for m in (3, 4, 5, 7, 12) for _ in range(3)]
+        out += [_full_skeleton(n) for n in range(1, 10)]
+        out += [_full_skeleton(n, 3) for n in (4, 6)]
+        # two full skeletons side by side, a hollow triangle and an isolated vertex
+        out.append(
+            from_facets(
+                [str(i) for i in range(12)],
+                list(itertools.combinations("0123", 3))
+                + list(itertools.combinations("4567", 3))
+                + [("8", "9"), ("9", "10"), ("8", "10")],
+            )
+        )
+        return out
+
+    def test_equals_the_dense_rank(self):
+        kinds = {"no edges": 0, "no triangles": 0, "disconnected": 0, "h1 > 0": 0, "full": 0}
+        for X in self._complexes():
+            expected = dense.rank(coboundary_matrix(X, 1))
+            assert _coboundary_rank(X, 1) == expected
+            assert coboundary_dim(X, 2) == expected
+            assert cocycle_dim(X, 1) == len(X.simplices(1)) - expected
+            h1 = len(spanning_forest(X).non_tree) - expected
+            assert cohomology_dim(X, 1) == h1
+            assert h1 == len(X.simplices(1)) - expected - dense.rank(coboundary_matrix(X, 0))
+            kinds["no edges"] += not X.simplices(1)
+            kinds["no triangles"] += bool(X.simplices(1)) and not X.simplices(2)
+            kinds["disconnected"] += len(connected_components(X)) > 1
+            kinds["h1 > 0"] += h1 > 0
+            kinds["full"] += len(X.simplices(2)) == comb(len(X.vertices), 3) > 0
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_overlap_complexes_of_hubs(self):
+        # every pair and triple overlaps: the boundaries of the triangles
+        # through vertex 0 alone fill the cycle space
+        for n in (3, 5, 9):
+            X = build_overlap_complex(hub_system(random.Random(n), n)[0], max_dim=2)
+            assert X.by_dim == _full_skeleton(n).by_dim
+            assert _coboundary_rank(X, 1) == dense.rank(coboundary_matrix(X, 1)) == (n - 1) * (n - 2) // 2
+            assert cohomology_dim(X, 1) == 0

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from urprior import cli, complexes
+from urprior.cohomology import coboundary, coboundary_witness, cochain_from_vector
 from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
@@ -16,7 +18,7 @@ from urprior.complexes import (
 from urprior.credence import overlap_mass
 
 from .dense_reference import coboundary_matrix
-from .generators import random_system
+from .generators import random_complex, random_system
 
 
 class TestConstruction:
@@ -128,8 +130,6 @@ class TestCoboundaryMatrix:
 
     def test_composition_vanishes(self):
         rng = random.Random(22)
-        from .generators import random_complex
-
         for _ in range(30):
             X = random_complex(rng)
             for k in (0, 1, 2):
@@ -143,8 +143,6 @@ class TestCoboundaryMatrix:
 
     def test_sparse_columns_match_the_matrix(self):
         rng = random.Random(23)
-        from .generators import random_complex
-
         for _ in range(30):
             X = random_complex(rng)
             for k in (0, 1, 2):
@@ -186,8 +184,6 @@ class TestSpanningForest:
 
     def test_every_edge_is_tree_or_non_tree(self):
         rng = random.Random(24)
-        from .generators import random_complex
-
         for _ in range(40):
             X = random_complex(rng)
             forest = spanning_forest(X)
@@ -196,3 +192,34 @@ class TestSpanningForest:
             assert not tree & set(forest.non_tree)
             assert sorted(forest.order) == list(range(len(X.vertices)))
             assert len(X.vertices) - len(forest.parent) == len(connected_components(X))
+
+
+class TestForestCache:
+    def test_one_forest_per_complex(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            X = random_complex(rng)
+            forest = spanning_forest(X)
+            assert spanning_forest(X) is forest is X.forest
+            fresh = SimplicialComplex(X.vertices, X.by_dim)
+            assert fresh == X and hash(fresh) == hash(X)
+            assert spanning_forest(fresh) is not forest
+            assert spanning_forest(fresh) == forest
+
+    def test_every_stage_of_a_report_reads_the_same_forest(self, monkeypatch, data_dir, capsys):
+        built = []
+        build = complexes._build_forest
+        monkeypatch.setattr(complexes, "_build_forest", lambda X: built.append(X) or build(X))
+        for name in ("ex1.json", "ex4.json", "gap.json", "tri_unfilled.json"):
+            command = "cohomology" if name.startswith("tri") else "check"
+            built.clear()
+            cli.main([command, str(data_dir / name)])
+            assert len(built) == 1, name
+        capsys.readouterr()
+        # components, rank delta_0, the cycle-space rank and the witness
+        X = from_facets(tuple("abcde"), [("a", "b", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
+        built.clear()
+        c = coboundary(cochain_from_vector(X, 0, [3, 1, 4, 1, 5]))
+        assert coboundary_witness(c) is not None
+        assert connected_components(X) == [(0, 1, 2, 3, 4)]
+        assert len(built) == 1

@@ -14,6 +14,8 @@ from urprior.credence import (
     validate,
 )
 
+from .generators import seeded_systems
+
 
 def _raw(outcomes, agents):
     return {"outcomes": list(outcomes), "agents": agents}
@@ -111,6 +113,14 @@ class TestModel:
         # outcome and rules it out, which is not the same as ignorance
         agent = CredenceFunction("1", {"a": Fraction(1), "b": Fraction(0)})
         assert agent.support == frozenset({"a", "b"})
+
+    def test_positive_outcomes(self):
+        agent = CredenceFunction("1", {"a": Fraction(1), "b": Fraction(0), "c": 0})
+        assert agent.positive == frozenset({"a"})
+        assert agent.positive is agent.positive
+        for system in seeded_systems():
+            for agent in system.agents:
+                assert agent.positive == frozenset(x for x, v in agent.pmf.items() if v > 0)
 
     def test_mass_of_event(self):
         agent = CredenceFunction("1", {"a": Fraction(1, 4), "b": Fraction(3, 4)})

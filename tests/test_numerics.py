@@ -66,6 +66,25 @@ class TestParseRational:
             assert time.perf_counter() - start < 0.5
             assert str(caught.value) == f"decimal exponent beyond 10000 in absolute value: {text!r}"
 
+    def test_long_exponents_are_judged_by_their_significant_digits(self):
+        # an exponent is never converted whole, so its length alone can
+        # neither trip the interpreter's 4,300-digit limit nor reject it
+        too_far = "2.5e" + "9" * 5000
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as caught:
+            parse_rational(too_far)
+        assert time.perf_counter() - start < 0.5
+        assert str(caught.value) == (
+            f"decimal exponent beyond 10000 in absolute value: {too_far[:40]!r}... (5004 characters)"
+        )
+        assert parse_rational("1e" + "0" * 5000 + "1") == 10
+        assert parse_rational("1e-" + "0" * 5000 + "1") == Fraction(1, 10)
+        assert parse_rational("-3E+" + "0_0" * 2000) == -3
+        assert parse_rational("5e-0010000") == Fraction(5, 10**10000)
+        for text in ["1e000010001", "1e-" + "0" * 5000 + "100000", "1e1_0000_0"]:
+            with pytest.raises(ValueError, match="decimal exponent beyond 10000"):
+                parse_rational(text)
+
     def test_parse_reads_back_what_format_writes(self):
         rng = random.Random(16)
         for _ in range(20):
@@ -296,7 +315,7 @@ class TestSparseKernel:
 
     def test_rank_matches_reference(self):
         for m in self._matrices(41):
-            assert matrix_rank(_sparse_columns(m)) == rank(m)
+            assert matrix_rank(_sparse_columns(m), m.rows) == rank(m)
 
     def test_kernel_vectors_are_the_rref_basis(self):
         for m in self._matrices(42):
@@ -309,8 +328,32 @@ class TestSparseKernel:
     def test_rank_plus_nullity(self):
         for m in self._matrices(43):
             cols = _sparse_columns(m)
-            assert matrix_rank(cols) + len(list(kernel_vectors(cols))) == m.cols
+            assert matrix_rank(cols, m.rows) + len(list(kernel_vectors(cols))) == m.cols
+
+    def test_rank_stops_at_the_row_count(self):
+        read = []
+
+        def columns(fourth_row):
+            for j in range(10):
+                read.append(j)
+                yield {j % 3: 1, 3: j + 1} if fourth_row else {j % 3: 1}
+
+        # the first three columns reach rank 3, column 3 reaches the fourth
+        # row, and nothing after it is read
+        assert matrix_rank(columns(True), 4) == 4
+        assert read == [0, 1, 2, 3]
+        # rank 3 of 3 rows is reached at column 2
+        read.clear()
+        assert matrix_rank(columns(False), 3) == 3
+        assert read == [0, 1, 2]
+        # rank 3 of 4 rows: every column is read
+        read.clear()
+        assert matrix_rank(columns(False), 4) == 3
+        assert read == list(range(10))
+        read.clear()
+        assert matrix_rank(columns(True), 0) == 0
+        assert read == []
 
     def test_degenerate_shapes(self):
-        assert matrix_rank([]) == 0
+        assert matrix_rank([], 0) == matrix_rank([], 3) == matrix_rank([{}, {}], 3) == 0
         assert list(kernel_vectors([{}, {}])) == [(0, {0: 1}), (1, {1: 1})]

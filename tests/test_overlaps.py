@@ -23,6 +23,8 @@ def test_enough_systems():
 
 
 def test_table_lists_every_sharing_pair_with_its_masses():
+    # each mass is the agent's integer counts summed over the overlap,
+    # over the agent's own denominator
     for system in SYSTEMS:
         agents = system.agents
         expected = {}
@@ -31,11 +33,15 @@ def test_table_lists_every_sharing_pair_with_its_masses():
             if shared:
                 expected[(i, j)] = (
                     tuple(sorted(shared)),
-                    agents[i].mass(shared),
-                    agents[j].mass(shared),
+                    sum(agents[i].counts[1][x] for x in shared),
+                    sum(agents[j].counts[1][x] for x in shared),
                 )
         assert system.overlaps == expected
         assert list(system.overlaps) == sorted(expected)
+        for (i, j), (shared, sum_i, sum_j) in system.overlaps.items():
+            assert type(sum_i) is int and type(sum_j) is int
+            assert Fraction(sum_i, agents[i].counts[0]) == agents[i].mass(shared)
+            assert Fraction(sum_j, agents[j].counts[0]) == agents[j].mass(shared)
 
 
 def test_table_and_supports_are_built_once():
@@ -109,4 +115,8 @@ def test_shared_outcomes_are_sorted_by_label():
             ],
         }
     )
-    assert system.overlaps == {(0, 1): (("a", "c"), Fraction(1), Fraction(1))}
+    # x counts 1/2 as 1 of 2 and y counts 1 as 1 of 1, so both overlaps weigh 1
+    assert system.overlaps == {(0, 1): (("a", "c"), 2, 1)}
+    x, y = system.agents
+    assert Fraction(2, x.counts[0]) == x.mass(("a", "c")) == 1
+    assert Fraction(1, y.counts[0]) == y.mass(("a", "c")) == 1

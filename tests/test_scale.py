@@ -11,7 +11,7 @@ from urprior.cohomology import coboundary, coboundary_witness, cochain_from_vect
 from urprior.compat import decide_urprior, verify_urprior
 from urprior.complexes import build_overlap_complex, connected_components
 
-from .generators import annulus, holonomy_from_pmfs, window_chain
+from .generators import annulus, holonomy_from_pmfs, hub_system, window_chain
 
 
 def test_check_on_a_200_agent_window_chain(tmp_path, capsys):
@@ -46,6 +46,34 @@ def test_decide_and_check_on_a_3000_agent_window_chain(tmp_path, capsys):
     assert report["complex"]["counts"] == [n, 3 * n - 6, 3 * n - 8]
     assert report["h1"] == 0
     assert {x: Fraction(v) for x, v in report["ur_prior"].items()} == hidden
+
+
+def test_check_and_cohomology_on_a_60_agent_hub(tmp_path, capsys):
+    # every pair and every triple of agents overlaps: 1,711 non-tree edges,
+    # each delta_1 column 58 entries wide, and 34,220 triangles
+    n = 60
+    system, hidden = hub_system(random.Random(n), n)
+    path = tmp_path / "hub.json"
+    path.write_text(json.dumps(cli.system_to_dict(system)))
+    code = cli.main(["check", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdict"] == "exists"
+    assert report["complex"]["counts"] == [60, 1770, 34220]
+    assert report["components"] == 1
+    assert report["h1"] == 0
+    assert {x: Fraction(v) for x, v in report["ur_prior"].items()} == hidden
+    code = cli.main(["cohomology", str(path), "--dim", "1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload == {
+        "counts": [60, 1770, 34220],
+        "dim": 1,
+        "ranks": {"delta_0": 59, "delta_1": 1711},
+        "cocycles": 59,
+        "coboundaries": 59,
+        "h": 0,
+    }
 
 
 def test_counterexample_round_trip_on_a_1280_edge_annulus(tmp_path, capsys):

@@ -58,3 +58,15 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     unused = [f"line {line}: {name}" for _, name, line in _imports(tree) if name not in used]
     assert not unused
+
+
+def test_only_cohomology_reduces_coboundary_maps():
+    # every rank and kernel of a coboundary map goes through cohomology,
+    # so no caller can bypass its degree-0 and degree-1 forms
+    importers = {
+        path.name
+        for path in SOURCES
+        for _, name, _ in _imports(ast.parse(path.read_text()))
+        if name in ("matrix_rank", "kernel_vectors")
+    }
+    assert importers == {"cohomology.py"}
