@@ -44,11 +44,14 @@ from urprior.complexes import (
     from_facets,
 )
 from urprior.credence import AgentSystem, ValidationError, validate
-from urprior.numerics import Column, format_rational
+from urprior.numerics import Column, format_rational, matrix_rank
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
-__all__ = ["main", "load_complex", "load_system", "system_to_dict", "complex_to_dict"]
+# matrix_rank is re-exported, not called: every rank is read through
+# urprior.cohomology, and the benchmark tracer (bench/tracing.py) wraps
+# urprior.cli.matrix_rank as one of its patch sites.
+__all__ = ["main", "load_complex", "load_system", "system_to_dict", "complex_to_dict", "matrix_rank"]
 
 
 class CliError(Exception):

@@ -101,11 +101,7 @@ class RatioCochain:
     ratios: Mapping[tuple[int, int], Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "ratios",
-            {e: v if isinstance(v, Fraction) else Fraction(v) for e, v in self.ratios.items()},
-        )
+        object.__setattr__(self, "ratios", {e: Fraction(v) for e, v in self.ratios.items()})
         if set(self.ratios) != set(self.complex.simplices(1)):
             raise ValueError("ratios must cover exactly the edges of the complex")
         if any(v.numerator <= 0 for v in self.ratios.values()):

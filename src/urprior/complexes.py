@@ -87,8 +87,8 @@ class SimplicialComplex:
         return [len(self.simplices(k)) for k in range(top + 1)]
 
     @cached_property
-    def forest(self) -> SpanningForest:
-        """The breadth-first spanning forest of the 1-skeleton, built on first use."""
+    def _forest(self) -> SpanningForest:
+        # read through spanning_forest(X)
         return _build_forest(self)
 
     def label(self, simplex: Simplex) -> str:
@@ -224,7 +224,7 @@ def spanning_forest(X: SimplicialComplex) -> SpanningForest:
     Built once per complex and cached on it, so every call returns the
     same object.
     """
-    return X.forest
+    return X._forest
 
 
 def _build_forest(X: SimplicialComplex) -> SpanningForest:

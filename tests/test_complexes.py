@@ -200,7 +200,7 @@ class TestForestCache:
         for _ in range(40):
             X = random_complex(rng)
             forest = spanning_forest(X)
-            assert spanning_forest(X) is forest is X.forest
+            assert spanning_forest(X) is forest
             fresh = SimplicialComplex(X.vertices, X.by_dim)
             assert fresh == X and hash(fresh) == hash(X)
             assert spanning_forest(fresh) is not forest
