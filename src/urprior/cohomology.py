@@ -53,13 +53,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Cochain:
-    """Rational-valued function on the k-simplices of a complex."""
+    """Rational-valued function on the k-simplices of a complex.
+
+    Values must be ``int`` or ``Fraction`` values; a float, bool or
+    string raises ValueError.
+    """
 
     complex: SimplicialComplex
     degree: int
     values: Mapping[Simplex, Fraction]
 
     def __post_init__(self) -> None:
+        for s, v in self.values.items():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(f"cochain: simplex {s!r}: value {v!r} is not an int or a Fraction")
         object.__setattr__(self, "values", {s: Fraction(v) for s, v in self.values.items()})
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
@@ -72,10 +79,11 @@ class Cochain:
 
 
 def cochain_from_vector(X: SimplicialComplex, degree: int, vec: Sequence[Fraction]) -> Cochain:
+    """The cochain whose value on the j-th k-simplex is ``vec[j]`` (``int`` or ``Fraction``)."""
     simplices = X.simplices(degree)
     if len(vec) != len(simplices):
         raise ValueError(f"expected {len(simplices)} values for degree {degree}, got {len(vec)}")
-    return Cochain(X, degree, dict(zip(simplices, (Fraction(v) for v in vec))))
+    return Cochain(X, degree, dict(zip(simplices, vec)))
 
 
 def coboundary(c: Cochain) -> Cochain:

@@ -11,6 +11,8 @@ cross-multiplication: over each agent's own denominator
 (``CredenceFunction.counts``), over the numerators and denominators of
 two fractions, or, in verification, over one common denominator of the
 measure. Both integer forms come from ``numerics.common_denominator``.
+The glue works the same way: its agreement tests cross-multiply, and
+its sums run over one common denominator of the rescaled agents.
 A reduced ``Fraction`` is built only for what is returned or printed:
 measures, scalings, ratios, certificates and diagnostics.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Mapping, Union
 
 from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
@@ -95,17 +98,42 @@ class CompatibilityReport:
 
 @dataclass(frozen=True)
 class RatioCochain:
-    """Multiplicative cochain of overlap-mass ratios on the 1-skeleton."""
+    """Multiplicative cochain of overlap-mass ratios on the 1-skeleton.
+
+    Ratios must be ``int`` or ``Fraction`` values; a float, bool or string
+    raises ValueError. The public constructor checks every ratio and that
+    the edges are exactly those of the complex; ``ratio_cochain``, which
+    guarantees both, builds through ``_canonical`` without a second check.
+    """
 
     complex: SimplicialComplex
     ratios: Mapping[tuple[int, int], Fraction]
 
     def __post_init__(self) -> None:
+        for e, v in self.ratios.items():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(
+                    f"ratio cochain: edge {e!r}: ratio {v!r} is not an int or a Fraction"
+                )
         object.__setattr__(self, "ratios", {e: Fraction(v) for e, v in self.ratios.items()})
         if set(self.ratios) != set(self.complex.simplices(1)):
             raise ValueError("ratios must cover exactly the edges of the complex")
         if any(v.numerator <= 0 for v in self.ratios.values()):
             raise ValueError("edge ratios must be strictly positive")
+
+    @classmethod
+    def _canonical(
+        cls, complex: SimplicialComplex, ratios: dict[tuple[int, int], Fraction]
+    ) -> RatioCochain:
+        """A cochain built without checks.
+
+        The caller guarantees that ``ratios`` maps exactly the edges of
+        ``complex`` to positive ``Fraction`` values.
+        """
+        r = object.__new__(cls)
+        object.__setattr__(r, "complex", complex)
+        object.__setattr__(r, "ratios", ratios)
+        return r
 
 
 @dataclass(frozen=True)
@@ -192,7 +220,7 @@ def ratio_cochain(system: AgentSystem, X: SimplicialComplex) -> RatioCochain:
             )
         i, j = edge
         ratios[edge] = Fraction(sum_i * agents[j].counts[0], sum_j * agents[i].counts[0])
-    return RatioCochain(X, ratios)
+    return RatioCochain._canonical(X, ratios)
 
 
 def solve_scaling(
@@ -257,35 +285,51 @@ def glue_urprior(system: AgentSystem, scaling: Mapping[str, Fraction]) -> dict[s
 
     Under the pipeline's preconditions (pairwise compatible, no overlap
     asymmetry, scaling solved) the rescaled masses agree wherever
-    awareness sets meet. An outcome's rescaled mass is computed at its
-    first agent; each later agent is compared with it by integer
-    cross-multiplication. A disagreement means an internal invariant
-    broke, so it raises GluingError rather than guessing.
+    awareness sets meet. With agent i's pmf written as n_x / d_i
+    (``CredenceFunction.counts``), its rescaled mass at x is g_i * n_x for
+    the unit g_i = factor_i / d_i, reduced once per agent. An
+    outcome's mass is taken at its first agent; each later agent is
+    compared with it by integer cross-multiplication. A disagreement
+    means an internal invariant broke, so it raises GluingError rather
+    than guessing; the first error in agent order wins. The masses are
+    then put over L, the lcm of the units' denominators, as integers
+    W_x, and the measure is W_x / sum(W): one ``Fraction`` per outcome.
     """
-    merged: dict[str, Fraction] = {}
-    first_source: dict[str, str] = {}
-    for agent in system.agents:
+    units: list[tuple[int, int]] = []  # g_i, reduced, as (numerator, denominator)
+    merged: dict[str, tuple[int, int]] = {}  # outcome -> (its first agent, n_x)
+    for a, agent in enumerate(system.agents):
         factor = scaling.get(agent.name)
-        if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)) or factor <= 0:
+        if (
+            isinstance(factor, bool)
+            or not isinstance(factor, (int, Fraction))
+            or factor.numerator <= 0
+        ):
             raise ValueError(f"scaling must assign a positive factor to agent {agent.name}")
-        for outcome, p in agent.pmf.items():
-            m = merged.get(outcome)
-            if m is None:
-                merged[outcome] = factor * p
-                first_source[outcome] = agent.name
-            # m == factor * p, cross-multiplied
-            elif (
-                m.numerator * factor.denominator * p.denominator
-                != factor.numerator * p.numerator * m.denominator
-            ):
+        d, counts = agent.counts
+        p, q = factor.numerator, factor.denominator * d
+        k = gcd(p, q)
+        p, q = p // k, q // k
+        units.append((p, q))
+        for outcome, n in counts.items():
+            first = merged.get(outcome)
+            if first is None:
+                merged[outcome] = (a, n)
+                continue
+            b, m = first
+            p_first, q_first = units[b]
+            # g_b * m == g_a * n, cross-multiplied
+            if p_first * m * q != p * n * q_first:
                 raise GluingError(
-                    f"agents {first_source[outcome]} and {agent.name} assign different "
+                    f"agents {system.agents[b].name} and {agent.name} assign different "
                     f"rescaled masses to {outcome!r}"
                 )
-    total = sum(merged.values(), start=Fraction(0))
-    if total <= 0:
+    L = lcm(*(q for _, q in units))
+    scale = [p * (L // q) for p, q in units]
+    weights = {x: scale[a] * n for x, (a, n) in merged.items()}
+    total = sum(weights.values())
+    if total == 0:
         raise GluingError("glued measure has zero total mass")
-    return {x: merged[x] / total for x in system.space.outcomes if x in merged}
+    return {x: Fraction(weights[x], total) for x in system.space.outcomes if x in weights}
 
 
 def verify_urprior(system: AgentSystem, measure: Mapping[str, Fraction]) -> VerificationReport:

@@ -8,6 +8,15 @@ dense matrix is built, not even for display. A complex is immutable, so
 its spanning forest is built once, on first use, and cached on it: the
 components, the scaling solve, rank delta_0 and the degree-1 cohomology
 all read that one forest.
+
+A complex is built one of two ways. The public constructor
+``SimplicialComplex(...)`` is the path for input from outside the
+program: it checks every rule (unique labels, levels sorted and unique,
+simplices strictly increasing over valid indices, every vertex a
+0-simplex, no trailing empty level, the complex closed downward).
+``from_facets`` and ``build_overlap_complex`` build their levels sorted,
+unique and closed by construction, so they return through
+``SimplicialComplex._canonical``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -72,6 +81,23 @@ class SimplicialComplex:
                     if face not in lower:
                         raise ValueError(f"missing face {face} of {s}: complex is not closed downward")
 
+    @classmethod
+    def _canonical(
+        cls, vertices: tuple[str, ...], by_dim: tuple[tuple[Simplex, ...], ...]
+    ) -> SimplicialComplex:
+        """A complex from levels the caller guarantees canonical, built without checks.
+
+        The caller guarantees every rule ``__post_init__`` checks: tuples
+        throughout, unique vertex labels, every level sorted and unique,
+        each simplex strictly increasing over valid indices, every vertex
+        a 0-simplex, no trailing empty level, and the family closed
+        downward.
+        """
+        X = object.__new__(cls)
+        object.__setattr__(X, "vertices", vertices)
+        object.__setattr__(X, "by_dim", by_dim)
+        return X
+
     @property
     def dim(self) -> int:
         return len(self.by_dim) - 1
@@ -112,7 +138,7 @@ def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> Sim
     if len(index) != len(verts):
         raise ValueError("vertex labels must be unique")
     if not verts:
-        return SimplicialComplex((), ())
+        return SimplicialComplex._canonical((), ())
     levels: dict[int, set[Simplex]] = {0: {(i,) for i in range(len(verts))}}
     for facet in facets:
         labels = list(facet)
@@ -126,7 +152,7 @@ def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> Sim
             levels.setdefault(size - 1, set()).update(combinations(idxs, size))
     top = max(levels)
     by_dim = tuple(tuple(sorted(levels.get(k, set()))) for k in range(top + 1))
-    return SimplicialComplex(verts, by_dim)
+    return SimplicialComplex._canonical(verts, by_dim)
 
 
 def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> SimplicialComplex:
@@ -153,7 +179,7 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
         if sum_i > 0 and sum_j > 0
     )
     if (max_dim is not None and max_dim < 1) or not edges:
-        return SimplicialComplex(system.names, (vertices,))
+        return SimplicialComplex._canonical(system.names, (vertices,))
     up: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
         up[i].append(j)
@@ -179,7 +205,7 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
             break
         levels.append(tuple(found))
         k += 1
-    return SimplicialComplex(system.names, tuple(levels))
+    return SimplicialComplex._canonical(system.names, tuple(levels))
 
 
 def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:

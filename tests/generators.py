@@ -90,16 +90,18 @@ def holonomy_from_pmfs(system: AgentSystem, cycle: tuple[str, ...]) -> Fraction:
 
 
 def window_chain(
-    rng: random.Random, agents: int, window: int = 4
+    rng: random.Random, agents: int, window: int = 4, growth: int = 1
 ) -> tuple[AgentSystem, dict[str, Fraction]]:
     """Agent i is aware of outcomes i .. i+window-1, all conditioned from one hidden measure.
 
-    Returns the system and the hidden measure normalized over the union,
-    which is the ur-prior the decision must find.
+    Outcome k has hidden weight c_k * growth**k, c_k drawn from 1..6, so
+    a large ``growth`` gives masses of many bits. Returns the system and
+    the hidden measure normalized over the union, which is the ur-prior
+    the decision must find.
     """
     count = agents + window - 1
     outcomes = tuple(f"o{k}" for k in range(count))
-    weights = [Fraction(rng.randint(1, 6)) for _ in range(count)]
+    weights = [Fraction(rng.randint(1, 6) * growth**k) for k in range(count)]
     agent_list = []
     for i in range(agents):
         sector = sum(weights[i : i + window])

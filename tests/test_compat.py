@@ -21,7 +21,7 @@ from urprior.complexes import build_overlap_complex, from_facets
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, validate
 from urprior.oracle import feasibility_oracle
 
-from .generators import conditioned_system, holonomy_from_pmfs, random_system
+from .generators import conditioned_system, holonomy_from_pmfs, random_system, seeded_systems
 
 
 class TestPairwise:
@@ -117,6 +117,15 @@ class TestRatioCochain:
                 found_triangle = True
                 assert r.ratios[(i, j)] * r.ratios[(j, k)] == r.ratios[(i, k)]
         assert found_triangle
+
+    def test_built_cochains_pass_the_public_checks(self):
+        # ratio_cochain skips the constructor's checks; its output must still pass them
+        for system in seeded_systems():
+            for max_dim in (1, 2):
+                X = build_overlap_complex(system, max_dim=max_dim)
+                r = ratio_cochain(system, X)
+                assert RatioCochain(X, r.ratios) == r
+                assert all(type(v) is Fraction for v in r.ratios.values())
 
     @pytest.mark.parametrize("ratio", [0, -1, Fraction(-1, 2)])
     def test_rejects_nonpositive_ratios(self, ratio):

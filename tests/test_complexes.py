@@ -18,7 +18,7 @@ from urprior.complexes import (
 from urprior.credence import overlap_mass
 
 from .dense_reference import coboundary_matrix
-from .generators import random_complex, random_system
+from .generators import annulus, hub_system, random_complex, random_system, seeded_systems, window_chain
 
 
 class TestConstruction:
@@ -60,6 +60,36 @@ class TestConstruction:
     def test_simplices_beyond_dim_is_empty(self, tri_unfilled):
         assert tri_unfilled.simplices(5) == ()
         assert tri_unfilled.counts(3) == [3, 3, 0, 0]
+
+
+class TestBuildersPassThePublicChecks:
+    # The builders skip the constructor's checks; each output must still pass them.
+    @staticmethod
+    def _checked(X):
+        fresh = SimplicialComplex(X.vertices, X.by_dim)
+        assert fresh == X and hash(fresh) == hash(X)
+
+    def test_overlap_complexes(self):
+        systems = seeded_systems()
+        systems += [hub_system(random.Random(n), n)[0] for n in (1, 2, 7)]
+        systems += [window_chain(random.Random(n), n)[0] for n in (1, 9)]
+        for system in systems:
+            for max_dim in (None, 1, 2, 3):
+                self._checked(build_overlap_complex(system, max_dim=max_dim))
+
+    def test_complexes_from_facets(self):
+        rng = random.Random(26)
+        built = [random_complex(rng) for _ in range(100)]
+        built += [annulus(random.Random(m), m) for m in (3, 5)]
+        built += [
+            from_facets((), []),
+            from_facets(("a",), []),
+            from_facets(("a",), [("a",)]),
+            from_facets(("a", "b", "c"), []),
+            from_facets(("a", "b", "c", "d"), [("d", "a", "c", "b"), ("b", "a")]),
+        ]
+        for X in built:
+            self._checked(X)
 
 
 class TestOverlapComplex:

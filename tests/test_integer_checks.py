@@ -17,13 +17,21 @@ from urprior.compat import (
     solve_scaling,
     verify_urprior,
 )
-from urprior.complexes import build_overlap_complex
-from urprior.credence import CredenceFunction
+from urprior.cohomology import Cochain, cochain_from_vector
+from urprior.complexes import build_overlap_complex, from_facets
+from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 from urprior.oracle import feasibility_oracle
 from urprior.witness import generate_counterexample
 
 from . import fraction_reference as reference
-from .generators import EDGE_CASES, annulus, random_complex, seeded_systems
+from .generators import (
+    EDGE_CASES,
+    annulus,
+    geometric_chain,
+    random_complex,
+    seeded_systems,
+    window_chain,
+)
 
 SYSTEMS = seeded_systems()
 # Systems with a hole in the overlap complex, so that the scaling fails on a cycle.
@@ -102,14 +110,51 @@ def test_scalings_equal_the_reference_on_arbitrary_ratio_cochains():
     assert kinds["scaling"] > 100 and kinds["cycle"] > 50
 
 
+# Chains whose masses reach hundreds of bits, so that the units g_i = factor_i / d_i
+# carry many distinct large denominators and their lcm is far from any one of them.
+BIG = [geometric_chain(60, 1000), geometric_chain(40, 3**40)] + [
+    window_chain(random.Random(seed), agents, window=window, growth=growth)[0]
+    for seed, agents, window, growth in ((1, 30, 4, 10**6), (2, 24, 3, 2**61 - 1), (3, 12, 5, 7**40))
+]
+
+
 def test_glued_measures_equal_the_reference():
-    for system, X, ratios in _solved(SYSTEMS):
+    widest = 0
+    for system, X, ratios in _solved(SYSTEMS + BIG):
         scaling, _ = solve_scaling(X, ratios)
         if scaling is None:
             continue
-        ours = glue_urprior(system, scaling)
-        theirs = reference.glue_urprior(system, scaling)
-        assert ours == theirs and list(ours) == list(theirs)
+        # a common factor of every scale changes the units, not the measure
+        rescaled = {name: v * Fraction(5**90, 3**70) for name, v in scaling.items()}
+        for factors in (scaling, rescaled):
+            ours = glue_urprior(system, factors)
+            theirs = reference.glue_urprior(system, factors)
+            assert ours == theirs and list(ours) == list(theirs)
+            assert all(type(v) is Fraction for v in ours.values())
+        widest = max(widest, *(v.denominator.bit_length() for v in ours.values()))
+    assert widest > 500
+
+
+def test_an_earlier_gluing_error_wins_over_a_later_bad_factor():
+    # agents 1 and 2 share {a, b}; agent 3 holds c alone
+    half = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+    agents = (CredenceFunction("1", half), CredenceFunction("2", half), CredenceFunction("3", {"c": 1}))
+    system = AgentSystem(OutcomeSpace(("a", "b", "c")), agents)
+    for bad in (0, -1, 0.5, True, "1", None):
+        scaling = {"1": 1, "2": 2, "3": bad}
+        assert _outcome(glue_urprior, system, scaling) == (
+            GluingError,
+            "agents 1 and 2 assign different rescaled masses to 'a'",
+        )
+        assert _outcome(reference.glue_urprior, system, scaling) == _outcome(
+            glue_urprior, system, scaling
+        )
+        # a bad factor at agent 2 comes before the disagreement it would cause
+        scaling = {"1": 1, "2": bad, "3": 1}
+        assert _outcome(glue_urprior, system, scaling) == (
+            ValueError,
+            "scaling must assign a positive factor to agent 2",
+        )
 
 
 def test_glue_with_integer_and_invalid_factors_equals_the_reference():
@@ -208,3 +253,22 @@ def test_credences_must_be_int_or_fraction(value):
     message = r"agent a: outcome 'x': mass .* is not an int or a Fraction"
     with pytest.raises(ValueError, match=message):
         CredenceFunction("a", {"x": value, "y": Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("value", [0.1, True, "1/3"])
+def test_cochains_must_be_int_or_fraction(value):
+    X = from_facets(("1", "2"), [("1", "2")])
+    message = r"ratio cochain: edge \(0, 1\): ratio .* is not an int or a Fraction"
+    with pytest.raises(ValueError, match=message):
+        RatioCochain(X, {(0, 1): value})
+    message = r"cochain: simplex \(0, 1\): value .* is not an int or a Fraction"
+    with pytest.raises(ValueError, match=message):
+        Cochain(X, 1, {(0, 1): value})
+    message = r"cochain: simplex \(1,\): value .* is not an int or a Fraction"
+    with pytest.raises(ValueError, match=message):
+        cochain_from_vector(X, 0, [Fraction(1, 3), value])
+    # int and Fraction stay accepted, and are kept as Fractions
+    assert RatioCochain(X, {(0, 1): 3}).ratios == {(0, 1): Fraction(3)}
+    c = cochain_from_vector(X, 0, [2, Fraction(1, 3)])
+    assert c.vector() == (Fraction(2), Fraction(1, 3))
+    assert all(type(v) is Fraction for v in c.vector())
