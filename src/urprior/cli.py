@@ -71,15 +71,19 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def _load_json(path: str) -> Any:
-    """Parse a JSON file. Raises ValidationError on a duplicated key, at any depth."""
+    """Parse a UTF-8 JSON file. Raises ValidationError on a duplicated key, at any depth."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def load_system(path: str) -> AgentSystem:
@@ -96,8 +100,10 @@ def load_complex(path: str) -> SimplicialComplex:
     facets = raw.get("facets")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise CliError(f"{path}: 'vertices' must be a list of labels")
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise CliError(f"{path}: 'facets' must be a list of vertex lists")
+    if not isinstance(facets, list) or not all(
+        isinstance(f, list) and all(isinstance(v, str) for v in f) for f in facets
+    ):
+        raise CliError(f"{path}: 'facets' must be a list of lists of labels")
     try:
         return from_facets(vertices, facets)
     except ValueError as exc:

@@ -1,9 +1,9 @@
 """Cochains, cocycle and coboundary tests, and rational cohomology dimensions.
 
-Ranks and kernel vectors come from sparse integer columns through the
-exact column reduction of ``urprior.numerics``; no dense matrix is built.
-Every rank of a coboundary map is read through this module, and degrees 0
-and 1 read the complex's cached spanning forest (``spanning_forest``):
+Ranks come from sparse integer columns through the exact column
+reduction of ``urprior.numerics``; no dense matrix is built. Every rank
+of a coboundary map is read through this module, and degrees 0 and 1
+read the complex's cached spanning forest (``spanning_forest``):
 
 - rank delta_0 is the number of vertices minus the number of components,
   the edge count of the forest, with no elimination at all;
@@ -12,31 +12,29 @@ and 1 read the complex's cached spanning forest (``spanning_forest``):
   boundary is restricted to them, at most 3 entries, and the reduction
   stops once the rank reaches the number of non-tree edges (H^1 = 0),
   the technique of Ripser (Bauer 2021): reduce small boundary columns,
-  exit early. The wide delta_1 columns are reduced only for the
-  canonical cocycle of ``noncoboundary_cocycle``;
+  exit early. ``_cycle_space_reduction`` is that one reduction; the
+  canonical cocycle of ``noncoboundary_cocycle`` is read off its pivots,
+  and no delta_1 column is ever reduced;
 - degrees 2 and up reduce the columns of ``coboundary_columns``.
 
 Whether a 1-cochain is a coboundary, and of which vertex function, is
-settled by integrating it along the forest (``_integrate``), which serves
-both ``coboundary_witness`` and ``noncoboundary_cocycle``.
+settled by integrating it along the forest (``coboundary_witness``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Mapping, Sequence
 
 from urprior.complexes import (
     Simplex,
     SimplicialComplex,
-    SpanningForest,
     coboundary_columns,
     connected_components,
     spanning_forest,
 )
-from urprior.numerics import Column, kernel_vectors, matrix_rank
+from urprior.numerics import Column, _left_kernel_vector, _reduce, matrix_rank
 
 __all__ = [
     "Cochain",
@@ -113,8 +111,17 @@ def coboundary_witness(c: Cochain) -> Cochain | None:
     if c.degree != 1:
         raise ValueError("a coboundary witness needs a 1-cochain")
     X = c.complex
-    f = _integrate(c.values, spanning_forest(X))
-    if f is None:
+    forest = spanning_forest(X)
+    f: dict[int, Fraction | int] = {}
+    for v in forest.order:
+        u = forest.parent.get(v)
+        if u is None:
+            f[v] = 0
+        elif u < v:
+            f[v] = f[u] + c.values[(u, v)]
+        else:
+            f[v] = f[u] - c.values[(v, u)]
+    if any(f[j] - f[i] != c.values[(i, j)] for i, j in forest.non_tree):
         return None
     values = [Fraction(0)] * len(X.vertices)
     for component in connected_components(X):
@@ -129,24 +136,30 @@ def _coboundary_rank(X: SimplicialComplex, k: int) -> int:
     if k == 0:
         return len(spanning_forest(X).parent)
     if k == 1:
-        return _cycle_space_rank(X)
+        return len(_cycle_space_reduction(X)[1])
     return matrix_rank(coboundary_columns(X, k), len(X.simplices(k + 1)))
 
 
-def _cycle_space_rank(X: SimplicialComplex) -> int:
-    """rank delta_1, as the rank of the triangles' boundaries on the non-tree edges."""
-    non_tree = {e: r for r, e in enumerate(spanning_forest(X).non_tree)}
+def _cycle_space_reduction(X: SimplicialComplex) -> tuple[tuple[Simplex, ...], dict[int, Column]]:
+    """The triangles' boundaries on the non-tree edges, reduced: (non-tree edges, pivots).
+
+    Row r is the r-th non-tree edge of the complex's forest. There are as
+    many pivots as rank delta_1 (see the module notes), and the reduction
+    stops once every non-tree edge is a pivot (H^1 = 0).
+    """
+    non_tree = spanning_forest(X).non_tree
+    rows = {e: r for r, e in enumerate(non_tree)}
 
     def boundaries() -> Iterator[Column]:
         for a, b, c in X.simplices(2):
             column: Column = {}
             for face, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
-                row = non_tree.get(face)
+                row = rows.get(face)
                 if row is not None:
                     column[row] = sign
             yield column
 
-    return matrix_rank(boundaries(), len(non_tree))
+    return non_tree, _reduce(boundaries(), len(non_tree))
 
 
 def cocycle_dim(X: SimplicialComplex, k: int) -> int:
@@ -171,49 +184,20 @@ def cohomology_dim(X: SimplicialComplex, k: int) -> int:
 
 
 def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
-    """An integer 1-cocycle that is not a coboundary, or None.
+    """An integer 1-cocycle that is not a coboundary, or None when H^1 = 0.
 
-    Scans the canonical kernel basis of the degree-1 map (the reduced
-    row-echelon one, one vector per free column, in column order) for
-    the first vector that is not a coboundary, then divides it by the
-    gcd of its entries and negates it when its entry at the lowest edge
-    index is negative: coprime integers, leading entry positive. Each
-    vector is tested by integrating it along a spanning forest. Returns
-    None exactly when every 1-cocycle is a coboundary, which the
-    dimension count settles without testing every kernel vector.
+    The canonical pick: the first reduced row-echelon kernel vector of
+    the transposed boundary map d_2 restricted to the non-tree edges of
+    the spanning forest, extended by 0 to the tree edges, in coprime
+    integers with a positive entry at its lowest edge index, read off the
+    pivots of the reduction behind rank delta_1. It is a cocycle, since
+    it vanishes on every triangle's boundary, and no coboundary: a
+    coboundary delta f that is 0 on every tree edge has f constant on
+    each component, so delta f = 0.
     """
-    edges = X.simplices(1)
-    if not edges or cohomology_dim(X, 1) == 0:
+    non_tree, pivots = _cycle_space_reduction(X)
+    vector = _left_kernel_vector(pivots, len(non_tree))
+    if vector is None:
         return None
-    forest = spanning_forest(X)
-    for _, vector in kernel_vectors(coboundary_columns(X, 1)):
-        if _integrate({edges[i]: v for i, v in vector.items()}, forest) is None:
-            common = gcd(*vector.values())
-            sign = -1 if vector[min(vector)] < 0 else 1
-            values = [sign * vector.get(i, 0) // common for i in range(len(edges))]
-            return cochain_from_vector(X, 1, values)
-    raise AssertionError("H^1 is nonzero, yet every canonical kernel vector is a coboundary")
-
-
-def _integrate(
-    values: Mapping[Simplex, Fraction | int], forest: SpanningForest
-) -> dict[int, Fraction | int] | None:
-    """The vertex function f with delta f == values and f == 0 at every root, or None.
-
-    ``values`` is a sparse edge cochain (a missing edge reads 0). It is
-    integrated along the forest from each root, where
-    (delta f)(i, j) = f(j) - f(i); None when a non-tree edge disagrees,
-    that is, when no vertex function has these values as its coboundary.
-    """
-    f: dict[int, Fraction | int] = {}
-    for v in forest.order:
-        u = forest.parent.get(v)
-        if u is None:
-            f[v] = 0
-        elif u < v:
-            f[v] = f[u] + values.get((u, v), 0)
-        else:
-            f[v] = f[u] - values.get((v, u), 0)
-    if any(f[j] - f[i] != values.get((i, j), 0) for i, j in forest.non_tree):
-        return None
-    return f
+    twist = {non_tree[r]: v for r, v in vector.items()}
+    return cochain_from_vector(X, 1, [twist.get(e, 0) for e in X.simplices(1)])

@@ -5,13 +5,13 @@ no floating point appears anywhere.
 
 The linear algebra is one sparse elimination routine: lowest-pivot column
 reduction (Edelsbrunner, Letscher and Zomorodian 2002; Bauer, "Ripser",
-2021), run fraction-free over the integers, so that ranks and kernel
-vectors are exact over the rationals. A column is a ``{row: coefficient}``
-map holding only its nonzero entries; sparse columns are the only form a
-matrix takes in the library. Columns are reduced left to right,
-which makes the answers canonical: the kernel vectors are those of the
-reduced row-echelon form. Reports built on them are therefore
-reproducible byte for byte.
+2021), run fraction-free over the integers, so that ranks are exact over
+the rationals. A column is a ``{row: coefficient}`` map holding only its
+nonzero entries; sparse columns are the only form a matrix takes in the
+library. The reduction keeps its pivots and nothing else. The one kernel
+vector the library needs is read off them by back-substitution: the first
+reduced row-echelon kernel vector of the transposed matrix, so canonical,
+and reports built on it are reproducible byte for byte.
 
 The pivot of a column is its smallest row index: the lowest entry when
 the rows are listed in reverse, as persistent cohomology lists them.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, TypeVar
 
 Column = dict[int, int]
 K = TypeVar("K")
@@ -41,7 +41,6 @@ K = TypeVar("K")
 __all__ = [
     "Column",
     "format_rational",
-    "kernel_vectors",
     "matrix_rank",
     "parse_rational",
 ]
@@ -182,9 +181,8 @@ def common_denominator(values: Mapping[K, Fraction | int]) -> tuple[int, dict[K,
     return D, {k: v.numerator * (D // v.denominator) for k, v in values.items()}
 
 
-# Reduced columns keyed by their pivot (smallest row index), each with the
-# combination of input columns that produced it, or None when untracked.
-_Pivots = dict[int, tuple[Column, Column | None]]
+# Reduced columns keyed by their pivot, the smallest row index.
+_Pivots = dict[int, Column]
 
 
 def _add_scaled(x: Column, a: int, b: int, y: Column) -> None:
@@ -200,71 +198,77 @@ def _add_scaled(x: Column, a: int, b: int, y: Column) -> None:
             x.pop(i, None)
 
 
-def _insert(pivots: _Pivots, column: Column, combination: Column | None) -> bool:
+def _insert(pivots: _Pivots, column: Column) -> bool:
     """Reduce a copy of ``column`` against ``pivots``; keep it as a pivot when it survives.
 
-    The copy's pivot is cleared until it is new or the copy vanishes;
-    ``combination``, when tracked, follows along in place as the matching
-    combination of input columns. Each step is
-    ``residue = a*residue - b*pivot`` with a > 0, followed by division by
-    the common content, so entries stay small integers.
+    The copy's pivot is cleared until it is new or the copy vanishes. Each
+    step is ``residue = a*residue - b*pivot`` with a > 0, followed by
+    division by the common content, so entries stay small integers.
     """
     residue = dict(column)
     while residue:
         row = min(residue)
         pivot = pivots.get(row)
         if pivot is None:
-            pivots[row] = (residue, combination)
+            pivots[row] = residue
             return True
-        pivot_column, pivot_combination = pivot
-        a, b = pivot_column[row], residue[row]
+        a, b = pivot[row], residue[row]
         g = gcd(a, b)
         a, b = a // g, b // g
         if a < 0:
             a, b = -a, -b
-        _add_scaled(residue, a, -b, pivot_column)
-        if combination is not None:
-            _add_scaled(combination, a, -b, pivot_combination)
+        _add_scaled(residue, a, -b, pivot)
         if a != 1:
-            parts = (residue,) if combination is None else (residue, combination)
-            content = gcd(*(v for x in parts for v in x.values()))
+            content = gcd(*residue.values())
             if content > 1:
-                for x in parts:
-                    for i in x:
-                        x[i] //= content
+                for i in residue:
+                    residue[i] //= content
     return False
 
 
+def _reduce(columns: Iterable[Column], rows: int) -> _Pivots:
+    """The pivots of the matrix with these sparse columns and ``rows`` rows.
+
+    Columns are reduced left to right until every row is a pivot; a lazy
+    ``columns`` is read only that far.
+    """
+    pivots: _Pivots = {}
+    if rows:
+        for column in columns:
+            if _insert(pivots, column) and len(pivots) == rows:
+                break
+    return pivots
+
+
 def matrix_rank(columns: Iterable[Column], rows: int) -> int:
-    """Exact rank over the rationals of the matrix with these sparse columns and ``rows`` rows.
+    """Exact rank over the rationals of the matrix with these sparse columns and ``rows`` rows."""
+    return len(_reduce(columns, rows))
 
-    The rank cannot exceed the number of rows, so the reduction stops as
-    soon as it reaches it; ``columns`` may be a lazy iterable, read only
-    that far.
+
+def _left_kernel_vector(pivots: _Pivots, rows: int) -> Column | None:
+    """The first reduced row-echelon kernel vector of the transposed matrix, or None.
+
+    ``pivots`` is the whole reduction of a matrix with ``rows`` rows. The
+    vector z, with z . c = 0 for every pivot c, is 1 at the first row f
+    that is no pivot and 0 past f; the rows before f, all pivots, are
+    solved from the largest down. It comes in coprime integers with a
+    positive entry at its smallest row. None when every row is a pivot.
     """
-    if rows == 0:
-        return 0
-    pivots: _Pivots = {}
-    rank = 0
-    for column in columns:
-        rank += _insert(pivots, column, None)
-        if rank == rows:
-            break
-    return rank
-
-
-def kernel_vectors(columns: Sequence[Column]) -> Iterator[tuple[int, Column]]:
-    """The canonical kernel basis, lazily, as (free column, integer vector).
-
-    A column is free when it reduces to zero against the columns left of
-    it. The combination that cancelled it is supported on that column
-    and on earlier pivot columns, with a positive entry at the free
-    column; divided by that entry it is exactly the reduced row-echelon
-    kernel vector with 1 at the free column and 0 at every other free
-    column. Vectors come in free-column order, so a caller may stop early.
-    """
-    pivots: _Pivots = {}
-    for j, column in enumerate(columns):
-        combination = {j: 1}
-        if not _insert(pivots, column, combination):
-            yield j, combination
+    free = next((r for r in range(rows) if r not in pivots), None)
+    if free is None:
+        return None
+    z = {free: 1}
+    for p in reversed(range(free)):
+        pivot = pivots[p]
+        s = sum(v * z[i] for i, v in pivot.items() if i in z)
+        if s:
+            # z[p] = -s / a once z is scaled by |a| / g; z stays coprime,
+            # since |a| / g and s / g are
+            a = pivot[p]
+            g = gcd(a, s)
+            if abs(a) != g:
+                for i in z:
+                    z[i] *= abs(a) // g
+            z[p] = -s // g if a > 0 else s // g
+    sign = -1 if z[min(z)] < 0 else 1
+    return {i: sign * v for i, v in z.items()}

@@ -26,11 +26,12 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
     Each simplex of the complex becomes one outcome, and agent i is aware
     of exactly the simplices containing vertex i, so the overlap complex
     of the result is X itself (every point gets strictly positive mass).
-    Point weights are powers of two driven by an integer 1-cocycle that
-    is not a coboundary, evaluated between the agent and the top vertex
-    of the simplex; after normalizing, the edge ratios of the system
-    inherit the cocycle's twist, so no consistent global rescaling can
-    exist. Using base 2 keeps every weight an exact dyadic rational.
+    Point weights are powers of two driven by the canonical 1-cocycle of
+    ``noncoboundary_cocycle`` (integer, not a coboundary, 0 on the tree
+    edges of the spanning forest), evaluated between the agent and the
+    top vertex of the simplex; after normalizing, the edge ratios of the
+    system inherit the cocycle's twist, so no consistent global rescaling
+    can exist. Using base 2 keeps every weight an exact dyadic rational.
     """
     cocycle = noncoboundary_cocycle(X)
     if cocycle is None:

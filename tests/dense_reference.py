@@ -6,7 +6,8 @@ column reduction replaced it, together with the dense matrix type, the
 dense coboundary matrix and the ``Fraction`` rescaling of a kernel
 vector to coprime integers that went with it. It is kept here, unchanged
 in behaviour, so that tests can require the sparse results to equal the
-dense ones.
+dense ones. ``noncoboundary_cocycle`` is the one exception: it computes
+the library's canonical cocycle straight from its definition.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from urprior.cohomology import Cochain, cochain_from_vector
-from urprior.complexes import SimplicialComplex, coboundary_columns
+from urprior.complexes import SimplicialComplex, coboundary_columns, spanning_forest
 
 Vector = tuple[Fraction, ...]
 
@@ -185,14 +186,24 @@ def in_span(basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> 
 
 
 def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
-    """The dense original: first canonical kernel vector of delta_1 outside the image of delta_0."""
-    if not X.simplices(1):
+    """The canonical cocycle by its definition, densely.
+
+    The first vector of ``nullspace_basis`` of delta_1 (d_2 transposed)
+    restricted to the columns of the spanning forest's non-tree edges,
+    extended by 0 to the tree edges and rescaled by ``_coprime_integers``;
+    None when that kernel is 0.
+    """
+    non_tree = spanning_forest(X).non_tree
+    index = {e: j for j, e in enumerate(X.simplices(1))}
+    delta = coboundary_matrix(X, 1)
+    restricted = Matrix.from_rows(
+        [[row[index[e]] for e in non_tree] for row in delta.entries], cols=len(non_tree)
+    )
+    basis = nullspace_basis(restricted)
+    if not basis:
         return None
-    image_columns = columns(coboundary_matrix(X, 0))
-    for vec in nullspace_basis(coboundary_matrix(X, 1)):
-        if in_span(image_columns, vec) is None:
-            return cochain_from_vector(X, 1, _coprime_integers(vec))
-    return None
+    twist = dict(zip(non_tree, basis[0]))
+    return cochain_from_vector(X, 1, _coprime_integers([twist.get(e, Fraction(0)) for e in index]))
 
 
 def coboundary_witness(c: Cochain) -> Cochain | None:

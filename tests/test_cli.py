@@ -99,11 +99,22 @@ class TestCheck:
         assert any("sum" in e for e in report["errors"])
 
     def test_unparseable_json_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "broken.json"
-        bad.write_text("{nope")
-        code, _, err = run(capsys, "check", str(bad))
-        assert code == 2
-        assert err
+        # broken syntax, bytes that are not UTF-8, and nesting past the
+        # recursion limit: each is a one-line input error, never exit 3
+        unreadable = {
+            "broken.json": b"{nope",
+            "utf16.json": b"\xff\xfe{}",
+            "deep.json": b"[" * 100_000 + b"]" * 100_000,
+        }
+        for name, content in unreadable.items():
+            bad = tmp_path / name
+            bad.write_bytes(content)
+            for command in ("check", "cohomology", "counterexample", "oracle"):
+                code, out, err = run(capsys, command, str(bad))
+                assert code == 2, (name, command, err)
+                assert out == ""
+                assert err.count("\n") == 1 and str(bad) in err
+                assert not err.startswith("internal error"), (name, command, err)
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
@@ -214,8 +225,9 @@ class TestCounterexample:
         assert first == second
 
     def test_golden_outputs(self, data_dir, capsys):
-        # recorded from the dense-elimination implementation; the chosen
-        # cocycle, and so every emitted system, must not change
+        # the chosen cocycle is the canonical one of noncoboundary_cocycle,
+        # twisting the non-tree edges of the spanning forest; it, and so
+        # every emitted system, must not change
         golden = json.loads((GOLDEN / "counterexample.json").read_text())
         files = sorted(data_dir.glob("*.json"))
         assert sorted(golden) == [p.name for p in files if "facets" in json.loads(p.read_text())]
@@ -364,6 +376,27 @@ class TestInputRobustness:
         code, _, err = run(capsys, "counterexample", str(path))
         assert code == 2
         assert "duplicate key 'vertices'" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"vertices": ["a", "b"], "facets": [[["a"]]]}',
+            '{"vertices": ["a", "b"], "facets": [["a", 1]]}',
+            '{"vertices": ["a", "b"], "facets": [[null]]}',
+            '{"vertices": ["a", "b"], "facets": ["ab"]}',
+            '{"vertices": ["a", 2], "facets": [["a"]]}',
+            '{"vertices": ["a", "b"], "facets": [["a", "c"]]}',
+        ],
+        ids=["list-label", "int-label", "null-label", "string-facet", "int-vertex", "unknown-label"],
+    )
+    def test_invalid_complex_file_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        for command in ("counterexample", "cohomology"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2, (command, err)
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith(str(path))
 
     def test_numbers_beyond_the_int_to_str_digit_limit(self, tmp_path, capsys):
         # the ur-prior is proportional to (10**100)**k on outcome k, so its

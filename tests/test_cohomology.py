@@ -19,6 +19,7 @@ from urprior.cohomology import (
     is_cocycle,
     noncoboundary_cocycle,
 )
+from urprior.compat import CycleCertificate, decide_urprior, pairwise_compatibility
 from urprior.complexes import (
     build_overlap_complex,
     coboundary_columns,
@@ -26,11 +27,13 @@ from urprior.complexes import (
     from_facets,
     spanning_forest,
 )
-from urprior.numerics import kernel_vectors
+from urprior.numerics import _left_kernel_vector, _reduce
+from urprior.oracle import feasibility_oracle
+from urprior.witness import generate_counterexample
 
 from . import dense_reference as dense
-from .dense_reference import coboundary_matrix
-from .generators import annulus, hub_system, random_complex
+from .dense_reference import Matrix, coboundary_matrix
+from .generators import annulus, holonomy_from_pmfs, hub_system, random_complex
 
 
 def _edge_cochain(X, values):
@@ -153,9 +156,10 @@ class TestCocycles:
 
 class TestNonCoboundary:
     def test_unfilled_triangle_canonical_pick(self, tri_unfilled):
+        # edges (0, 1) and (0, 2) span the tree: the twist sits on the non-tree edge (1, 2)
         c = noncoboundary_cocycle(tri_unfilled)
         assert c is not None
-        assert c.vector() == (Fraction(1), Fraction(0), Fraction(0))
+        assert c.vector() == (Fraction(0), Fraction(0), Fraction(1))
 
     def test_none_when_h1_trivial(self, tri_filled, plugged):
         assert noncoboundary_cocycle(tri_filled) is None
@@ -214,19 +218,38 @@ class TestAgainstDenseReference:
             for k in range(1, 4):
                 assert coboundary_dim(X, k) == dense.rank(coboundary_matrix(X, k - 1))
 
-    def test_kernel_vectors(self):
+    def test_left_kernel_vector(self):
+        # the back-substitution on each coboundary map equals the first
+        # dense kernel vector of its transpose, the boundary map
         for X in _reference_complexes(52):
             for k in (0, 1, 2):
                 m = coboundary_matrix(X, k)
-                sparse = [
-                    tuple(Fraction(v.get(i, 0), v[j]) for i in range(m.cols))
-                    for j, v in kernel_vectors(coboundary_columns(X, k))
-                ]
-                assert sparse == dense.nullspace_basis(m)
+                basis = dense.nullspace_basis(Matrix.from_rows(dense.columns(m), cols=m.rows))
+                z = _left_kernel_vector(_reduce(coboundary_columns(X, k), m.rows), m.rows)
+                got = None if z is None else tuple(Fraction(z.get(i, 0)) for i in range(m.rows))
+                assert got == (dense._coprime_integers(basis[0]) if basis else None)
 
     def test_noncoboundary_cocycle(self):
-        for X in _reference_complexes(53):
-            assert noncoboundary_cocycle(X) == dense.noncoboundary_cocycle(X)
+        # the canonical pick equals its dense definition; on the holed
+        # complexes the emitted system rebuilds X, agrees pairwise, and has
+        # no prior, by a cycle whose holonomy recomputes from the pmfs
+        rng = random.Random(59)
+        complexes = _reference_complexes(53) + [random_complex(rng, 12) for _ in range(40)]
+        holed = 0
+        for X in complexes:
+            c = noncoboundary_cocycle(X)
+            assert c == dense.noncoboundary_cocycle(X)
+            if c is None:
+                continue
+            holed += 1
+            system = generate_counterexample(X)
+            assert build_overlap_complex(system, max_dim=max(X.dim, 1) + 1) == X
+            assert pairwise_compatibility(system).compatible
+            certificate = decide_urprior(system).certificate
+            assert isinstance(certificate, CycleCertificate)
+            assert holonomy_from_pmfs(system, certificate.cycle) == certificate.holonomy != 1
+            assert feasibility_oracle(system) is None
+        assert len(complexes) >= 200 and holed >= 50, (len(complexes), holed)
 
     def test_coboundary_witness(self):
         # edgeless and disconnected complexes included: random_complex draws both

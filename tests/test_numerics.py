@@ -6,9 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from urprior.numerics import format_rational, kernel_vectors, matrix_rank, parse_rational
+from urprior.numerics import _left_kernel_vector, _reduce, format_rational, matrix_rank, parse_rational
 
-from .dense_reference import Matrix, columns, in_span, mat_mul, mat_vec, nullspace_basis, rank, rref
+from .dense_reference import (
+    Matrix,
+    _coprime_integers,
+    columns,
+    in_span,
+    mat_mul,
+    mat_vec,
+    nullspace_basis,
+    rank,
+    rref,
+)
 
 
 def _f(x) -> Fraction:
@@ -298,6 +308,10 @@ def _sparse_columns(m: Matrix) -> list[dict[int, int]]:
     return [{i: int(x) for i, x in enumerate(col) if x} for col in columns(m)]
 
 
+def _transpose(m: Matrix) -> Matrix:
+    return Matrix.from_rows(columns(m), cols=m.rows)
+
+
 def _random_integer_matrix(rng: random.Random, rows: int, cols: int, density: float) -> Matrix:
     def entry() -> int:
         return rng.choice((-2, -1, 1, 1, 3)) if rng.random() < density else 0
@@ -317,18 +331,27 @@ class TestSparseKernel:
         for m in self._matrices(41):
             assert matrix_rank(_sparse_columns(m), m.rows) == rank(m)
 
-    def test_kernel_vectors_are_the_rref_basis(self):
+    def test_left_kernel_vector_is_the_first_rref_vector_of_the_transpose(self):
+        solved = 0
         for m in self._matrices(42):
-            sparse = []
-            for j, vector in kernel_vectors(_sparse_columns(m)):
-                assert vector[j] > 0
-                sparse.append(tuple(Fraction(vector.get(i, 0), vector[j]) for i in range(m.cols)))
-            assert sparse == nullspace_basis(m)
+            basis = nullspace_basis(_transpose(m))
+            z = _left_kernel_vector(_reduce(_sparse_columns(m), m.rows), m.rows)
+            if not basis:
+                assert z is None
+                continue
+            assert z is not None and 0 not in z.values()
+            assert tuple(Fraction(z.get(i, 0)) for i in range(m.rows)) == _coprime_integers(basis[0])
+            solved += len(z) > 1
+        assert solved >= 10
 
     def test_rank_plus_nullity(self):
+        # every row is a pivot or a free row of the transpose's kernel
         for m in self._matrices(43):
             cols = _sparse_columns(m)
-            assert matrix_rank(cols, m.rows) + len(list(kernel_vectors(cols))) == m.cols
+            pivots = _reduce(cols, m.rows)
+            assert matrix_rank(cols, m.rows) == len(pivots)
+            assert len(pivots) + len(nullspace_basis(_transpose(m))) == m.rows
+            assert all(min(column) == row for row, column in pivots.items())
 
     def test_rank_stops_at_the_row_count(self):
         read = []
@@ -356,4 +379,17 @@ class TestSparseKernel:
 
     def test_degenerate_shapes(self):
         assert matrix_rank([], 0) == matrix_rank([], 3) == matrix_rank([{}, {}], 3) == 0
-        assert list(kernel_vectors([{}, {}])) == [(0, {0: 1}), (1, {1: 1})]
+        assert _reduce([{}, {}], 3) == _reduce([{0: 1}], 0) == {}
+
+    def test_left_kernel_vector_edge_cases(self):
+        # no rows: the transpose has no columns, so no kernel vector
+        assert _left_kernel_vector(_reduce([{}, {0: 1}], 0), 0) is None
+        # full rank: every row is a pivot
+        assert _left_kernel_vector(_reduce([{0: 2, 1: 1}, {1: 3}, {0: 1}], 2), 2) is None
+        # no columns, or all-zero ones: the first row is free and nothing is solved
+        assert _left_kernel_vector(_reduce([], 3), 3) == {0: 1}
+        assert _left_kernel_vector(_reduce([{}, {}], 3), 3) == {0: 1}
+        # z = (3, -2, 0): z[0] = -3/2 is made integral by scaling, then the sign flips
+        assert _left_kernel_vector(_reduce([{0: 2, 1: 3}], 3), 3) == {0: 3, 1: -2}
+        # the first free row is past a later pivot, which stays 0
+        assert _left_kernel_vector(_reduce([{1: 1}, {0: 1, 2: 1}], 3), 3) == {0: 1, 2: -1}

@@ -20,13 +20,14 @@ class TestGoldenWitness:
         system = generate_counterexample(tri_unfilled)
         assert system.space.outcomes == ("{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}")
         assert system.names == ("1", "2", "3")
-        agent1 = system.agent("1")
-        assert agent1.pmf == {
-            "{1}": Fraction(1, 4),
-            "{1,2}": Fraction(1, 2),
-            "{1,3}": Fraction(1, 4),
+        # the twist sits on the non-tree edge {2,3}: agent 2 weighs it double
+        agent2 = system.agent("2")
+        assert agent2.pmf == {
+            "{2}": Fraction(1, 4),
+            "{1,2}": Fraction(1, 4),
+            "{2,3}": Fraction(1, 2),
         }
-        for name in ("2", "3"):
+        for name in ("1", "3"):
             assert set(system.agent(name).pmf.values()) == {Fraction(1, 3)}
 
     def test_unfilled_triangle_is_irreconcilable(self, tri_unfilled):
@@ -120,9 +121,9 @@ class TestTwistStructure:
         X = build_overlap_complex(system, max_dim=1)
         r = ratio_cochain(system, X)
         assert r.ratios == {
-            (0, 1): Fraction(3, 2),
-            (0, 2): Fraction(3, 4),
-            (1, 2): Fraction(1),
+            (0, 1): Fraction(4, 3),
+            (0, 2): Fraction(1),
+            (1, 2): Fraction(3, 2),
         }
 
         def signed(u, v):
