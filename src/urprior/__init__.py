@@ -39,7 +39,6 @@ from urprior.credence import (
     CredenceFunction,
     OutcomeSpace,
     ValidationError,
-    overlap_mass,
     validate,
 )
 from urprior.oracle import feasibility_oracle
@@ -73,7 +72,6 @@ __all__ = [
     "glue_urprior",
     "is_cocycle",
     "noncoboundary_cocycle",
-    "overlap_mass",
     "pairwise_compatibility",
     "ratio_cochain",
     "solve_scaling",

@@ -24,8 +24,9 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any
 
 from urprior.cohomology import coboundary_dim, cohomology_dim
 from urprior.compat import (
@@ -93,7 +94,11 @@ def load_system(path: str) -> AgentSystem:
 
 def load_complex(path: str) -> SimplicialComplex:
     """Read a complex file ({"vertices": [...], "facets": [[...], ...]})."""
-    raw = _load_json(path)
+    return _complex_from_raw(_load_json(path), path)
+
+
+def _complex_from_raw(raw: Any, path: str) -> SimplicialComplex:
+    """Build the complex of a parsed complex file; ``path`` names the file in error messages."""
     if not isinstance(raw, Mapping):
         raise CliError(f"{path}: complex file must be a JSON object")
     vertices = raw.get("vertices")
@@ -111,16 +116,19 @@ def load_complex(path: str) -> SimplicialComplex:
 
 
 def system_to_dict(system: AgentSystem) -> dict[str, Any]:
-    """Serialize a system to the JSON file shape, fractions as strings."""
+    """Serialize a system to the JSON file shape, fractions as strings.
+
+    Each agent's credences are listed in outcome-space order, sorted by
+    outcome position, so the cost follows the agent's own awareness set.
+    """
+    position = {x: k for k, x in enumerate(system.space.outcomes)}.__getitem__
     return {
         "outcomes": list(system.space.outcomes),
         "agents": [
             {
                 "name": agent.name,
                 "credence": {
-                    x: format_rational(agent.pmf[x])
-                    for x in system.space.outcomes
-                    if x in agent.pmf
+                    x: format_rational(agent.pmf[x]) for x in sorted(agent.pmf, key=position)
                 },
             }
             for agent in system.agents
@@ -308,7 +316,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         depth = args.max_dim if args.max_dim is not None else args.dim + 1
         X = build_overlap_complex(system, max_dim=depth)
     elif isinstance(raw, Mapping) and "facets" in raw:
-        X = load_complex(args.file)
+        X = _complex_from_raw(raw, args.file)
     else:
         raise CliError(f"{args.file}: neither a system file (agents) nor a complex file (facets)")
 

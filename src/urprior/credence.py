@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from urprior.numerics import common_denominator, format_rational, parse_rational
 
@@ -14,7 +14,6 @@ __all__ = [
     "CredenceFunction",
     "OutcomeSpace",
     "ValidationError",
-    "overlap_mass",
     "validate",
 ]
 
@@ -73,12 +72,27 @@ class CredenceFunction:
                 )
         if any(v.numerator < 0 for v in self.pmf.values()):
             raise ValueError(f"agent {self.name}: negative mass")
-        d, counts = self.counts
-        total = sum(counts.values())
-        if total != d:
-            raise ValueError(
-                f"pmf sum != 1 for agent {self.name} (sum {format_rational(Fraction(total, d))})"
-            )
+        error = _sum_error(self.name, self.counts)
+        if error is not None:
+            raise ValueError(error)
+
+    @classmethod
+    def _canonical(
+        cls, name: str, pmf: dict[str, Fraction], counts: tuple[int, dict[str, int]]
+    ) -> CredenceFunction:
+        """An agent from a pmf the caller guarantees valid, built without checks.
+
+        The caller guarantees every rule ``__post_init__`` checks: a
+        nonempty dict of ``int`` or ``Fraction`` masses (no bool), none
+        negative, summing to 1. It also guarantees that ``counts`` is
+        exactly ``common_denominator(pmf)``, which it fills in as the
+        cached ``counts``.
+        """
+        agent = object.__new__(cls)
+        object.__setattr__(agent, "name", name)
+        object.__setattr__(agent, "pmf", pmf)
+        object.__setattr__(agent, "counts", counts)
+        return agent
 
     @cached_property
     def support(self) -> frozenset[str]:
@@ -99,6 +113,15 @@ class CredenceFunction:
         """Exact mass of an event, restricted to the awareness set."""
         d, counts = self.counts
         return Fraction(sum(counts[x] for x in event if x in counts), d)
+
+
+def _sum_error(name: str, counts: tuple[int, dict[str, int]]) -> str | None:
+    """The error line for an agent whose counts do not sum to their denominator, else None."""
+    d, n = counts
+    total = sum(n.values())
+    if total == d:
+        return None
+    return f"pmf sum != 1 for agent {name} (sum {format_rational(Fraction(total, d))})"
 
 
 # The outcomes two agents i < j share, sorted by label, then M_i and M_j:
@@ -130,6 +153,19 @@ class AgentSystem:
             stray = agent.support - known
             if stray:
                 raise ValueError(f"agent {agent.name}: unknown outcomes {sorted(stray)}")
+
+    @classmethod
+    def _canonical(cls, space: OutcomeSpace, agents: tuple[CredenceFunction, ...]) -> AgentSystem:
+        """A system from agents the caller guarantees valid, built without checks.
+
+        The caller guarantees every rule ``__post_init__`` checks:
+        ``agents`` is a nonempty tuple with unique names, and every
+        agent's awareness set lies in ``space``.
+        """
+        system = object.__new__(cls)
+        object.__setattr__(system, "space", space)
+        object.__setattr__(system, "agents", agents)
+        return system
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -182,6 +218,13 @@ def validate(raw: object) -> AgentSystem:
     All structural violations are collected into a single
     ValidationError so the caller sees every problem at once, each line
     naming the agent, the outcome involved, and the rule broken.
+
+    Every rule of the ``CredenceFunction`` and ``AgentSystem``
+    constructors is checked here, on the raw input, so the system is
+    built through their ``_canonical`` forms and checked only once:
+    each pmf is a nonempty dict of non-negative ``Fraction`` masses
+    summing to 1 (its counts come from the sum check), agent names are
+    unique, and every outcome an agent names is in the outcome space.
     """
     if not isinstance(raw, Mapping):
         raise ValidationError(["system description must be a JSON object"])
@@ -247,31 +290,14 @@ def validate(raw: object) -> AgentSystem:
                 continue
             pmf[outcome] = q
         if ok:
-            try:
-                agents.append(CredenceFunction(name, pmf))
-            except ValueError as exc:  # the masses do not sum to 1
-                violations.append(str(exc))
+            counts = common_denominator(pmf)
+            error = _sum_error(name, counts)
+            if error is None:
+                agents.append(CredenceFunction._canonical(name, pmf, counts))
+            else:
+                violations.append(error)
 
     if violations:
         raise ValidationError(violations)
-    return AgentSystem(OutcomeSpace(tuple(outcomes)), tuple(agents))
+    return AgentSystem._canonical(OutcomeSpace(tuple(outcomes)), tuple(agents))
 
-
-def overlap_mass(system: AgentSystem, agent_name: str, group: Iterable[str]) -> Fraction:
-    """Mass one agent assigns to the joint overlap of a group of agents.
-
-    ``agent_name`` must belong to ``group``, and every group member must
-    name an agent of the system.
-    """
-    members = list(group)
-    known = set(system.names)
-    unknown = sorted(m for m in members if m not in known)
-    if unknown:
-        raise ValueError(f"unknown agent name(s): {unknown}")
-    if agent_name not in members:
-        raise ValueError(f"agent {agent_name!r} is not a member of the group")
-    overlap: frozenset[str] | None = None
-    for member in members:
-        support = system.agent(member).support
-        overlap = support if overlap is None else overlap & support
-    return system.agent(agent_name).mass(overlap or ())

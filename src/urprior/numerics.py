@@ -82,13 +82,7 @@ def parse_rational(value: object) -> Fraction:
     Floats are rejected outright: they carry binary rounding error and
     would poison exact comparisons.
     """
-    if isinstance(value, bool):
-        raise TypeError("cannot interpret a boolean as a rational")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError(f"refusing inexact float {value!r}; write it as a string such as '3/10'")
-    if isinstance(value, str):
+    if isinstance(value, str):  # first: a file's masses are all strings
         try:
             return _parse_literal(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -97,6 +91,12 @@ def parse_rational(value: object) -> Fraction:
                 shown = f"{value[:_ECHO]!r}... ({len(value)} characters)"
             problem = exc.args[0] if isinstance(exc, OverflowError) else "not a rational literal"
             raise ValueError(f"{problem}: {shown}") from exc
+    if isinstance(value, bool):
+        raise TypeError("cannot interpret a boolean as a rational")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError(f"refusing inexact float {value!r}; write it as a string such as '3/10'")
     raise TypeError(f"cannot parse {type(value).__name__} as a rational")
 
 
@@ -104,14 +104,15 @@ def _parse_literal(text: str) -> Fraction:
     match = _LITERAL.match(text)
     if match is None:
         raise ValueError("no match")
-    if match["denom"]:
-        value = Fraction(_integer(match["num"]), _integer(match["denom"]))
+    sign, num, denom, decimal, exp = match.group("sign", "num", "denom", "decimal", "exp")
+    if denom:
+        value = Fraction(_integer(num), _integer(denom))
     else:
-        decimal = (match["decimal"] or "").replace("_", "")
-        value = Fraction(_integer(match["num"] + decimal or "0"), 10 ** len(decimal))
-        if match["exp"]:
-            value *= Fraction(10) ** _exponent(match["exp"])
-    return -value if match["sign"] == "-" else value
+        decimal = (decimal or "").replace("_", "")
+        value = Fraction(_integer(num + decimal or "0"), 10 ** len(decimal))
+        if exp:
+            value *= Fraction(10) ** _exponent(exp)
+    return -value if sign == "-" else value
 
 
 def _exponent(text: str) -> int:
@@ -139,7 +140,8 @@ def _integer(digits: str) -> int:
     Longer strings are split on a power of ten at half their length, so
     no single conversion meets the interpreter's digit limit.
     """
-    digits = digits.replace("_", "")
+    if "_" in digits:
+        digits = digits.replace("_", "")
     if len(digits) <= _DIRECT_DIGITS:
         return int(digits)
     half = len(digits) // 2
@@ -162,10 +164,13 @@ def _decimal(n: int) -> str:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational in lowest terms: '5/8', '0', '2'."""
-    q = Fraction(value)
-    numerator = _decimal(q.numerator)
-    return numerator if q.denominator == 1 else f"{numerator}/{_decimal(q.denominator)}"
+    """Render a rational in lowest terms: '5/8', '0', '2'.
+
+    An ``int`` or ``Fraction`` is always in lowest terms, so its
+    ``numerator`` and ``denominator`` are read as they are.
+    """
+    numerator = _decimal(value.numerator)
+    return numerator if value.denominator == 1 else f"{numerator}/{_decimal(value.denominator)}"
 
 
 def common_denominator(values: Mapping[K, Fraction | int]) -> tuple[int, dict[K, int]]:

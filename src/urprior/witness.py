@@ -31,7 +31,16 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
     edges of the spanning forest), evaluated between the agent and the
     top vertex of the simplex; after normalizing, the edge ratios of the
     system inherit the cocycle's twist, so no consistent global rescaling
-    can exist. Using base 2 keeps every weight an exact dyadic rational.
+    can exist.
+
+    Each agent is built once, in integer form: its point weights are the
+    integers 2^(e - min e) over their integer sum T, so one weight is 1
+    and ``(T, weights)`` is exactly the agent's ``counts``. The vertex ->
+    simplices index is built in one pass, so the cost is linear in the
+    number of (vertex, simplex) incidences. Every pmf is non-negative
+    and sums to 1, names are the unique vertex labels, and every
+    awareness set lies in the outcome space, so the agents and the
+    system are built through their ``_canonical`` forms, unchecked.
     """
     cocycle = noncoboundary_cocycle(X)
     if cocycle is None:
@@ -48,11 +57,17 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
         return twist[(i, top)] if i < top else -twist[(top, i)]
 
     simplices = [s for level in X.by_dim for s in level]
-    labels = {s: X.label(s) for s in simplices}
+    labels = [X.label(s) for s in simplices]
+    mine: list[list[int]] = [[] for _ in X.vertices]
+    for k, s in enumerate(simplices):
+        for i in s:
+            mine[i].append(k)
     agents: list[CredenceFunction] = []
     for i, vertex_label in enumerate(X.vertices):
-        mine = [s for s in simplices if i in s]
-        weights = {labels[s]: Fraction(2) ** exponent(i, s[-1]) for s in mine}
-        total = sum(weights.values(), start=Fraction(0))
-        agents.append(CredenceFunction(vertex_label, {x: w / total for x, w in weights.items()}))
-    return AgentSystem(OutcomeSpace(tuple(labels[s] for s in simplices)), tuple(agents))
+        exponents = [exponent(i, simplices[k][-1]) for k in mine[i]]
+        low = min(exponents)
+        weights = {labels[k]: 1 << (e - low) for k, e in zip(mine[i], exponents)}
+        total = sum(weights.values())
+        pmf = {x: Fraction(w, total) for x, w in weights.items()}
+        agents.append(CredenceFunction._canonical(vertex_label, pmf, (total, weights)))
+    return AgentSystem._canonical(OutcomeSpace(tuple(labels)), tuple(agents))

@@ -6,11 +6,16 @@ overlap from ``AgentSystem.overlaps``. Each pair of agents is visited, and
 each overlap is rebuilt and summed, on its own. They are kept here,
 unchanged in behaviour, so that tests can require the indexed results
 to equal the all-pairs ones.
+
+``overlap_mass``, the mass one agent gives a group's joint overlap, is
+kept here too: the library never calls it, and tests recheck the overlap
+complex against it, group by group.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
 
@@ -152,3 +157,23 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
             if candidate[x] != agent.pmf[x] * s:
                 return None
     return candidate
+
+
+def overlap_mass(system: AgentSystem, agent_name: str, group: Iterable[str]) -> Fraction:
+    """Mass one agent assigns to the joint overlap of a group of agents.
+
+    ``agent_name`` must belong to ``group``, and every group member must
+    name an agent of the system.
+    """
+    members = list(group)
+    known = set(system.names)
+    unknown = sorted(m for m in members if m not in known)
+    if unknown:
+        raise ValueError(f"unknown agent name(s): {unknown}")
+    if agent_name not in members:
+        raise ValueError(f"agent {agent_name!r} is not a member of the group")
+    overlap: frozenset[str] | None = None
+    for member in members:
+        support = system.agent(member).support
+        overlap = support if overlap is None else overlap & support
+    return system.agent(agent_name).mass(overlap or ())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from urprior import cli, compat
+from urprior.cohomology import cohomology_dim
+from urprior.witness import generate_counterexample
 
-from .generators import geometric_chain
+from .generators import annulus, geometric_chain, random_complex, seeded_systems
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -185,6 +188,23 @@ class TestCohomology:
         expected = run(capsys, "cohomology", path, "--dim", "1")
         assert run(capsys, "cohomology", path, "--dim", "1", "--max-dim", "0") == expected
 
+    @pytest.mark.parametrize("name", ["c4.json", "ex1.json"])
+    def test_file_is_read_once(self, data_dir, capsys, monkeypatch, name):
+        # cohomology parses the file once to tell a complex file from a
+        # system file, then builds from that one parsed object
+        calls = []
+        load = cli._load_json
+
+        def counting(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_json", counting)
+        path = str(data_dir / name)
+        code, _, _ = run(capsys, "cohomology", path)
+        assert code == 0
+        assert calls == [path]
+
     def test_degree_zero_rejected(self, data_dir, capsys):
         code, _, err = run(capsys, "cohomology", str(data_dir / "tri_filled.json"), "--dim", "0")
         assert code == 2
@@ -234,6 +254,40 @@ class TestCounterexample:
         for name, expected in golden.items():
             code, out, err = run(capsys, "counterexample", str(data_dir / name))
             assert {"exit": code, "stdout": out, "stderr": err} == expected, name
+
+
+def _system_to_dict_reference(system):
+    """The file shape, each agent's credences found by scanning the outcome space in order."""
+    return {
+        "outcomes": list(system.space.outcomes),
+        "agents": [
+            {
+                "name": agent.name,
+                "credence": {
+                    x: str(Fraction(agent.pmf[x])) for x in system.space.outcomes if x in agent.pmf
+                },
+            }
+            for agent in system.agents
+        ],
+    }
+
+
+class TestSystemToDict:
+    # json.dumps keeps key order, so equal dumps mean equal keys in equal order
+    def test_seeded_systems(self):
+        for system in seeded_systems():
+            expected = _system_to_dict_reference(system)
+            assert json.dumps(cli.system_to_dict(system)) == json.dumps(expected)
+
+    def test_counterexample_systems(self, c4, c5, wedge, tri_unfilled):
+        rng = random.Random(64)
+        complexes = [c4, c5, wedge, tri_unfilled, annulus(rng, 5)]
+        drawn = [random_complex(rng, 12) for _ in range(40)]
+        complexes += [X for X in drawn if cohomology_dim(X, 1)]
+        for X in complexes:
+            system = generate_counterexample(X)
+            expected = _system_to_dict_reference(system)
+            assert json.dumps(cli.system_to_dict(system)) == json.dumps(expected)
 
 
 class TestOracle:

@@ -15,9 +15,9 @@ from urprior.complexes import (
     from_facets,
     spanning_forest,
 )
-from urprior.credence import overlap_mass
 
 from .dense_reference import coboundary_matrix
+from .overlap_reference import overlap_mass
 from .generators import annulus, hub_system, random_complex, random_system, seeded_systems, window_chain
 
 

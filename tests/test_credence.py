@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,13 @@ from urprior.credence import (
     CredenceFunction,
     OutcomeSpace,
     ValidationError,
-    overlap_mass,
     validate,
 )
+from urprior.numerics import common_denominator
+from urprior.witness import NoHoleError, generate_counterexample
 
-from .generators import seeded_systems
+from .generators import random_complex, seeded_systems
+from .overlap_reference import overlap_mass
 
 
 def _raw(outcomes, agents):
@@ -57,10 +61,11 @@ class TestValidate:
                     ],
                 )
             )
-        text = "\n".join(exc.value.violations)
-        assert "duplicate" in text
-        assert "zzz" in text
-        assert len(exc.value.violations) >= 3
+        assert exc.value.violations == [
+            "pmf sum != 1 for agent 1 (sum 2)",
+            "duplicate agent name '1'",
+            "agent 2: outcome 'zzz' is not in the outcome space",
+        ]
 
     def test_negative_mass(self):
         with pytest.raises(ValidationError) as exc:
@@ -71,6 +76,42 @@ class TestValidate:
                 )
             )
         assert any("negative" in v for v in exc.value.violations)
+
+    @pytest.mark.parametrize(
+        "agents, expected",
+        [
+            (
+                [{"name": "1", "credence": {"a": "1/2", "b": "5/8"}}],
+                ["pmf sum != 1 for agent 1 (sum 9/8)"],
+            ),
+            (
+                [{"name": "1", "credence": {"a": "3/2", "b": "-1/2"}}],
+                ["agent 1: outcome 'b' has negative mass -1/2"],
+            ),
+            (
+                [{"name": "1", "credence": {"a": "1", "zzz": "0"}}],
+                ["agent 1: outcome 'zzz' is not in the outcome space"],
+            ),
+            (
+                [{"name": "1", "credence": {"a": "1"}}, {"name": "1", "credence": {"b": "1"}}],
+                ["duplicate agent name '1'"],
+            ),
+        ],
+        ids=["sum", "negative", "unknown outcome", "duplicate name"],
+    )
+    def test_error_lines(self, agents, expected):
+        with pytest.raises(ValidationError) as exc:
+            validate(_raw(["a", "b"], agents))
+        assert exc.value.violations == expected
+        assert str(exc.value) == "; ".join(expected)
+
+    def test_sum_error_line_in_the_cli_report(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        raw = _raw(["a", "b"], [{"name": "1", "credence": {"a": "1/2", "b": "5/8"}}])
+        path.write_text(json.dumps(raw))
+        assert cli.main(["check", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == "invalid system file:\n  pmf sum != 1 for agent 1 (sum 9/8)\n"
 
     def test_negative_zero_literal_is_mass_zero(self):
         system = validate(
@@ -136,7 +177,7 @@ class TestModel:
             CredenceFunction("1", {"a": 2, "b": -1})
 
     def test_pmf_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pmf sum != 1 for agent 1 \(sum 1/2\)$"):
             CredenceFunction("1", {"a": Fraction(1, 2)})
 
     def test_space_rejects_duplicates(self):
@@ -186,3 +227,46 @@ class TestRoundTrip:
         for entry in raw["agents"]:
             keys = list(entry["credence"])
             assert keys == sorted(keys, key=order.__getitem__)
+
+
+def _assert_checked_once(system: AgentSystem) -> None:
+    """The system equals its rebuild through the checking constructors, counts included.
+
+    ``validate`` and ``generate_counterexample`` build agents and systems
+    through the unchecked ``_canonical`` forms and hand each agent its
+    counts; the public constructors check every rule and derive the
+    counts from the pmf.
+    """
+    for agent in system.agents:
+        assert agent.counts == common_denominator(agent.pmf)
+        assert list(agent.counts[1]) == list(agent.pmf)
+    rebuilt = AgentSystem(
+        OutcomeSpace(system.space.outcomes),
+        tuple(CredenceFunction(agent.name, agent.pmf) for agent in system.agents),
+    )
+    assert rebuilt == system
+    assert [a.counts for a in rebuilt.agents] == [a.counts for a in system.agents]
+    assert rebuilt.overlaps == system.overlaps
+
+
+class TestCheckedOnce:
+    def test_validated_seeded_systems(self):
+        for system in seeded_systems():
+            again = validate(cli.system_to_dict(system))
+            assert again == system
+            _assert_checked_once(again)
+
+    def test_counterexamples_of_the_data_complexes(self, c4, c5, wedge, tri_unfilled):
+        for X in (c4, c5, wedge, tri_unfilled):
+            _assert_checked_once(generate_counterexample(X))
+
+    def test_counterexamples_of_random_holed_complexes(self):
+        rng = random.Random(63)
+        tried = 0
+        while tried < 40:
+            try:
+                system = generate_counterexample(random_complex(rng, 12))
+            except NoHoleError:
+                continue
+            tried += 1
+            _assert_checked_once(system)
