@@ -42,12 +42,13 @@ from urprior.credence import (
     validate,
 )
 from urprior.oracle import feasibility_oracle
-from urprior.witness import NoHoleError, generate_counterexample
+from urprior.witness import AmbiguousLabelError, NoHoleError, generate_counterexample
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentSystem",
+    "AmbiguousLabelError",
     "Asymmetry",
     "Cochain",
     "CompatibilityReport",

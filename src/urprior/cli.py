@@ -47,7 +47,7 @@ from urprior.complexes import (
 from urprior.credence import AgentSystem, ValidationError, validate
 from urprior.numerics import Column, format_rational, matrix_rank
 from urprior.oracle import feasibility_oracle
-from urprior.witness import NoHoleError, generate_counterexample
+from urprior.witness import AmbiguousLabelError, NoHoleError, generate_counterexample
 
 # matrix_rank is re-exported, not called: every rank is read through
 # urprior.cohomology, and the benchmark tracer (bench/tracing.py) wraps
@@ -367,6 +367,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     except NoHoleError as exc:
         print(f"no counterexample: {exc}", file=sys.stderr)
         return 1
+    except AmbiguousLabelError as exc:
+        raise CliError(f"{args.file}: {exc}") from exc
     text = json.dumps(system_to_dict(system), indent=2)
     if args.output:
         try:

@@ -21,6 +21,7 @@ unique and closed by construction, so they return through
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -160,31 +161,102 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
 
     A group J is a simplex exactly when each member assigns positive mass
     to the intersection of all awareness sets of J. The edges are the
-    pairs of the system's overlap table that both sides weight. The
-    family is closed downward (shrinking J grows the intersection), so
-    higher levels are enumerated level by level: a simplex s is extended
-    only by neighbours of s[0] above s[-1], and only when all facets of
-    the extension survived the previous level. Masses are nonnegative, so
-    a mass is positive exactly when one of its terms is: the edges read
-    the signs of the overlap table's integer sums, and a larger group is
-    tested against each member's positive outcomes
-    (``CredenceFunction.positive``).
+    pairs of the system's overlap table that both sides weight; with
+    ``max_dim == 1`` the complex stops there, before anything below runs.
+
+    Let A_x be the agents that give outcome x positive mass. Every subset
+    of an A_x is a simplex: x lies in the group's joint overlap and every
+    member weights it. The converse holds on a system with no sign-split
+    edge, an edge (i, j) on whose shared outcomes the two agents disagree
+    about which carry mass (``positive[i] & support[j] != positive[j] &
+    support[i]``). If J is a simplex, its lowest member i weights some x
+    of the joint overlap; each other member j shares x with i, and (i, j)
+    is an edge, so j weights x too, and J lies in A_x. Such a complex is
+    therefore exactly the one generated by the A_x. A split edge is always
+    a pairwise violation (at the outcome in dispute one conditional is 0
+    and the other is not), so every violation-free system has none.
+
+    One index pass lists each A_x and the agents aware of x without
+    weighting it; a split edge is a (weighting, non-weighting) pair of one
+    outcome's holders that is an edge. Without one, level k lists, for
+    each lowest vertex i in order, the sorted k-subsets of the groups A_x
+    above i, x in ``positive[i]``: canonical order by construction, with
+    no facet test and no set but one per vertex (none when one group
+    holds all the others). A system with a split edge is enumerated level
+    by level instead: a simplex s is extended only by neighbours of s[0]
+    above s[-1], and only when all facets of the extension survived the
+    previous level, the extension's overlap tested against each member's
+    positive outcomes.
     """
     agents = system.agents
     n = len(agents)
     vertices: tuple[Simplex, ...] = tuple((i,) for i in range(n))
-    edges = tuple(
-        pair
-        for pair, (_, sum_i, sum_j) in system.overlaps.items()
-        if sum_i > 0 and sum_j > 0
-    )
+    overlaps = system.overlaps
+    edges = tuple(pair for pair, (_, sum_i, sum_j) in overlaps.items() if sum_i > 0 and sum_j > 0)
     if (max_dim is not None and max_dim < 1) or not edges:
         return SimplicialComplex._canonical(system.names, (vertices,))
-    up: list[list[int]] = [[] for _ in range(n)]
+    if max_dim == 1:
+        return SimplicialComplex._canonical(system.names, (vertices, edges))
+
+    weighting: dict[str, list[int]] = {}
+    unweighting: dict[str, list[int]] = {}
+    for i, agent in enumerate(agents):
+        for x, c in agent.counts[1].items():
+            (weighting if c > 0 else unweighting).setdefault(x, []).append(i)
+    for x, zeros in unweighting.items():
+        for i in weighting.get(x, ()):
+            for j in zeros:
+                _, sum_lo, sum_hi = overlaps[(i, j) if i < j else (j, i)]
+                if sum_lo > 0 and sum_hi > 0:
+                    return _overlap_complex_by_levels(system, edges, max_dim)
+
+    # each vertex's groups A_x above it with two members or more, largest
+    # first; they alone give the simplices of dimension 2 and up, and the
+    # largest alone when it holds all the others
+    groups: list[list[Simplex]] = []
+    for i, agent in enumerate(agents):
+        found: set[Simplex] = set()
+        for x in agent.positive:
+            members = weighting[x]
+            start = bisect_right(members, i)
+            if len(members) - start > 1:
+                found.add(tuple(members[start:]))
+        mine = sorted(found, key=len, reverse=True)
+        if len(mine) > 1 and set(mine[0]).issuperset([v for group in mine[1:] for v in group]):
+            del mine[1:]
+        groups.append(mine)
+
+    levels: list[tuple[Simplex, ...]] = [vertices, edges]
+    k = 2
+    while max_dim is None or k <= max_dim:
+        level: list[Simplex] = []
+        for i, mine in enumerate(groups):
+            while mine and len(mine[-1]) < k:
+                mine.pop()
+            if len(mine) == 1:
+                tails: Iterable[Simplex] = combinations(mine[0], k)
+            elif mine:
+                tails = sorted(set().union(*(combinations(group, k) for group in mine)))
+            else:
+                continue
+            level.extend(map((i,).__add__, tails))
+        if not level:
+            break
+        levels.append(tuple(level))
+        k += 1
+    return SimplicialComplex._canonical(system.names, tuple(levels))
+
+
+def _overlap_complex_by_levels(
+    system: AgentSystem, edges: tuple[Simplex, ...], max_dim: int | None
+) -> SimplicialComplex:
+    """The overlap complex above its edges, one level from the last (see build_overlap_complex)."""
+    agents = system.agents
+    up: list[list[int]] = [[] for _ in agents]
     for i, j in edges:
         up[i].append(j)
 
-    levels: list[tuple[Simplex, ...]] = [vertices, edges]
+    levels: list[tuple[Simplex, ...]] = [tuple((i,) for i in range(len(agents))), edges]
     k = 2
     while max_dim is None or k <= max_dim:
         prev = levels[k - 1]

@@ -54,8 +54,9 @@ class CredenceFunction:
     The exact checks downstream compare these per-agent integers by
     cross-multiplication, so deciding an equality never reduces a
     fraction; ``mass`` still returns a reduced ``Fraction``. ``positive``
-    is the set of outcomes of positive mass, which the overlap complex
-    tests groups against. Both are computed once, on first use.
+    is the set of outcomes of positive mass, from which the overlap
+    complex is built. Each is computed once, on first use, or filled in
+    by ``_canonical``.
     """
 
     name: str
@@ -86,12 +87,19 @@ class CredenceFunction:
         nonempty dict of ``int`` or ``Fraction`` masses (no bool), none
         negative, summing to 1. It also guarantees that ``counts`` is
         exactly ``common_denominator(pmf)``, which it fills in as the
-        cached ``counts``.
+        cached ``counts``; ``support`` and ``positive`` (read off the
+        counts) are filled in alongside, so no cached property is
+        computed, under its lock, on first read.
         """
         agent = object.__new__(cls)
         object.__setattr__(agent, "name", name)
         object.__setattr__(agent, "pmf", pmf)
         object.__setattr__(agent, "counts", counts)
+        support = frozenset(pmf)
+        n = counts[1]
+        positive = frozenset([x for x, c in n.items() if c]) if 0 in n.values() else support
+        object.__setattr__(agent, "support", support)
+        object.__setattr__(agent, "positive", positive)
         return agent
 
     @cached_property
@@ -181,29 +189,31 @@ class AgentSystem:
     def overlaps(self) -> dict[tuple[int, int], Overlap]:
         """Every pair of agents (i, j), i < j, that shares an outcome, in canonical order.
 
-        Built once from an outcome -> agents index, so the cost follows the
-        number of (pair, shared outcome) incidences, not the number of pairs.
-        Each entry holds the shared outcomes and the two integer sums
-        M_i, M_j of ``Overlap``; no fraction is reduced to build it. The
-        pairwise scan, the overlap complex and the ratio cochain all read
-        this one table, the sign of a mass being the sign of its M.
+        Built in one pass over an outcome -> (agent, count) index, outcomes
+        taken in label order: each pair's shared outcomes arrive sorted and
+        its two integer sums M_i, M_j of ``Overlap`` run alongside, so the
+        cost follows the number of (pair, shared outcome) incidences, not
+        the number of pairs, and no fraction is reduced. The pairwise scan,
+        the overlap complex and the ratio cochain all read this one table,
+        the sign of a mass being the sign of its M.
         """
-        aware: dict[str, list[int]] = {}
+        aware: dict[str, list[tuple[int, int]]] = {}
         for i, agent in enumerate(self.agents):
-            for x in agent.pmf:
-                aware.setdefault(x, []).append(i)
-        shared: dict[tuple[int, int], list[str]] = {}
-        for x, holders in aware.items():
-            for a, i in enumerate(holders):
-                for j in holders[a + 1 :]:
-                    shared.setdefault((i, j), []).append(x)
-        counts = [agent.counts[1] for agent in self.agents]
-        table: dict[tuple[int, int], Overlap] = {}
-        for i, j in sorted(shared):
-            xs = tuple(sorted(shared[(i, j)]))
-            left, right = counts[i], counts[j]
-            table[(i, j)] = (xs, sum(left[x] for x in xs), sum(right[x] for x in xs))
-        return table
+            for x, c in agent.counts[1].items():
+                aware.setdefault(x, []).append((i, c))
+        running: dict[tuple[int, int], list] = {}
+        for x in sorted(aware):
+            holders = aware[x]
+            for a, (i, c_i) in enumerate(holders):
+                for j, c_j in holders[a + 1 :]:
+                    entry = running.get((i, j))
+                    if entry is None:
+                        running[(i, j)] = [[x], c_i, c_j]
+                    else:
+                        entry[0].append(x)
+                        entry[1] += c_i
+                        entry[2] += c_j
+        return {pair: (tuple(xs), m_i, m_j) for pair, (xs, m_i, m_j) in sorted(running.items())}
 
     def union_support(self) -> frozenset[str]:
         out: set[str] = set()

@@ -13,11 +13,15 @@ from urprior.cohomology import noncoboundary_cocycle
 from urprior.complexes import SimplicialComplex
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 
-__all__ = ["NoHoleError", "generate_counterexample"]
+__all__ = ["AmbiguousLabelError", "NoHoleError", "generate_counterexample"]
 
 
 class NoHoleError(ValueError):
     """The complex has vanishing first cohomology, so no counterexample exists."""
+
+
+class AmbiguousLabelError(ValueError):
+    """Two simplices would get the same outcome label, so no system can be written."""
 
 
 def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
@@ -41,6 +45,11 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
     and sums to 1, names are the unique vertex labels, and every
     awareness set lies in the outcome space, so the agents and the
     system are built through their ``_canonical`` forms, unchecked.
+
+    Outcomes are named by their simplex labels, vertex labels joined with
+    commas, so a vertex label that holds a comma can give two simplices
+    one name (vertex ``a,b`` and edge ``{a,b}``). That is caught before
+    any agent is built and raised as ``AmbiguousLabelError``.
     """
     cocycle = noncoboundary_cocycle(X)
     if cocycle is None:
@@ -58,6 +67,13 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
 
     simplices = [s for level in X.by_dim for s in level]
     labels = [X.label(s) for s in simplices]
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise AmbiguousLabelError(
+                f"outcome label {label!r} would name two simplices: a vertex label contains a comma"
+            )
+        seen.add(label)
     mine: list[list[int]] = [[] for _ in X.vertices]
     for k, s in enumerate(simplices):
         for i in s:

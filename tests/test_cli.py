@@ -239,6 +239,35 @@ class TestCounterexample:
         assert "no counterexample" in err
         assert "cohomology" in err
 
+    def test_colliding_comma_labels_exit_two(self, tmp_path, capsys):
+        # vertex "a,b" and edge {a,b} would both be named "{a,b}"
+        path = tmp_path / "comma.json"
+        path.write_text(
+            '{"vertices": ["a", "b", "c", "d", "a,b"], '
+            '"facets": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a,b"]]}'
+        )
+        code, out, err = run(capsys, "counterexample", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"{path}: outcome label '{{a,b}}' would name two simplices: "
+            "a vertex label contains a comma\n"
+        )
+        code, report, _ = run_json(capsys, "cohomology", str(path), "--json")
+        assert code == 0 and report["h"] == 1
+
+    def test_comma_labels_that_do_not_collide_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "comma.json"
+        path.write_text(
+            '{"vertices": ["a,b", "c", "d"], "facets": [["a,b", "c"], ["c", "d"], ["d", "a,b"]]}'
+        )
+        out_path = tmp_path / "system.json"
+        code, _, _ = run(capsys, "counterexample", str(path), "--output", str(out_path))
+        assert code == 0
+        code, report, _ = run_json(capsys, "check", str(out_path), "--json")
+        assert code == 1
+        assert report["certificate"]["kind"] == "cycle_holonomy"
+
     def test_deterministic(self, data_dir, capsys):
         _, first, _ = run(capsys, "counterexample", str(data_dir / "c5.json"))
         _, second, _ = run(capsys, "counterexample", str(data_dir / "c5.json"))

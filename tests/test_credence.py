@@ -234,8 +234,8 @@ def _assert_checked_once(system: AgentSystem) -> None:
 
     ``validate`` and ``generate_counterexample`` build agents and systems
     through the unchecked ``_canonical`` forms and hand each agent its
-    counts; the public constructors check every rule and derive the
-    counts from the pmf.
+    counts, support and positive outcomes; the public constructors check
+    every rule and derive all three from the pmf.
     """
     for agent in system.agents:
         assert agent.counts == common_denominator(agent.pmf)
@@ -245,7 +245,11 @@ def _assert_checked_once(system: AgentSystem) -> None:
         tuple(CredenceFunction(agent.name, agent.pmf) for agent in system.agents),
     )
     assert rebuilt == system
-    assert [a.counts for a in rebuilt.agents] == [a.counts for a in system.agents]
+    for ours, theirs in zip(system.agents, rebuilt.agents):
+        assert vars(ours).keys() >= {"counts", "support", "positive"}  # filled in, not computed on read
+        assert ours.counts == theirs.counts
+        assert type(ours.support) is frozenset and ours.support == theirs.support
+        assert type(ours.positive) is frozenset and ours.positive == theirs.positive
     assert rebuilt.overlaps == system.overlaps
 
 

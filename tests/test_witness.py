@@ -7,9 +7,9 @@ import pytest
 
 from urprior.cohomology import coboundary_witness, cohomology_dim, is_cocycle, noncoboundary_cocycle
 from urprior.compat import CycleCertificate, decide_urprior, pairwise_compatibility
-from urprior.complexes import build_overlap_complex
+from urprior.complexes import build_overlap_complex, from_facets
 from urprior.oracle import feasibility_oracle
-from urprior.witness import NoHoleError, generate_counterexample
+from urprior.witness import AmbiguousLabelError, NoHoleError, generate_counterexample
 
 from . import dense_reference as dense
 from .generators import holonomy_from_pmfs, random_complex
@@ -52,6 +52,26 @@ class TestNoHole:
         from urprior.complexes import from_facets
 
         X = from_facets(("a", "b"), [("a",), ("b",)])
+        with pytest.raises(NoHoleError):
+            generate_counterexample(X)
+
+
+class TestAmbiguousLabels:
+    def test_vertex_label_equal_to_an_edge_label_is_refused(self):
+        X = from_facets(("a", "b", "c", "a,b"), [("a", "b"), ("b", "c"), ("c", "a"), ("a,b",)])
+        with pytest.raises(AmbiguousLabelError, match=r"'\{a,b\}'"):
+            generate_counterexample(X)
+
+    def test_edge_labels_that_collide_are_refused(self):
+        # edges {a,b,c} of ("a,b", "c") and ("a", "b,c") share one label
+        X = from_facets(
+            ("a", "a,b", "b,c", "c"), [("a,b", "c"), ("c", "a"), ("a", "b,c"), ("b,c", "a,b")]
+        )
+        with pytest.raises(AmbiguousLabelError, match=r"'\{a,b,c\}'"):
+            generate_counterexample(X)
+
+    def test_hole_free_complex_is_refused_first(self):
+        X = from_facets(("a", "b", "a,b"), [("a", "b"), ("a,b",)])
         with pytest.raises(NoHoleError):
             generate_counterexample(X)
 
