@@ -81,8 +81,27 @@ def parse_rational(value: object) -> Fraction:
     an exponent of at most 10,000 in absolute value ("1e-5").
     Floats are rejected outright: they carry binary rounding error and
     would poison exact comparisons.
+
+    A plain "p/q" string, ASCII digits only on both sides, each at most
+    ``_DIRECT_DIGITS`` long, and a nonzero q, is read straight as
+    ``Fraction(int(p), int(q))``. Everything else goes through the
+    literal grammar, with the same value or error either way: a sign,
+    whitespace, ``_``, a decimal point, an exponent, a non-ASCII digit,
+    a zero or longer part, an integer without a slash.
     """
     if isinstance(value, str):  # first: a file's masses are all strings
+        num, slash, den = value.partition("/")
+        if (
+            slash
+            and len(num) <= _DIRECT_DIGITS
+            and len(den) <= _DIRECT_DIGITS
+            and value.isascii()
+            and num.isdigit()
+            and den.isdigit()
+        ):
+            q = int(den)
+            if q:
+                return Fraction(int(num), q)
         try:
             return _parse_literal(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:

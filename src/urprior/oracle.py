@@ -5,17 +5,19 @@ solutions: it treats the problem as plain linear feasibility in the
 sector masses and propagates constraints through the graph of outcomes
 that two agents both weight positively. It exists to cross-check the
 main pipeline, so it deliberately shares nothing with it beyond the data
-model and exact rational arithmetic. Its link test and its final
-re-check compare integers by cross-multiplication, reading the
-numerators and denominators of the pmf on its own; the candidate it
-returns is a measure of reduced ``Fraction``s.
+model and exact rational arithmetic: it reads the numerator and
+denominator of each pmf value on its own, and works in plain integers.
+Each sector mass is a reduced pair (a, b), meaning a / b, extended along
+a link with one ``gcd``; links are checked by cross-multiplication; the
+outcome masses are summed over one common denominator. The only
+``Fraction`` it builds is each returned mass, one ``gcd`` apiece.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from urprior.credence import AgentSystem
 
@@ -33,6 +35,12 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     to one scale per linkage class, and a single global normalization
     settles the scales. Every defining constraint is re-checked on the
     candidate before it is returned, so the oracle is sound on its own.
+
+    In integers: s_i is the reduced pair (a_i, b_i); outcome x, weighted
+    first by agent k, gets the reduced pair (r_x, t_x) of pmf_k(x) * s_k,
+    and W_x = r_x * L / t_x over the lcm L of the t_x. The candidate is
+    W_x / T with T the integer sum of the W_x, one ``Fraction`` each, and
+    the re-check reads it as these integers.
     """
     agents = system.agents
     n = len(agents)
@@ -56,7 +64,7 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     # sector ratios as linking every pair of them. A link (i, j, p, q)
     # says s_j == s_i * p / q, with p / q == pmf_i(x) / pmf_j(x) unreduced.
     links: list[tuple[int, int, int, int]] = []
-    adjacency: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(n)}
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for x in union:
         positives = positive_at[x]
         if not positives:
@@ -70,46 +78,59 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
             adjacency[i].append((j, p, q))
             adjacency[j].append((i, q, p))
 
-    sector: dict[int, Fraction] = {}
+    # s_v == s_u * p / q, reduced with one gcd per step.
+    sector: list[tuple[int, int] | None] = [None] * n
     for root in range(n):
-        if root in sector:
+        if sector[root] is not None:
             continue
-        sector[root] = Fraction(1)
+        sector[root] = (1, 1)
         queue = deque([root])
         while queue:
             u = queue.popleft()
+            a, b = sector[u]
             for v, p, q in adjacency[u]:
-                if v not in sector:
-                    sector[v] = sector[u] * p / q
+                if sector[v] is None:
+                    num, den = a * p, b * q
+                    g = gcd(num, den)
+                    sector[v] = (num // g, den // g)
                     queue.append(v)
     for i, j, p, q in links:
-        si, sj = sector[i], sector[j]
-        if sj.numerator * si.denominator * q != si.numerator * p * sj.denominator:
+        (ai, bi), (aj, bj) = sector[i], sector[j]
+        if aj * bi * q != ai * p * bj:
             return None
 
-    raw: dict[str, Fraction] = {}
+    # Each outcome's mass pmf_k(x) * s_k, reduced once, then over the lcm
+    # L of those denominators: W_x == r_x * L / t_x.
+    reduced: list[tuple[int, int]] = []
+    L = 1
     for x in union:
         positives = positive_at[x]
-        raw[x] = agents[positives[0]].pmf[x] * sector[positives[0]] if positives else Fraction(0)
-    total = sum(raw.values(), start=Fraction(0))
+        if not positives:
+            reduced.append((0, 1))
+            continue
+        k = positives[0]
+        m = agents[k].pmf[x]
+        a, b = sector[k]
+        num, den = m.numerator * a, m.denominator * b
+        g = gcd(num, den)
+        t = den // g
+        reduced.append((num // g, t))
+        if L % t:
+            L = lcm(L, t)
+    W = {x: r * (L // t) for x, (r, t) in zip(union, reduced)}
+    total = sum(W.values())
     if total <= 0:
         return None
-    candidate = {x: raw[x] / total for x in union}
 
     # Full direct re-check of the constraints that define feasibility, on
-    # the candidate written as w_x / D over one common denominator: agent
-    # i's sector is the integer sum S of w_x over its awareness set, and
-    # candidate(x) == pmf_i(x) * S / D reads w_x * den == num * S.
-    D = 1
-    for v in candidate.values():
-        if D % v.denominator:
-            D = lcm(D, v.denominator)
-    w = {x: v.numerator * (D // v.denominator) for x, v in candidate.items()}
+    # the candidate W_x / total: agent i's sector is the integer sum S of
+    # W_x over its awareness set, and candidate(x) == pmf_i(x) * S / total
+    # reads W_x * den == num * S.
     for agent in agents:
-        S = sum(w[x] for x in agent.pmf)
+        S = sum(W[x] for x in agent.pmf)
         if S <= 0:
             return None
         for x, m in agent.pmf.items():
-            if w[x] * m.denominator != m.numerator * S:
+            if W[x] * m.denominator != m.numerator * S:
                 return None
-    return candidate
+    return {x: Fraction(w, total) for x, w in W.items()}

@@ -236,16 +236,82 @@ def test_verify_diagnostics_name_each_broken_rule():
     assert empty == reference.verify_urprior(system, {}) and not empty.ok
 
 
+def _conditioned(weights, windows):
+    """Agent k conditioned from the weights on the outcomes windows[k] (indices into the weights)."""
+    outcomes = tuple(f"o{x}" for x in range(len(weights)))
+    agents = []
+    for k, window in enumerate(windows):
+        sector = sum(weights[x] for x in window)
+        agents.append(CredenceFunction(f"a{k}", {outcomes[x]: Fraction(weights[x], sector) for x in window}))
+    return AgentSystem(OutcomeSpace(outcomes), tuple(agents))
+
+
+def _swapped(system, rng):
+    """The system with the smallest and largest pmf values of one agent swapped."""
+    agents = list(system.agents)
+    k = rng.randrange(len(agents))
+    pmf = dict(agents[k].pmf)
+    x, y = min(pmf, key=pmf.get), max(pmf, key=pmf.get)
+    pmf[x], pmf[y] = pmf[y], pmf[x]
+    agents[k] = CredenceFunction(agents[k].name, pmf)
+    return AgentSystem(system.space, tuple(agents))
+
+
+def _oracle_kinds():
+    rng = random.Random(13)
+    chains = [
+        window_chain(rng, agents, window=2 + agents % 4, growth=1000)[0]
+        for agents in (1, 2, 3, 5, 8, 13, 32, 64, 128)
+    ]
+    # two chains joined by an outcome both weight 0, or not joined at all
+    two_classes = []
+    for joined in (True, False) * 3:
+        w = [rng.randint(1, 6) * 1000**x for x in range(12)] + [0]
+        left = [(0, 1, 2), (2, 3, 4), (4, 5) + (12,) * joined]
+        two_classes.append(_conditioned(w, left + [(12,) * joined + (6, 7), (7, 8, 9), (9, 10, 11)]))
+    # every third outcome weighted 0 by everyone aware of it
+    zeroed = []
+    for agents in (2, 4, 9, 30):
+        w = [0 if x % 3 == 1 else rng.randint(1, 6) * 1000**x for x in range(agents + 3)]
+        zeroed.append(_conditioned(w, [range(i, i + 4) for i in range(agents)]))
+    return {
+        "seeded": SYSTEMS,
+        "holed": HOLED,
+        "growth-1000 chain": chains,
+        "swapped chain": [_swapped(s, rng) for s in chains[1:] for _ in range(3)],
+        "geometric chain": [geometric_chain(k, 1000) for k in (1, 2, 10, 100, 300)],
+        "two linkage classes": two_classes,
+        "zero-weighted outcome": zeroed,
+    }
+
+
 def test_oracle_equals_the_reference():
-    found = 0
-    for system in SYSTEMS + HOLED:
-        measure = feasibility_oracle(system)
-        theirs = reference.feasibility_oracle(system)
-        assert measure == theirs
-        if measure is not None:
-            assert list(measure) == list(theirs)
-            found += 1
-    assert found > 100
+    # (measures, Nones) at least, per kind, so that no kind drops out unseen;
+    # a swap on a window-2 chain (single-outcome links) stays feasible
+    floors = {
+        "seeded": (150, 50),
+        "holed": (0, 3),
+        "growth-1000 chain": (9, 0),
+        "swapped chain": (10, 10),
+        "geometric chain": (5, 0),
+        "two linkage classes": (6, 0),
+        "zero-weighted outcome": (4, 0),
+    }
+    kinds = _oracle_kinds()
+    assert kinds.keys() == floors.keys()
+    for kind, systems in kinds.items():
+        found = empty = 0
+        for system in systems:
+            measure = feasibility_oracle(system)
+            theirs = reference.feasibility_oracle(system)
+            assert measure == theirs, kind
+            if measure is None:
+                empty += 1
+            else:
+                assert list(measure) == list(theirs), kind
+                found += 1
+        least_found, least_empty = floors[kind]
+        assert found >= least_found and empty >= least_empty, (kind, found, empty)
 
 
 @pytest.mark.parametrize("value", [0.5, True, "1/2", None])

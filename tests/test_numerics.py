@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from urprior.numerics import _left_kernel_vector, _reduce, format_rational, matrix_rank, parse_rational
+from urprior.numerics import (
+    _left_kernel_vector,
+    _parse_literal,
+    _reduce,
+    format_rational,
+    matrix_rank,
+    parse_rational,
+)
 
 from .dense_reference import (
     Matrix,
@@ -123,6 +130,44 @@ class TestParseRational:
                     parse_rational(text)
             else:
                 assert parse_rational(text) == expected
+
+    def test_plain_fractions_read_as_the_literal_grammar_reads_them(self):
+        # parse_rational reads plain "p/q" strings without the grammar; every
+        # string must give the value or the exact error the grammar gives
+        def by_grammar(text):
+            try:
+                return _parse_literal(text)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                shown = repr(text)
+                if len(text) > 40:
+                    shown = f"{text[:40]!r}... ({len(text)} characters)"
+                problem = exc.args[0] if isinstance(exc, OverflowError) else "not a rational literal"
+                return ValueError, f"{problem}: {shown}"
+
+        def ours(text):
+            try:
+                value = parse_rational(text)
+            except ValueError as exc:
+                return ValueError, str(exc)
+            assert type(value) is Fraction
+            return value
+
+        corpus = ["1/2", "00/05", "0/7", "1/0", "1/00", "0/0", " 1/2", "1/2 ", "+1/2", "-3/6"]
+        corpus += ["1_0/3", "1/0_3", "٣/٤", "²/3", "1/", "/2", "/", "1//2", "1/2/3", "1.5/2"]
+        corpus += ["1/2e3", "12", "", "1/-2", "1/+2", "0x1/2", "1 /2"]
+        for length in (999, 1000, 1001):
+            part = "7" * length
+            corpus += [f"{part}/3", f"3/{part}", f"{part}/{part}", f"{part}/0", f"-{part}/3"]
+        corpus += ["0" * 1001 + "/5", "5/" + "0" * 999 + "7", "5/" + "0" * 1001]
+        rng = random.Random(18)
+        for _ in range(500):
+            corpus.append(f"{rng.getrandbits(rng.randint(0, 3400))}/{rng.getrandbits(rng.randint(0, 3400))}")
+        values = 0
+        for text in corpus:
+            expected = by_grammar(text)
+            assert ours(text) == expected, text[:80]
+            values += isinstance(expected, Fraction)
+        assert values > 400
 
     def test_error_message_shows_a_short_prefix_of_a_long_literal(self):
         for text in ["x" * 5000, "1/" + "1" * 4997 + "x", "1" * 4998 + "/0"]:

@@ -74,3 +74,21 @@ def test_only_cohomology_reduces_coboundary_maps():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in entry_points
     }
     assert callers == {"cohomology.py"}
+
+
+def test_the_oracle_shares_only_the_data_model():
+    # the oracle cross-checks the main pipeline, so it may read agents and
+    # pmfs but neither the pipeline's modules nor the integer counts and
+    # the overlap table that the pipeline builds on the data model
+    path = next(p for p in SOURCES if p.name == "oracle.py")
+    tree = ast.parse(path.read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            modules.add("urprior" + (f".{node.module}" if node.module else "") if node.level else node.module)
+    assert {m for m in modules if m.split(".")[0] == "urprior"} == {"urprior.credence"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not {"counts", "overlaps"} & (read | named)
