@@ -6,15 +6,16 @@ negative answer comes with a finite certificate (a conditional
 disagreement, a one-sided overlap, or a cycle whose ratio product is
 not 1), and every positive answer is re-verified before it is returned.
 
-The equalities behind each step are decided by integer
-cross-multiplication: over each agent's own denominator
-(``CredenceFunction.counts``), over the numerators and denominators of
-two fractions, or, in verification, over one common denominator of the
-measure. Both integer forms come from ``numerics.common_denominator``.
-The glue works the same way: its agreement tests cross-multiply, and
-its sums run over one common denominator of the rescaled agents.
-A reduced ``Fraction`` is built only for what is returned or printed:
-measures, scalings, ratios, certificates and diagnostics.
+The decision runs in integers from the skeleton to the returned measure.
+Agent i's unit g_i = scale_i / d_i, with d_i its own denominator
+(``CredenceFunction.counts``), is a reduced integer pair carried along
+the spanning forest by the overlap sums M of ``system.overlaps``; every
+equality is an integer cross-multiplication; the glue puts the masses
+over one lcm and is verified on those integers. ``solve_scaling``,
+``glue_urprior`` and ``verify_urprior`` are thin adapters over the same
+propagation, glue and verification. A reduced ``Fraction`` is built
+only for what is returned or printed: measures, scalings, ratios,
+certificates and diagnostics.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
 from urprior.credence import AgentSystem
@@ -228,39 +229,61 @@ def solve_scaling(
 ) -> tuple[dict[str, Fraction] | None, CycleCertificate | None]:
     """Find positive per-vertex scales with ratio[i,j] == scale[j] / scale[i].
 
-    Reads X's spanning forest (built once per complex), propagates
-    scale 1 outward from the smallest vertex of each component, then
-    verifies every non-tree edge. Exactly one element of
-    the returned pair is not None: the scaling (keyed by vertex label) on
-    success, a cycle certificate for the first failing edge otherwise.
+    Runs the forest propagation of ``decide_urprior`` on the ratios'
+    (numerator, denominator) pairs, from scale 1 at the smallest vertex
+    of each component. Exactly one element of the returned pair is not
+    None: the scaling (keyed by vertex label) on success, a cycle
+    certificate for the first failing non-tree edge otherwise.
     """
-    table = ratios.ratios
+    pairs = {e: (r.numerator, r.denominator) for e, r in ratios.ratios.items()}
+    units, cycle = _propagate(X, pairs, lambda v: (1, 1))
+    if cycle is not None:
+        return None, cycle
+    return {X.vertices[v]: Fraction(p, q) for v, (p, q) in enumerate(units)}, None
 
-    def step(u: int, v: int) -> Fraction:
-        return table[(u, v)] if u < v else 1 / table[(v, u)]
+
+def _propagate(
+    X: SimplicialComplex, edges: Mapping[tuple[int, int], tuple], root: Callable
+) -> tuple[list[tuple[int, int]] | None, CycleCertificate | None]:
+    """Per-vertex units g_v as reduced pairs (p, q), or the first failing cycle.
+
+    ``edges`` maps each edge (i, j), i < j, of X to a tuple ending in
+    (a, b) with g_j / g_i == a / b. Over X's cached spanning forest a root
+    v gets ``root(v)`` and a tree step costs one gcd; every non-tree edge
+    is then cross-multiplied, and the first that fails closes the cycle.
+    """
+
+    def step(u: int, v: int) -> tuple[int, int]:  # g_v / g_u
+        t = edges[(u, v) if u < v else (v, u)]
+        return (t[-2], t[-1]) if u < v else (t[-1], t[-2])
 
     forest = spanning_forest(X)
-    scale: dict[int, Fraction] = {}
+    units: list[tuple[int, int]] = [(1, 1)] * len(X.vertices)
     for v in forest.order:
         u = forest.parent.get(v)
-        scale[v] = Fraction(1) if u is None else scale[u] * step(u, v)
+        if u is None:
+            units[v] = root(v)
+            continue
+        (p, q), (a, b) = units[u], step(u, v)
+        p, q = p * a, q * b
+        k = gcd(p, q)
+        units[v] = (p // k, q // k)
 
     for i, j in forest.non_tree:
-        # scale[i] * ratio[i, j] == scale[j], cross-multiplied (non-tree edges have i < j)
-        a, r, b = scale[i], table[(i, j)], scale[j]
-        if a.numerator * r.numerator * b.denominator == b.numerator * a.denominator * r.denominator:
+        (p_i, q_i), (p_j, q_j), t = units[i], units[j], edges[(i, j)]
+        if p_i * t[-2] * q_j == p_j * t[-1] * q_i:
             continue
         path = _forest_path(j, i, forest.parent)
         cycle = [i, j] + path[1:-1]
         start = cycle.index(min(cycle))
         cycle = cycle[start:] + cycle[:start]
-        holonomy = Fraction(1)
+        num = den = 1
         for u, v in zip(cycle, cycle[1:] + [cycle[0]]):
-            holonomy *= step(u, v)
+            a, b = step(u, v)
+            num, den = num * a, den * b
         labels = tuple(X.vertices[v] for v in cycle)
-        return None, CycleCertificate(labels, holonomy, (X.vertices[i], X.vertices[j]))
-
-    return {X.vertices[v]: scale[v] for v in range(len(X.vertices))}, None
+        return None, CycleCertificate(labels, Fraction(num, den), (X.vertices[i], X.vertices[j]))
+    return units, None
 
 
 def _forest_path(a: int, b: int, tree_parent: Mapping[int, int]) -> list[int]:
@@ -285,51 +308,59 @@ def glue_urprior(system: AgentSystem, scaling: Mapping[str, Fraction]) -> dict[s
 
     Under the pipeline's preconditions (pairwise compatible, no overlap
     asymmetry, scaling solved) the rescaled masses agree wherever
-    awareness sets meet. With agent i's pmf written as n_x / d_i
-    (``CredenceFunction.counts``), its rescaled mass at x is g_i * n_x for
-    the unit g_i = factor_i / d_i, reduced once per agent. An
-    outcome's mass is taken at its first agent; each later agent is
-    compared with it by integer cross-multiplication. A disagreement
-    means an internal invariant broke, so it raises GluingError rather
-    than guessing; the first error in agent order wins. The masses are
-    then put over L, the lcm of the units' denominators, as integers
-    W_x, and the measure is W_x / sum(W): one ``Fraction`` per outcome.
+    awareness sets meet. Each factor becomes the unit g_i = factor_i / d_i
+    (``CredenceFunction.counts``), reduced once, for the integer glue of
+    ``decide_urprior``; a factor that is not a positive int or
+    ``Fraction`` raises ValueError at its agent's turn.
     """
-    units: list[tuple[int, int]] = []  # g_i, reduced, as (numerator, denominator)
+
+    def units() -> Iterator[tuple[int, int]]:
+        for agent in system.agents:
+            factor = scaling.get(agent.name)
+            if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)) or factor <= 0:
+                raise ValueError(f"scaling must assign a positive factor to agent {agent.name}")
+            p, q = factor.numerator, factor.denominator * agent.counts[0]
+            k = gcd(p, q)
+            yield p // k, q // k
+
+    weights, total = _glue(system, units())
+    return {x: Fraction(weights[x], total) for x in system.space.outcomes if x in weights}
+
+
+def _glue(system: AgentSystem, units: Iterable[tuple[int, int]]) -> tuple[dict[str, int], int]:
+    """The glued masses as integers W_x over one denominator, and their sum.
+
+    ``units`` yields each agent's unit g_i as a reduced pair, in agent
+    order; with the pmf as n_x / d_i, the agent's mass at x is g_i * n_x,
+    taken at x's first agent and cross-multiplied against each later one.
+    A disagreement means an internal invariant broke, so it raises
+    GluingError; the first in agent order wins. W_x is the mass times L,
+    the lcm of the units' denominators.
+    """
+    seen: list[tuple[int, int]] = []
     merged: dict[str, tuple[int, int]] = {}  # outcome -> (its first agent, n_x)
-    for a, agent in enumerate(system.agents):
-        factor = scaling.get(agent.name)
-        if (
-            isinstance(factor, bool)
-            or not isinstance(factor, (int, Fraction))
-            or factor.numerator <= 0
-        ):
-            raise ValueError(f"scaling must assign a positive factor to agent {agent.name}")
-        d, counts = agent.counts
-        p, q = factor.numerator, factor.denominator * d
-        k = gcd(p, q)
-        p, q = p // k, q // k
-        units.append((p, q))
-        for outcome, n in counts.items():
+    for a, (agent, (p, q)) in enumerate(zip(system.agents, units)):
+        seen.append((p, q))
+        for outcome, n in agent.counts[1].items():
             first = merged.get(outcome)
             if first is None:
                 merged[outcome] = (a, n)
                 continue
             b, m = first
-            p_first, q_first = units[b]
+            p_first, q_first = seen[b]
             # g_b * m == g_a * n, cross-multiplied
             if p_first * m * q != p * n * q_first:
                 raise GluingError(
                     f"agents {system.agents[b].name} and {agent.name} assign different "
                     f"rescaled masses to {outcome!r}"
                 )
-    L = lcm(*(q for _, q in units))
-    scale = [p * (L // q) for p, q in units]
+    L = lcm(*(q for _, q in seen))
+    scale = [p * (L // q) for p, q in seen]
     weights = {x: scale[a] * n for x, (a, n) in merged.items()}
     total = sum(weights.values())
     if total == 0:
         raise GluingError("glued measure has zero total mass")
-    return {x: Fraction(weights[x], total) for x in system.space.outcomes if x in weights}
+    return weights, total
 
 
 def verify_urprior(system: AgentSystem, measure: Mapping[str, Fraction]) -> VerificationReport:
@@ -340,20 +371,22 @@ def verify_urprior(system: AgentSystem, measure: Mapping[str, Fraction]) -> Veri
     measure(x) == pmf(x) * sector for each aware outcome. One diagnostic
     line per agent.
 
-    The measure is written over one common denominator D, w_x / D, so the
-    total and every sector are integer sums; with the agent's pmf as
-    n_x / d, each conditional check is w_x * d == n_x * sector. A
-    reduced ``Fraction`` is built only for a diagnostic. Masses must be
-    ``int`` or ``Fraction`` values; a float, bool or string raises
-    ValueError.
+    The measure is written over one common denominator D, w_x / D, for
+    the integer check that ``decide_urprior`` runs on its glued weights.
+    Masses must be ``int`` or ``Fraction`` values; a float, bool or string
+    raises ValueError.
     """
-    diagnostics: list[str] = []
-    ok = True
     for x, v in measure.items():
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise ValueError(f"measure: outcome {x!r}: mass {v!r} is not an int or a Fraction")
     D, w = common_denominator(measure)
+    return _verify(system, w, D)
 
+
+def _verify(system: AgentSystem, w: Mapping[str, int], D: int) -> VerificationReport:
+    """verify_urprior on w_x / D; with the pmf as n_x / d, x checks w_x * d == n_x * sector."""
+    diagnostics: list[str] = []
+    ok = True
     negatives = sorted(x for x, n in w.items() if n < 0)
     if negatives:
         ok = False
@@ -410,23 +443,26 @@ def _decide(
     report: CompatibilityReport,
     overlap: Callable[[], SimplicialComplex],
 ) -> UrPriorResult:
-    """decide_urprior on the system's pairwise report.
+    """decide_urprior on the system's pairwise report, in integer units.
 
     ``overlap`` returns the system's overlap complex truncated at any
     dimension >= 1 (only its 1-skeleton is read); it is called only when
-    no pairwise obstruction fires.
+    no pairwise obstruction fires. Agent i's unit g_i = scale_i / d_i is
+    1 / d_i at a root and steps as g_j / g_i == M_i / M_j, the overlap
+    sums of ``system.overlaps`` (the d's cancel), so no ratio or scale
+    ``Fraction`` is built; the glue and its verification run on integers.
     """
     if report.violations:
         return UrPriorResult("none", None, report.violations[0])
     if report.asymmetries:
         return UrPriorResult("none", None, report.asymmetries[0])
-    skeleton = overlap()
-    scaling, cycle = solve_scaling(skeleton, ratio_cochain(system, skeleton))
+    agents = system.agents
+    units, cycle = _propagate(overlap(), system.overlaps, lambda v: (1, agents[v].counts[0]))
     if cycle is not None:
         return UrPriorResult("none", None, cycle)
-    assert scaling is not None
-    measure = glue_urprior(system, scaling)
-    check = verify_urprior(system, measure)
+    weights, total = _glue(system, units)
+    check = _verify(system, weights, total)
     if not check.ok:
         raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))
+    measure = {x: Fraction(weights[x], total) for x in system.space.outcomes if x in weights}
     return UrPriorResult("exists", measure, None)

@@ -8,9 +8,10 @@ main pipeline, so it deliberately shares nothing with it beyond the data
 model and exact rational arithmetic: it reads the numerator and
 denominator of each pmf value on its own, and works in plain integers.
 Each sector mass is a reduced pair (a, b), meaning a / b, extended along
-a link with one ``gcd``; links are checked by cross-multiplication; the
-outcome masses are summed over one common denominator. The only
-``Fraction`` it builds is each returned mass, one ``gcd`` apiece.
+a link with one ``gcd``; the links that extension did not cross are
+checked by cross-multiplication; the outcome masses are summed over one
+common denominator. The only ``Fraction`` it builds is each returned
+mass, one ``gcd`` apiece.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     # sector ratios as linking every pair of them. A link (i, j, p, q)
     # says s_j == s_i * p / q, with p / q == pmf_i(x) / pmf_j(x) unreduced.
     links: list[tuple[int, int, int, int]] = []
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    adjacency: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for x in union:
         positives = positive_at[x]
         if not positives:
@@ -74,12 +75,14 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
         for j in positives[1:]:
             mj = agents[j].pmf[x]
             p, q = mi.numerator * mj.denominator, mi.denominator * mj.numerator
+            adjacency[i].append((j, p, q, len(links)))
+            adjacency[j].append((i, q, p, len(links)))
             links.append((i, j, p, q))
-            adjacency[i].append((j, p, q))
-            adjacency[j].append((i, q, p))
 
-    # s_v == s_u * p / q, reduced with one gcd per step.
+    # s_v == s_u * p / q, reduced with one gcd per step. A link the walk
+    # crosses holds by construction; every other link is checked after.
     sector: list[tuple[int, int] | None] = [None] * n
+    crossed = [False] * len(links)
     for root in range(n):
         if sector[root] is not None:
             continue
@@ -88,15 +91,16 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
         while queue:
             u = queue.popleft()
             a, b = sector[u]
-            for v, p, q in adjacency[u]:
+            for v, p, q, link in adjacency[u]:
                 if sector[v] is None:
                     num, den = a * p, b * q
                     g = gcd(num, den)
                     sector[v] = (num // g, den // g)
+                    crossed[link] = True
                     queue.append(v)
-    for i, j, p, q in links:
+    for (i, j, p, q), tree in zip(links, crossed):
         (ai, bi), (aj, bj) = sector[i], sector[j]
-        if aj * bi * q != ai * p * bj:
+        if not tree and aj * bi * q != ai * p * bj:
             return None
 
     # Each outcome's mass pmf_k(x) * s_k, reduced once, then over the lcm

@@ -152,6 +152,24 @@ def geometric_chain(agents: int, ratio: int) -> AgentSystem:
     return AgentSystem(OutcomeSpace(outcomes), tuple(agent_list))
 
 
+def disjoint_union(*parts: AgentSystem) -> AgentSystem:
+    """The parts side by side, with part k's agent and outcome labels prefixed ``k:``.
+
+    No outcome is shared across parts, so the overlap complex has at least
+    one component per part, and a common prior exists exactly when each
+    part has one.
+    """
+    outcomes: list[str] = []
+    agents: list[CredenceFunction] = []
+    for k, part in enumerate(parts):
+        outcomes += [f"{k}:{x}" for x in part.space.outcomes]
+        agents += [
+            CredenceFunction(f"{k}:{a.name}", {f"{k}:{x}": v for x, v in a.pmf.items()})
+            for a in part.agents
+        ]
+    return AgentSystem(OutcomeSpace(tuple(outcomes)), tuple(agents))
+
+
 def annulus(rng: random.Random, m: int) -> SimplicialComplex:
     """A triangulated annulus: rings u0..u(m-1) and v0..v(m-1), 2m vertices, 4m edges, 2m triangles.
 

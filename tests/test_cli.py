@@ -534,8 +534,8 @@ class TestInputRobustness:
         assert out.startswith("invalid system file:\n")
 
     def test_internal_error_exits_three(self, data_dir, capsys, monkeypatch):
-        # a glued measure that fails re-verification raises GluingError
-        monkeypatch.setattr(compat, "glue_urprior", lambda system, scaling: {})
+        # glued weights that fail re-verification raise GluingError
+        monkeypatch.setattr(compat, "_glue", lambda system, units: ({}, 1))
         code, out, err = run(capsys, "check", str(data_dir / "ex1.json"), "--json")
         assert code == 3
         assert out == ""

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from urprior import cli
 from urprior.compat import (
     Asymmetry,
     CycleCertificate,
@@ -289,6 +291,27 @@ class TestDecide:
         result = decide_urprior(system)
         assert result.verdict == "exists"
         assert result.measure == {"a": Fraction(1, 3), "b": Fraction(2, 3)}
+
+    def test_two_components_each_get_sector_mass_one_before_normalizing(self, tmp_path, capsys):
+        # every component's root starts at scale 1, so each of the two
+        # agents' awareness sets gets half of the glued measure
+        raw = {
+            "outcomes": ["a", "b", "c", "d"],
+            "agents": [
+                {"name": "1", "credence": {"a": "1/2", "b": "1/2"}},
+                {"name": "2", "credence": {"c": "1/3", "d": "2/3"}},
+            ],
+        }
+        result = decide_urprior(validate(raw))
+        expected = {"a": Fraction(1, 4), "b": Fraction(1, 4), "c": Fraction(1, 6), "d": Fraction(1, 3)}
+        assert result.verdict == "exists" and result.measure == expected
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(raw))
+        printed = []
+        for command in ("check", "oracle"):
+            assert cli.main([command, str(path), "--json"]) == 0
+            printed.append(json.loads(capsys.readouterr().out)["ur_prior"])
+        assert printed[0] == printed[1] == {"a": "1/4", "b": "1/4", "c": "1/6", "d": "1/3"}
 
     def test_verdicts_on_random_systems(self):
         rng = random.Random(42)

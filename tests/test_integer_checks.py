@@ -9,8 +9,11 @@ from math import lcm
 import pytest
 
 from urprior.compat import (
+    CycleCertificate,
     GluingError,
     RatioCochain,
+    UrPriorResult,
+    decide_urprior,
     glue_urprior,
     pairwise_compatibility,
     ratio_cochain,
@@ -18,7 +21,7 @@ from urprior.compat import (
     verify_urprior,
 )
 from urprior.cohomology import Cochain, cochain_from_vector
-from urprior.complexes import build_overlap_complex, from_facets
+from urprior.complexes import build_overlap_complex, connected_components, from_facets
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 from urprior.oracle import feasibility_oracle
 from urprior.witness import generate_counterexample
@@ -27,7 +30,9 @@ from . import fraction_reference as reference
 from .generators import (
     EDGE_CASES,
     annulus,
+    disjoint_union,
     geometric_chain,
+    holonomy_from_pmfs,
     random_complex,
     seeded_systems,
     window_chain,
@@ -338,3 +343,47 @@ def test_cochains_must_be_int_or_fraction(value):
     c = cochain_from_vector(X, 0, [2, Fraction(1, 3)])
     assert c.vector() == (Fraction(2), Fraction(1, 3))
     assert all(type(v) is Fraction for v in c.vector())
+
+
+# Counterexamples on the annuli m = 3..8, and feasible systems whose overlap
+# complex has two or more components, one of them a growth-1000 window chain.
+ANNULI = HOLED + [generate_counterexample(annulus(random.Random(m), m)) for m in (6, 7, 8)]
+TWO_COMPONENT = [
+    disjoint_union(
+        window_chain(random.Random(seed), 12, growth=1000)[0],
+        window_chain(random.Random(seed + 10), 9)[0],
+    )
+    for seed in (1, 2)
+] + [disjoint_union(geometric_chain(6, 7), EDGE_CASES["single agent"], geometric_chain(3, 2))]
+
+
+def _staged_decision(system: AgentSystem) -> UrPriorResult:
+    """decide_urprior through the public stages: ratio cochain, scaling, glue, verify."""
+    report = pairwise_compatibility(system)
+    if report.violations or report.asymmetries:
+        return UrPriorResult("none", None, (report.violations + report.asymmetries)[0])
+    X = build_overlap_complex(system, max_dim=1)
+    scaling, cycle = solve_scaling(X, ratio_cochain(system, X))
+    if cycle is not None:
+        return UrPriorResult("none", None, cycle)
+    measure = glue_urprior(system, scaling)
+    assert verify_urprior(system, measure).ok
+    return UrPriorResult("exists", measure, None)
+
+
+def test_decide_equals_the_fraction_stages():
+    kinds = {"exists": 0, "cycle": 0, "multi-component exists": 0}
+    for system in SYSTEMS + BIG + ANNULI + TWO_COMPONENT:
+        ours, staged = decide_urprior(system), _staged_decision(system)
+        assert ours == staged
+        if ours.verdict == "exists":
+            assert list(ours.measure) == list(staged.measure)
+            kinds["exists"] += 1
+            if len(connected_components(build_overlap_complex(system, max_dim=1))) > 1:
+                kinds["multi-component exists"] += 1
+        elif isinstance(ours.certificate, CycleCertificate):
+            assert holonomy_from_pmfs(system, ours.certificate.cycle) == ours.certificate.holonomy
+            kinds["cycle"] += 1
+    # 14 seeded systems have a feasible overlap complex of several components
+    assert kinds["exists"] > 150 and kinds["cycle"] == len(ANNULI)
+    assert kinds["multi-component exists"] == 14 + len(TWO_COMPONENT)
