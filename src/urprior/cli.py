@@ -11,11 +11,15 @@ succeeded), 1 when it does not exist (or no counterexample is possible),
 2 for invalid input (a duplicated key in a JSON object included), 3 for
 an internal error, reported on one stderr line. A crash never exits 1.
 All probabilities in reports are exact fractions in lowest terms;
-reports are deterministic byte for byte for a given input.
+reports are deterministic byte for byte for a given input. A ``--json``
+report is the text of ``json.dumps(payload, indent=2)``, from a writer on
+the C string encoder: with ``indent`` set the stdlib encodes in Python.
 
 ``main`` may be called many times in one process: it builds its
 argument parser on the first call and reuses it, and each call parses
 its own arguments afresh, so nothing carries over from an earlier call.
+A first argument naming a subcommand goes straight to that subcommand's
+parser, as argparse would pass it on, with the same help and error text.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import functools
 import json
 import sys
 from collections.abc import Callable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -52,7 +57,7 @@ from urprior.witness import AmbiguousLabelError, NoHoleError, generate_counterex
 # matrix_rank is re-exported, not called: every rank is read through
 # urprior.cohomology, and the benchmark tracer (bench/tracing.py) wraps
 # urprior.cli.matrix_rank as one of its patch sites.
-__all__ = ["main", "load_complex", "load_system", "system_to_dict", "complex_to_dict", "matrix_rank"]
+__all__ = ["main", "load_complex", "load_system", "system_to_dict", "matrix_rank"]
 
 
 class CliError(Exception):
@@ -63,18 +68,21 @@ class CliError(Exception):
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """object_pairs_hook that refuses a key given twice in one JSON object."""
-    out: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValidationError([f"duplicate key {key!r} in one JSON object"])
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError([f"duplicate key {key!r} in one JSON object"])
+            seen.add(key)
     return out
 
 
 def _load_json(path: str) -> Any:
     """Parse a UTF-8 JSON file. Raises ValidationError on a duplicated key, at any depth."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -133,13 +141,6 @@ def system_to_dict(system: AgentSystem) -> dict[str, Any]:
             }
             for agent in system.agents
         ],
-    }
-
-
-def complex_to_dict(X: SimplicialComplex) -> dict[str, Any]:
-    return {
-        "vertices": list(X.vertices),
-        "facets": [[X.vertices[i] for i in facet] for facet in X.facets()],
     }
 
 
@@ -255,14 +256,36 @@ def render_check_text(report: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _dumps(value: Any, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)`` on report values; any other type raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):  # _quote raises TypeError on a non-str key
+        parts, brackets = [_quote(k) + ": " + _dumps(v, inner) for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        parts, brackets = [_dumps(v, inner) for v in value], "[]"
+    elif value is None:
+        return "null"
+    elif isinstance(value, bool):
+        return "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
+
+
 def _emit(payload: Mapping[str, Any], render: Callable[[], str], as_json: bool) -> None:
     """Print the payload as JSON, or the text report; ``render`` runs only for the latter."""
-    print(json.dumps(payload, indent=2) if as_json else render())
+    print(_dumps(payload) if as_json else render())
 
 
 def _invalid_system(exc: ValidationError, as_json: bool) -> int:
     if as_json:
-        print(json.dumps({"valid": False, "errors": exc.violations}, indent=2))
+        print(_dumps({"valid": False, "errors": exc.violations}))
     else:
         print("invalid system file:")
         for line in exc.violations:
@@ -369,7 +392,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         return 1
     except AmbiguousLabelError as exc:
         raise CliError(f"{args.file}: {exc}") from exc
-    text = json.dumps(system_to_dict(system), indent=2)
+    text = _dumps(system_to_dict(system))
     if args.output:
         try:
             Path(args.output).write_text(text + "\n")
@@ -408,12 +431,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared by later ones.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subcommand parsers by name, built once and shared by later calls.
 
-    Each ``parse_args`` returns a fresh namespace, so no option carries
-    over between calls; the handlers read library functions through
-    module globals when they run, not when the parser is built.
+    Each parse returns a fresh namespace, so no option carries over
+    between calls; the handlers read library functions through module
+    globals when they run, not when the parser is built.
     """
     parser = argparse.ArgumentParser(
         prog="urprior",
@@ -460,12 +483,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--json", action="store_true", help="machine-readable report")
     p_oracle.set_defaults(handler=cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no subcommand name first: help, usage and errors as argparse gives them
+        args = parser.parse_args(argv)
+    else:  # what the top parser would do: hand the rest to the subcommand, refuse leftovers
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.handler(args)
     except CliError as exc:

@@ -121,16 +121,6 @@ class SimplicialComplex:
     def label(self, simplex: Simplex) -> str:
         return "{" + ",".join(self.vertices[i] for i in simplex) + "}"
 
-    def facets(self) -> list[Simplex]:
-        """Maximal simplices: faces of nothing one dimension up."""
-        out: list[Simplex] = []
-        for k, level in enumerate(self.by_dim):
-            covered: set[Simplex] = set()
-            for s in self.simplices(k + 1):
-                covered.update(combinations(s, k + 1))
-            out.extend(s for s in level if s not in covered)
-        return out
-
 
 def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> SimplicialComplex:
     """Smallest downward-closed complex containing the facets and all vertices."""

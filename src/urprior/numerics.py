@@ -82,25 +82,19 @@ def parse_rational(value: object) -> Fraction:
     Floats are rejected outright: they carry binary rounding error and
     would poison exact comparisons.
 
-    A plain "p/q" string, ASCII digits only on both sides, each at most
-    ``_DIRECT_DIGITS`` long, and a nonzero q, is read straight as
-    ``Fraction(int(p), int(q))``. Everything else goes through the
-    literal grammar, with the same value or error either way: a sign,
-    whitespace, ``_``, a decimal point, an exponent, a non-ASCII digit,
-    a zero or longer part, an integer without a slash.
+    A plain integer "p" or "p/q" string, ASCII digits only, each part at
+    most ``_DIRECT_DIGITS`` long, and a nonzero q, is read straight as
+    ``Fraction(int(p))`` or ``Fraction(int(p), int(q))``. Everything
+    else goes through the literal grammar, with the same value or error
+    either way: a sign, whitespace, ``_``, a decimal point, an exponent,
+    a non-ASCII digit, a zero or longer part.
     """
     if isinstance(value, str):  # first: a file's masses are all strings
         num, slash, den = value.partition("/")
-        if (
-            slash
-            and len(num) <= _DIRECT_DIGITS
-            and len(den) <= _DIRECT_DIGITS
-            and value.isascii()
-            and num.isdigit()
-            and den.isdigit()
-        ):
-            q = int(den)
-            if q:
+        if len(num) <= _DIRECT_DIGITS and value.isascii() and num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if len(den) <= _DIRECT_DIGITS and den.isdigit() and (q := int(den)):
                 return Fraction(int(num), q)
         try:
             return _parse_literal(value)

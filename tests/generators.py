@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from typing import Any
 
 from urprior.complexes import SimplicialComplex, from_facets
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
@@ -184,6 +186,22 @@ def annulus(rng: random.Random, m: int) -> SimplicialComplex:
     vertices = [f"u{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
     rng.shuffle(vertices)
     return from_facets(vertices, facets)
+
+
+def facets(X: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Maximal simplices of X: faces of nothing one dimension up."""
+    out: list[tuple[int, ...]] = []
+    for k, level in enumerate(X.by_dim):
+        covered: set[tuple[int, ...]] = set()
+        for s in X.simplices(k + 1):
+            covered.update(combinations(s, k + 1))
+        out.extend(s for s in level if s not in covered)
+    return out
+
+
+def complex_to_dict(X: SimplicialComplex) -> dict[str, Any]:
+    """X in the complex file shape: its vertex labels and its facets by label."""
+    return {"vertices": list(X.vertices), "facets": [[X.vertices[i] for i in f] for f in facets(X)]}
 
 
 def _system(outcomes: str, *pmfs: dict[str, Fraction | int]) -> AgentSystem:

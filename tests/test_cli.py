@@ -352,6 +352,106 @@ class TestParser:
         assert exc.value.code == 2
 
 
+# Non-ASCII (one astral), control characters, quotes and backslashes.
+_TEXT = ["", "a", "é", "漢字", "\U0001f600", "\x00", "\x1f", "\x7f", "\n\t\r\b\f", '"', "\\", "/"]
+
+
+def _text(rng, most):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(most + 1)))
+
+
+def _random_payload(rng, depth=0):
+    """A JSON-able value of the types reports hold, nested up to four deep."""
+    kind = rng.randrange(10 if depth < 4 else 5)
+    if kind == 0:
+        return _text(rng, 3)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7]) if rng.random() < 0.5 else rng.randrange(-(10**300), 10**300)
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind in (3, 4):
+        return rng.choice(["1/2", "0", "gold"])
+    children = [_random_payload(rng, depth + 1) for _ in range(rng.choice([0, 0, 1, 2, 5]))]
+    if kind in (5, 6, 7):
+        return {_text(rng, 2) + str(k): v for k, v in enumerate(children)}
+    return tuple(children) if kind == 8 else children
+
+
+class TestJsonWriter:
+    """Reports are the text of ``json.dumps(payload, indent=2)``, whatever writes them."""
+
+    def test_seeded_payloads(self):
+        rng = random.Random(15)
+        payloads = [_random_payload(rng) for _ in range(600)]
+        payloads += [{}, [], (), {"a": {}}, [[]], {"a": [{}, []]}, [(), {"b": ()}], 10**299, -(10**299)]
+        assert {type(p) for p in payloads} >= {dict, list, tuple, str, int, bool, type(None)}
+        for payload in payloads:
+            assert cli._dumps(payload) == json.dumps(payload, indent=2), payload
+
+    def test_every_printed_report(self, data_dir, capsys, monkeypatch):
+        # every --json report and counterexample system printed for tests/data
+        written = []
+        dumps = cli._dumps
+
+        def recording(value, *rest):
+            if not rest:
+                written.append(value)
+            return dumps(value, *rest)
+
+        monkeypatch.setattr(cli, "_dumps", recording)
+        for path in sorted(data_dir.glob("*.json")):
+            for command, *flags in (["check", "--json"], ["oracle", "--json"], ["cohomology", "--json"]):
+                run(capsys, command, str(path), *flags)
+            run(capsys, "counterexample", str(path))
+        # check and oracle on 5 system files and (invalid) on 6 complex files,
+        # cohomology on all 11, and the 4 counterexamples that exist
+        assert len(written) == 10 + 12 + 11 + 4
+        for payload in written:
+            assert dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("payload", [0.5, {1, 2}, {1: "a"}, {"a": [{None: 1}]}, Fraction(1, 2), b"a"])
+    def test_other_types_are_refused(self, payload):
+        with pytest.raises(TypeError):
+            cli._dumps(payload)
+
+
+class TestDispatch:
+    """A subcommand name goes straight to its own parser, with the outcome of the full parse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["frobnicate"],
+            ["-h", "check"],
+            ["check"],
+            ["check", "-h"],
+            ["check", "F", "--json", "--extra"],
+            ["check", "F", "extra"],
+            ["--max-dim", "x"],
+            ["check", "F", "--js"],
+            ["check", "--json", "F"],
+            ["--", "check", "F"],
+            ["check", "--", "F"],
+            ["check", "F", "--max-dim", "x"],
+            ["oracle", "F", "--", "x"],
+            ["cohomology", "F", "--dim", "0"],
+            ["cohomology", "F", "--dim"],
+            ["counterexample", "C", "--output"],
+        ],
+    )
+    def test_same_outcome_as_the_full_parse(self, data_dir, capsys, monkeypatch, argv):
+        files = {"F": str(data_dir / "ex1.json"), "C": str(data_dir / "c4.json")}
+        argv = [files.get(a, a) for a in argv]
+        direct = run_anyhow(capsys, *argv)
+        parser, commands = cli._build_parser()
+        assert commands  # with no subcommand parsers to hand, main parses everything in full
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        assert run_anyhow(capsys, *argv) == direct
+
+
 def run_anyhow(capsys, *argv):
     """Like ``run``, but an argparse exit is returned as its code."""
     try:

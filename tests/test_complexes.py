@@ -18,7 +18,15 @@ from urprior.complexes import (
 
 from .dense_reference import coboundary_matrix
 from .overlap_reference import overlap_mass
-from .generators import annulus, hub_system, random_complex, random_system, seeded_systems, window_chain
+from .generators import (
+    annulus,
+    facets,
+    hub_system,
+    random_complex,
+    random_system,
+    seeded_systems,
+    window_chain,
+)
 
 
 class TestConstruction:
@@ -33,7 +41,7 @@ class TestConstruction:
 
     def test_from_facets_idempotent_on_facet_list(self):
         X = from_facets(("a", "b", "c", "d"), [("a", "b", "c"), ("c", "d")])
-        again = from_facets(X.vertices, [X.label(s).strip("{}").split(",") for s in X.facets()])
+        again = from_facets(X.vertices, [X.label(s).strip("{}").split(",") for s in facets(X)])
         # label round-trip keeps vertex names, so the rebuilt complex matches
         assert again == X
 

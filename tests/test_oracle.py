@@ -3,11 +3,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from urprior import oracle
+from urprior.complexes import from_facets
 from urprior.compat import decide_urprior, verify_urprior
 from urprior.credence import validate
 from urprior.oracle import feasibility_oracle
+from urprior.witness import generate_counterexample
 
-from .generators import conditioned_system, random_system
+from .generators import annulus, conditioned_system, random_system
 
 
 class TestFixtures:
@@ -72,3 +75,33 @@ class TestAgreementWithDecide:
             assert measure is not None
             assert verify_urprior(system, measure).ok
             assert sum(measure.values()) == Fraction(1)
+
+
+def _cycle(rng: random.Random, m: int):
+    """The m-cycle C_m, vertex order shuffled by the seed: H^1 = 1, no triangle."""
+    vertices = [f"v{i}" for i in range(m)]
+    rng.shuffle(vertices)
+    return from_facets(vertices, [[f"v{i}", f"v{(i + 1) % m}"] for i in range(m)])
+
+
+class TestLinkCheck:
+    """The link check, not the final re-check, refuses a system whose only obstruction is a link."""
+
+    def test_counterexamples_are_refused_before_the_outcome_masses(self, monkeypatch):
+        # Counterexamples agree on every overlap: nothing but a link the walk
+        # did not cross can fail. Only after the link check are the outcome
+        # masses put over an lcm, so a check that let a bad link through
+        # would reach it.
+        systems = [
+            generate_counterexample(build(random.Random(100 * m + k), m))
+            for build in (annulus, _cycle)
+            for m in range(3, 9)
+            for k in range(4)
+        ]
+
+        def unreachable(*args):
+            raise AssertionError("the outcome masses were reached")
+
+        monkeypatch.setattr(oracle, "lcm", unreachable)
+        assert len(systems) == 48
+        assert all(feasibility_oracle(system) is None for system in systems)

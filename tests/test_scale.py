@@ -11,7 +11,7 @@ from urprior.cohomology import coboundary, coboundary_witness, cochain_from_vect
 from urprior.compat import decide_urprior, verify_urprior
 from urprior.complexes import build_overlap_complex, connected_components
 
-from .generators import annulus, holonomy_from_pmfs, hub_system, window_chain
+from .generators import annulus, complex_to_dict, holonomy_from_pmfs, hub_system, window_chain
 
 
 def test_check_on_a_200_agent_window_chain(tmp_path, capsys):
@@ -81,7 +81,7 @@ def test_counterexample_round_trip_on_a_1280_edge_annulus(tmp_path, capsys):
     assert X.counts() == [640, 1280, 640]
     assert cohomology_dim(X, 1) == 1
     complex_path = tmp_path / "annulus.json"
-    complex_path.write_text(json.dumps(cli.complex_to_dict(X)))
+    complex_path.write_text(json.dumps(complex_to_dict(X)))
     system_path = tmp_path / "system.json"
     assert cli.main(["counterexample", str(complex_path), "--output", str(system_path)]) == 0
     capsys.readouterr()
