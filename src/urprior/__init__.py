@@ -10,14 +10,7 @@ agents that agree pairwise yet admit no common prior whenever the
 overlap pattern leaves room for one.
 """
 
-from urprior.cohomology import (
-    Cochain,
-    coboundary,
-    coboundary_witness,
-    cohomology_dim,
-    is_cocycle,
-    noncoboundary_cocycle,
-)
+from urprior.cohomology import cohomology_dim, noncoboundary_cocycle
 from urprior.compat import (
     Asymmetry,
     CompatibilityReport,
@@ -50,7 +43,6 @@ __all__ = [
     "AgentSystem",
     "AmbiguousLabelError",
     "Asymmetry",
-    "Cochain",
     "CompatibilityReport",
     "CredenceFunction",
     "CycleCertificate",
@@ -63,15 +55,12 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "build_overlap_complex",
-    "coboundary",
-    "coboundary_witness",
     "cohomology_dim",
     "decide_urprior",
     "feasibility_oracle",
     "from_facets",
     "generate_counterexample",
     "glue_urprior",
-    "is_cocycle",
     "noncoboundary_cocycle",
     "pairwise_compatibility",
     "ratio_cochain",

@@ -1,4 +1,4 @@
-"""Cochains, cocycle and coboundary tests, and rational cohomology dimensions.
+"""Coboundary ranks, rational cohomology dimensions and the canonical 1-cocycle.
 
 Ranks come from sparse integer columns through the exact column
 reduction of ``urprior.numerics``; no dense matrix is built. Every rank
@@ -17,118 +17,24 @@ read the complex's cached spanning forest (``spanning_forest``):
   and no delta_1 column is ever reduced;
 - degrees 2 and up reduce the columns of ``coboundary_columns``.
 
-Whether a 1-cochain is a coboundary, and of which vertex function, is
-settled by integrating it along the forest (``coboundary_witness``).
+A cochain is a plain map from simplices to values; the one this module
+returns, the cocycle of ``noncoboundary_cocycle``, is an ``{edge: int}``
+map over every edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
-from urprior.complexes import (
-    Simplex,
-    SimplicialComplex,
-    coboundary_columns,
-    connected_components,
-    spanning_forest,
-)
+from urprior.complexes import Simplex, SimplicialComplex, coboundary_columns, spanning_forest
 from urprior.numerics import Column, _left_kernel_vector, _reduce, matrix_rank
 
 __all__ = [
-    "Cochain",
-    "coboundary",
     "coboundary_dim",
-    "coboundary_witness",
-    "cochain_from_vector",
     "cocycle_dim",
     "cohomology_dim",
-    "is_cocycle",
     "noncoboundary_cocycle",
 ]
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """Rational-valued function on the k-simplices of a complex.
-
-    Values must be ``int`` or ``Fraction`` values; a float, bool or
-    string raises ValueError.
-    """
-
-    complex: SimplicialComplex
-    degree: int
-    values: Mapping[Simplex, Fraction]
-
-    def __post_init__(self) -> None:
-        for s, v in self.values.items():
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise ValueError(f"cochain: simplex {s!r}: value {v!r} is not an int or a Fraction")
-        object.__setattr__(self, "values", {s: Fraction(v) for s, v in self.values.items()})
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        expected = set(self.complex.simplices(self.degree))
-        if set(self.values) != expected:
-            raise ValueError(f"values must cover exactly the {self.degree}-simplices")
-
-    def vector(self) -> tuple[Fraction, ...]:
-        return tuple(self.values[s] for s in self.complex.simplices(self.degree))
-
-
-def cochain_from_vector(X: SimplicialComplex, degree: int, vec: Sequence[Fraction]) -> Cochain:
-    """The cochain whose value on the j-th k-simplex is ``vec[j]`` (``int`` or ``Fraction``)."""
-    simplices = X.simplices(degree)
-    if len(vec) != len(simplices):
-        raise ValueError(f"expected {len(simplices)} values for degree {degree}, got {len(vec)}")
-    return Cochain(X, degree, dict(zip(simplices, vec)))
-
-
-def coboundary(c: Cochain) -> Cochain:
-    """Apply the degree-c coboundary map, yielding a cochain one degree up."""
-    X = c.complex
-    out = [Fraction(0)] * len(X.simplices(c.degree + 1))
-    for value, column in zip(c.vector(), coboundary_columns(X, c.degree)):
-        if value:
-            for i, sign in column.items():
-                out[i] += sign * value
-    return cochain_from_vector(X, c.degree + 1, out)
-
-
-def is_cocycle(c: Cochain) -> bool:
-    return all(v == 0 for v in coboundary(c).values.values())
-
-
-def coboundary_witness(c: Cochain) -> Cochain | None:
-    """A vertex function whose coboundary equals the 1-cochain c, if one exists.
-
-    c is integrated along the spanning forest, then each component is
-    shifted to read 0 at its largest vertex: the vertex whose delta_0
-    column depends on the columns before it, so the witness is the
-    canonical solution that pins every dependent column to 0. Any other
-    degree raises ValueError.
-    """
-    if c.degree != 1:
-        raise ValueError("a coboundary witness needs a 1-cochain")
-    X = c.complex
-    forest = spanning_forest(X)
-    f: dict[int, Fraction | int] = {}
-    for v in forest.order:
-        u = forest.parent.get(v)
-        if u is None:
-            f[v] = 0
-        elif u < v:
-            f[v] = f[u] + c.values[(u, v)]
-        else:
-            f[v] = f[u] - c.values[(v, u)]
-    if any(f[j] - f[i] != c.values[(i, j)] for i, j in forest.non_tree):
-        return None
-    values = [Fraction(0)] * len(X.vertices)
-    for component in connected_components(X):
-        top = f[component[-1]]
-        for v in component:
-            values[v] = f[v] - top
-    return cochain_from_vector(X, 0, values)
 
 
 def _coboundary_rank(X: SimplicialComplex, k: int) -> int:
@@ -183,7 +89,7 @@ def cohomology_dim(X: SimplicialComplex, k: int) -> int:
     return cocycle_dim(X, k) - coboundary_dim(X, k)
 
 
-def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
+def noncoboundary_cocycle(X: SimplicialComplex) -> dict[Simplex, int] | None:
     """An integer 1-cocycle that is not a coboundary, or None when H^1 = 0.
 
     The canonical pick: the first reduced row-echelon kernel vector of
@@ -193,11 +99,12 @@ def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
     pivots of the reduction behind rank delta_1. It is a cocycle, since
     it vanishes on every triangle's boundary, and no coboundary: a
     coboundary delta f that is 0 on every tree edge has f constant on
-    each component, so delta f = 0.
+    each component, so delta f = 0. It is returned as a map from every
+    edge, in canonical order, to its integer value.
     """
     non_tree, pivots = _cycle_space_reduction(X)
     vector = _left_kernel_vector(pivots, len(non_tree))
     if vector is None:
         return None
     twist = {non_tree[r]: v for r, v in vector.items()}
-    return cochain_from_vector(X, 1, [twist.get(e, 0) for e in X.simplices(1)])
+    return {e: twist.get(e, 0) for e in X.simplices(1)}

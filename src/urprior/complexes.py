@@ -17,6 +17,12 @@ simplices strictly increasing over valid indices, every vertex a
 ``from_facets`` and ``build_overlap_complex`` build their levels sorted,
 unique and closed by construction, so they return through
 ``SimplicialComplex._canonical``, which checks nothing again.
+
+A complex file and an overlap complex are both the complex generated by
+a family of vertex sets (the facets; the groups of agents that weight
+one outcome), and one routine, ``_generated``, lists both. Only the
+overlap complex of a system with a sign-split edge is listed another
+way, level by level.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 from urprior.credence import AgentSystem
@@ -128,9 +134,7 @@ def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> Sim
     index = {label: i for i, label in enumerate(verts)}
     if len(index) != len(verts):
         raise ValueError("vertex labels must be unique")
-    if not verts:
-        return SimplicialComplex._canonical((), ())
-    levels: dict[int, set[Simplex]] = {0: {(i,) for i in range(len(verts))}}
+    above: list[list[Simplex]] = [[] for _ in verts]
     for facet in facets:
         labels = list(facet)
         if not labels:
@@ -138,12 +142,12 @@ def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> Sim
         unknown = [x for x in labels if x not in index]
         if unknown:
             raise ValueError(f"facet mentions unknown vertex {unknown[0]!r}")
-        idxs = tuple(sorted({index[x] for x in labels}))
-        for size in range(1, len(idxs) + 1):
-            levels.setdefault(size - 1, set()).update(combinations(idxs, size))
-    top = max(levels)
-    by_dim = tuple(tuple(sorted(levels.get(k, set()))) for k in range(top + 1))
-    return SimplicialComplex._canonical(verts, by_dim)
+        idxs = sorted({index[x] for x in labels})
+        for p in range(len(idxs) - 1):
+            above[idxs[p]].append(tuple(idxs[p + 1 :]))
+    if not verts:
+        return SimplicialComplex._canonical((), ())
+    return _generated(verts, (tuple((i,) for i in range(len(verts))),), above, None)
 
 
 def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> SimplicialComplex:
@@ -168,15 +172,13 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
 
     One index pass lists each A_x and the agents aware of x without
     weighting it; a split edge is a (weighting, non-weighting) pair of one
-    outcome's holders that is an edge. Without one, level k lists, for
-    each lowest vertex i in order, the sorted k-subsets of the groups A_x
-    above i, x in ``positive[i]``: canonical order by construction, with
-    no facet test and no set but one per vertex (none when one group
-    holds all the others). A system with a split edge is enumerated level
-    by level instead: a simplex s is extended only by neighbours of s[0]
-    above s[-1], and only when all facets of the extension survived the
-    previous level, the extension's overlap tested against each member's
-    positive outcomes.
+    outcome's holders that is an edge. Without one, the levels above the
+    edges are those of the complex the A_x generate, listed by
+    ``_generated`` as the levels of ``from_facets`` are. A system with a
+    split edge is enumerated level by level instead: a simplex s is
+    extended only by neighbours of s[0] above s[-1], and only when all
+    facets of the extension survived the previous level, the extension's
+    overlap tested against each member's positive outcomes.
     """
     agents = system.agents
     n = len(agents)
@@ -200,41 +202,49 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
                 if sum_lo > 0 and sum_hi > 0:
                     return _overlap_complex_by_levels(system, edges, max_dim)
 
-    # each vertex's groups A_x above it with two members or more, largest
-    # first; they alone give the simplices of dimension 2 and up, and the
-    # largest alone when it holds all the others
-    groups: list[list[Simplex]] = []
+    above: list[list[Simplex]] = [[] for _ in agents]
     for i, agent in enumerate(agents):
-        found: set[Simplex] = set()
         for x in agent.positive:
             members = weighting[x]
-            start = bisect_right(members, i)
-            if len(members) - start > 1:
-                found.add(tuple(members[start:]))
-        mine = sorted(found, key=len, reverse=True)
-        if len(mine) > 1 and set(mine[0]).issuperset([v for group in mine[1:] for v in group]):
-            del mine[1:]
-        groups.append(mine)
+            above[i].append(tuple(members[bisect_right(members, i) :]))
+    return _generated(system.names, (vertices, edges), above, max_dim)
 
-    levels: list[tuple[Simplex, ...]] = [vertices, edges]
-    k = 2
-    while max_dim is None or k <= max_dim:
-        level: list[Simplex] = []
-        for i, mine in enumerate(groups):
-            while mine and len(mine[-1]) < k:
-                mine.pop()
+
+def _generated(
+    names: tuple[str, ...],
+    levels: tuple[tuple[Simplex, ...], ...],
+    above: Sequence[Iterable[Simplex]],
+    max_dim: int | None,
+) -> SimplicialComplex:
+    """``levels`` extended, through ``max_dim``, by the complex a family of vertex sets generates.
+
+    ``above[i]`` holds, for each generating set that contains vertex i,
+    its members above i, sorted; sets too small to reach the first new
+    level are ignored. Level k lists, for each lowest vertex i in order,
+    ``(i,) +`` the sorted k-subsets of those sets: canonical order by
+    construction, with no facet test and no set but one per vertex and
+    level, and none when one set holds all the others, whose
+    combinations are then taken alone.
+    """
+    start = len(levels)
+    new: list[list[Simplex]] = []
+    for i, sets in enumerate(above):
+        mine = {t for t in sets if len(t) >= start}
+        if not mine:
+            continue
+        big = max(mine, key=len)
+        if len(mine) > 1 and set(big).issuperset(chain.from_iterable(mine)):
+            mine = {big}
+        top = len(big) if max_dim is None else min(len(big), max_dim)
+        for k in range(start, top + 1):
             if len(mine) == 1:
-                tails: Iterable[Simplex] = combinations(mine[0], k)
-            elif mine:
-                tails = sorted(set().union(*(combinations(group, k) for group in mine)))
+                tails: Iterable[Simplex] = combinations(big, k)
             else:
-                continue
-            level.extend(map((i,).__add__, tails))
-        if not level:
-            break
-        levels.append(tuple(level))
-        k += 1
-    return SimplicialComplex._canonical(system.names, tuple(levels))
+                tails = sorted(set().union(*(combinations(t, k) for t in mine)))
+            if len(new) == k - start:
+                new.append([])
+            new[k - start].extend(map((i,).__add__, tails))
+    return SimplicialComplex._canonical(names, (*levels, *map(tuple, new)))
 
 
 def _overlap_complex_by_levels(

@@ -2,7 +2,9 @@
 
 Given a complex whose first cohomology does not vanish, build a system of
 agents that is pairwise compatible, has exactly that complex as its
-overlap complex, and admits no common prior.
+overlap complex, and admits no common prior. The twist is the canonical
+1-cocycle of ``urprior.cohomology.noncoboundary_cocycle``, read as the
+plain ``{edge: int}`` map it returns.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
     of exactly the simplices containing vertex i, so the overlap complex
     of the result is X itself (every point gets strictly positive mass).
     Point weights are powers of two driven by the canonical 1-cocycle of
-    ``noncoboundary_cocycle`` (integer, not a coboundary, 0 on the tree
-    edges of the spanning forest), evaluated between the agent and the
-    top vertex of the simplex; after normalizing, the edge ratios of the
-    system inherit the cocycle's twist, so no consistent global rescaling
-    can exist.
+    ``noncoboundary_cocycle`` (an ``{edge: int}`` map, not a coboundary,
+    0 on the tree edges of the spanning forest), read between the agent
+    and the top vertex of the simplex; after normalizing, the edge ratios
+    of the system inherit the cocycle's twist, so no consistent global
+    rescaling can exist.
 
     Each agent is built once, in integer form: its point weights are the
     integers 2^(e - min e) over their integer sum T, so one weight is 1
@@ -51,13 +53,12 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
     one name (vertex ``a,b`` and edge ``{a,b}``). That is caught before
     any agent is built and raised as ``AmbiguousLabelError``.
     """
-    cocycle = noncoboundary_cocycle(X)
-    if cocycle is None:
+    twist = noncoboundary_cocycle(X)
+    if twist is None:
         raise NoHoleError(
             "first cohomology vanishes: every pairwise-compatible system with this "
             "overlap pattern extends to a common prior"
         )
-    twist = {edge: int(v) for edge, v in cocycle.values.items()}
 
     def exponent(i: int, top: int) -> int:
         # Antisymmetric extension of the cocycle to ordered vertex pairs.

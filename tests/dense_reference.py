@@ -7,7 +7,9 @@ dense coboundary matrix and the ``Fraction`` rescaling of a kernel
 vector to coprime integers that went with it. It is kept here, unchanged
 in behaviour, so that tests can require the sparse results to equal the
 dense ones. ``noncoboundary_cocycle`` is the one exception: it computes
-the library's canonical cocycle straight from its definition.
+the library's canonical cocycle straight from its definition. Cochains
+are plain: a map from simplices to values, or a tuple of values in
+canonical simplex order.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from urprior.cohomology import Cochain, cochain_from_vector
-from urprior.complexes import SimplicialComplex, coboundary_columns, spanning_forest
+from urprior.complexes import Simplex, SimplicialComplex, coboundary_columns, spanning_forest
 
 Vector = tuple[Fraction, ...]
 
@@ -185,8 +186,8 @@ def in_span(basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> 
     return tuple(coeffs)
 
 
-def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
-    """The canonical cocycle by its definition, densely.
+def noncoboundary_cocycle(X: SimplicialComplex) -> dict[Simplex, int] | None:
+    """The canonical cocycle by its definition, densely, as an ``{edge: int}`` map.
 
     The first vector of ``nullspace_basis`` of delta_1 (d_2 transposed)
     restricted to the columns of the spanning forest's non-tree edges,
@@ -203,13 +204,17 @@ def noncoboundary_cocycle(X: SimplicialComplex) -> Cochain | None:
     if not basis:
         return None
     twist = dict(zip(non_tree, basis[0]))
-    return cochain_from_vector(X, 1, _coprime_integers([twist.get(e, Fraction(0)) for e in index]))
+    values = _coprime_integers([twist.get(e, Fraction(0)) for e in index])
+    return {e: int(v) for e, v in zip(index, values)}
 
 
-def coboundary_witness(c: Cochain) -> Cochain | None:
-    """The dense original: span coefficients of c over the columns of delta_(k-1)."""
-    coefficients = in_span(columns(coboundary_matrix(c.complex, c.degree - 1)), c.vector())
-    if coefficients is None:
-        return None
-    return cochain_from_vector(c.complex, c.degree - 1, coefficients)
+def coboundary_witness(
+    X: SimplicialComplex, k: int, values: Sequence[Fraction | int]
+) -> Vector | None:
+    """The dense original: a (k-1)-cochain whose coboundary is the k-cochain ``values``, or None.
 
+    Both cochains are tuples of values in canonical simplex order; the
+    witness is the span coefficients of ``values`` over the columns of
+    delta_(k-1).
+    """
+    return in_span(columns(coboundary_matrix(X, k - 1)), values)

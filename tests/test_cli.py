@@ -581,6 +581,16 @@ class TestInputRobustness:
             assert out == ""
             assert err.count("\n") == 1 and err.startswith(str(path))
 
+    def test_facets_are_checked_when_the_vertex_list_is_empty(self, tmp_path, capsys):
+        # the same exit and message as with a vertex present
+        for vertices in ([], ["z"]):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"vertices": vertices, "facets": [["a", "b"], []]}))
+            for command in ("counterexample", "cohomology"):
+                code, out, err = run(capsys, command, str(path))
+                assert (code, out) == (2, ""), (command, vertices)
+                assert err == f"{path}: facet mentions unknown vertex 'a'\n"
+
     def test_numbers_beyond_the_int_to_str_digit_limit(self, tmp_path, capsys):
         # the ur-prior is proportional to (10**100)**k on outcome k, so its
         # common denominator has 5001 digits

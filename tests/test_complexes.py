@@ -6,7 +6,7 @@ import random
 import pytest
 
 from urprior import cli, complexes
-from urprior.cohomology import coboundary, coboundary_witness, cochain_from_vector
+from urprior.cohomology import cohomology_dim, noncoboundary_cocycle
 from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
@@ -53,6 +53,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_facets(("a",), [()])
 
+    def test_facets_are_checked_when_there_are_no_vertices(self):
+        # the same error, in the same facet order, as with a vertex present
+        for vertices in ((), ("z",)):
+            with pytest.raises(ValueError, match="facet mentions unknown vertex 'a'"):
+                from_facets(vertices, [("a", "b"), ()])
+            with pytest.raises(ValueError, match="facets must be nonempty"):
+                from_facets(vertices, [(), ("a", "b")])
+        assert from_facets((), []).by_dim == ()
+
     def test_validation_catches_missing_face(self):
         with pytest.raises(ValueError):
             SimplicialComplex(("a", "b", "c"), (((0,), (1,), (2,)), ((0, 1),), ((0, 1, 2),)))
@@ -68,6 +77,57 @@ class TestConstruction:
     def test_simplices_beyond_dim_is_empty(self, tri_unfilled):
         assert tri_unfilled.simplices(5) == ()
         assert tri_unfilled.counts(3) == [3, 3, 0, 0]
+
+
+def _closure(vertices, family):
+    """By brute force: the vertices plus every nonempty subset of every facet, as levels."""
+    index = {label: i for i, label in enumerate(vertices)}
+    faces = {(i,) for i in range(len(vertices))}
+    for facet in family:
+        members = sorted({index[label] for label in facet})
+        for size in range(1, len(members) + 1):
+            faces.update(itertools.combinations(members, size))
+    top = max(map(len, faces), default=0)
+    return tuple(tuple(sorted(s for s in faces if len(s) == k + 1)) for k in range(top))
+
+
+class TestFromFacetsIsTheClosure:
+    def test_seeded_facet_families(self):
+        # repeated labels inside a facet, repeated and nested facets,
+        # one-vertex facets, isolated vertices and shuffled vertex order
+        rng = random.Random(27)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            vertices = [f"v{i}" for i in range(n)]
+            rng.shuffle(vertices)
+            family = []
+            for _ in range(rng.randint(0, 2 * n)):
+                facet = [rng.choice(vertices) for _ in range(rng.randint(1, min(n, 6)))]
+                family.append(facet)
+                if rng.random() < 0.2:
+                    family.append(list(reversed(facet)))
+                if rng.random() < 0.2:
+                    family.append(facet[: rng.randint(1, len(facet))])
+            X = from_facets(vertices, family)
+            assert X.vertices == tuple(vertices)
+            assert X.by_dim == _closure(vertices, family)
+
+    def test_every_labelled_complex_on_four_vertices(self):
+        # every downward-closed family of 2-or-more-vertex subsets of 4
+        # vertices, given to from_facets by its maximal sets
+        vertices = ("a", "b", "c", "d")
+        subsets = [s for size in (2, 3, 4) for s in itertools.combinations(range(4), size)]
+        seen = 0
+        for mask in range(1 << len(subsets)):
+            family = {s for bit, s in enumerate(subsets) if mask >> bit & 1}
+            faces = {f for s in family if len(s) > 2 for f in itertools.combinations(s, len(s) - 1)}
+            if not faces <= family:
+                continue
+            seen += 1
+            maximal = [s for s in family if not any(set(s) < set(t) for t in family)]
+            labels = [[vertices[i] for i in s] for s in maximal]
+            assert from_facets(vertices, labels).by_dim == _closure(vertices, labels)
+        assert seen == 114
 
 
 class TestBuildersPassThePublicChecks:
@@ -204,6 +264,8 @@ class TestComponents:
     def test_isolated_vertex_is_own_component(self):
         X = from_facets(("a", "b", "c"), [("a", "b")])
         assert connected_components(X) == [(0, 1), (2,)]
+        X = from_facets("abcdefg", [("a", "c", "e"), ("b", "d")])
+        assert connected_components(X) == [(0, 2, 4), (1, 3), (5,), (6,)]
 
 
 class TestSpanningForest:
@@ -219,6 +281,9 @@ class TestSpanningForest:
         assert forest.order == (0, 1, 3, 2, 4, 5)
         assert dict(forest.parent) == {1: 0, 3: 0, 4: 2, 5: 4}
         assert forest.non_tree == ((1, 3),)
+        # breadth-first from 0 walks 0, 1, 3, 2: the largest vertex comes third
+        X = from_facets("0123", [("0", "1"), ("0", "3"), ("1", "2")])
+        assert spanning_forest(X).order == (0, 1, 3, 2)
 
     def test_every_edge_is_tree_or_non_tree(self):
         rng = random.Random(24)
@@ -254,10 +319,10 @@ class TestForestCache:
             cli.main([command, str(data_dir / name)])
             assert len(built) == 1, name
         capsys.readouterr()
-        # components, rank delta_0, the cycle-space rank and the witness
+        # components, rank delta_0, the cycle-space rank and the canonical cocycle
         X = from_facets(tuple("abcde"), [("a", "b", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
         built.clear()
-        c = coboundary(cochain_from_vector(X, 0, [3, 1, 4, 1, 5]))
-        assert coboundary_witness(c) is not None
         assert connected_components(X) == [(0, 1, 2, 3, 4)]
+        assert cohomology_dim(X, 1) == 1
+        assert noncoboundary_cocycle(X) is not None
         assert len(built) == 1

@@ -7,9 +7,8 @@ import random
 from fractions import Fraction
 
 from urprior import cli
-from urprior.cohomology import coboundary, coboundary_witness, cochain_from_vector, cohomology_dim
+from urprior.cohomology import cohomology_dim
 from urprior.compat import decide_urprior, verify_urprior
-from urprior.complexes import build_overlap_complex, connected_components
 
 from .generators import annulus, complex_to_dict, holonomy_from_pmfs, hub_system, window_chain
 
@@ -96,18 +95,3 @@ def test_counterexample_round_trip_on_a_1280_edge_annulus(tmp_path, capsys):
     holonomy = holonomy_from_pmfs(cli.load_system(str(system_path)), tuple(cert["cycle"]))
     assert holonomy != 1
     assert holonomy == Fraction(cert["holonomy"])
-
-
-def test_coboundary_witness_round_trip_on_a_3200_agent_window_chain():
-    n = 3200
-    rng = random.Random(n)
-    system, _ = window_chain(rng, n)
-    X = build_overlap_complex(system, max_dim=1)
-    assert X.counts() == [n, 3 * n - 6]
-    f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-    c = coboundary(cochain_from_vector(X, 0, f))
-    w = coboundary_witness(c)
-    assert w is not None
-    assert coboundary(w) == c
-    for component in connected_components(X):
-        assert w.values[(component[-1],)] == 0
