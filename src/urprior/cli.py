@@ -199,7 +199,7 @@ def build_check_report(system: AgentSystem, max_dim: int = 2) -> tuple[dict[str,
     """Assemble the full check report and its exit code."""
     compatibility = pairwise_compatibility(system)
     X = build_overlap_complex(system, max_dim=max_dim)
-    result = _decide(system, compatibility, lambda: X)
+    result = _decide(system, compatibility, X)
     report: dict[str, Any] = {
         "valid": True,
         "agents": len(system.agents),

@@ -102,9 +102,8 @@ class RatioCochain:
     """Multiplicative cochain of overlap-mass ratios on the 1-skeleton.
 
     Ratios must be ``int`` or ``Fraction`` values; a float, bool or string
-    raises ValueError. The public constructor checks every ratio and that
-    the edges are exactly those of the complex; ``ratio_cochain``, which
-    guarantees both, builds through ``_canonical`` without a second check.
+    raises ValueError. The constructor checks every ratio and that the
+    edges are exactly those of the complex.
     """
 
     complex: SimplicialComplex
@@ -121,20 +120,6 @@ class RatioCochain:
             raise ValueError("ratios must cover exactly the edges of the complex")
         if any(v.numerator <= 0 for v in self.ratios.values()):
             raise ValueError("edge ratios must be strictly positive")
-
-    @classmethod
-    def _canonical(
-        cls, complex: SimplicialComplex, ratios: dict[tuple[int, int], Fraction]
-    ) -> RatioCochain:
-        """A cochain built without checks.
-
-        The caller guarantees that ``ratios`` maps exactly the edges of
-        ``complex`` to positive ``Fraction`` values.
-        """
-        r = object.__new__(cls)
-        object.__setattr__(r, "complex", complex)
-        object.__setattr__(r, "ratios", ratios)
-        return r
 
 
 @dataclass(frozen=True)
@@ -221,7 +206,7 @@ def ratio_cochain(system: AgentSystem, X: SimplicialComplex) -> RatioCochain:
             )
         i, j = edge
         ratios[edge] = Fraction(sum_i * agents[j].counts[0], sum_j * agents[i].counts[0])
-    return RatioCochain._canonical(X, ratios)
+    return RatioCochain(X, ratios)
 
 
 def solve_scaling(
@@ -433,21 +418,17 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     genuine blocker on its own. When none fires, the scaled credences
     glue into a measure, which is verified exactly before being returned.
     """
-    return _decide(
-        system, pairwise_compatibility(system), lambda: build_overlap_complex(system, max_dim=1)
-    )
+    report = pairwise_compatibility(system)
+    return _decide(system, report, build_overlap_complex(system, max_dim=1))
 
 
 def _decide(
-    system: AgentSystem,
-    report: CompatibilityReport,
-    overlap: Callable[[], SimplicialComplex],
+    system: AgentSystem, report: CompatibilityReport, X: SimplicialComplex
 ) -> UrPriorResult:
     """decide_urprior on the system's pairwise report, in integer units.
 
-    ``overlap`` returns the system's overlap complex truncated at any
-    dimension >= 1 (only its 1-skeleton is read); it is called only when
-    no pairwise obstruction fires. Agent i's unit g_i = scale_i / d_i is
+    ``X`` is the system's overlap complex truncated at any dimension >= 1;
+    only its 1-skeleton is read. Agent i's unit g_i = scale_i / d_i is
     1 / d_i at a root and steps as g_j / g_i == M_i / M_j, the overlap
     sums of ``system.overlaps`` (the d's cancel), so no ratio or scale
     ``Fraction`` is built; the glue and its verification run on integers.
@@ -457,7 +438,7 @@ def _decide(
     if report.asymmetries:
         return UrPriorResult("none", None, report.asymmetries[0])
     agents = system.agents
-    units, cycle = _propagate(overlap(), system.overlaps, lambda v: (1, agents[v].counts[0]))
+    units, cycle = _propagate(X, system.overlaps, lambda v: (1, agents[v].counts[0]))
     if cycle is not None:
         return UrPriorResult("none", None, cycle)
     weights, total = _glue(system, units)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,18 +49,20 @@ class CredenceFunction:
     and a ``Fraction``'s denominator is positive, so the library tests
     the sign of a mass on its numerator, an ``int`` comparison.
 
-    ``counts`` is the same pmf in integer form, ``(d, {x: n_x})`` with
-    ``pmf[x] == n_x / d`` and ``d`` the lcm of the pmf's denominators.
-    The exact checks downstream compare these per-agent integers by
-    cross-multiplication, so deciding an equality never reduces a
-    fraction; ``mass`` still returns a reduced ``Fraction``. ``positive``
-    is the set of outcomes of positive mass, from which the overlap
-    complex is built. Each is computed once, on first use, or filled in
-    by ``_canonical``.
+    Three forms are set when the agent is built. ``counts`` is the pmf in
+    integer form, ``(d, {x: n_x})`` with ``pmf[x] == n_x / d`` and ``d``
+    the lcm of the pmf's denominators; the exact checks downstream
+    compare these per-agent integers by cross-multiplication, so
+    deciding an equality never reduces a fraction. ``support`` is the
+    awareness set, every pmf key. ``positive`` is the set of outcomes of
+    positive mass, from which the overlap complex is built.
     """
 
     name: str
     pmf: Mapping[str, Fraction]
+    counts: tuple[int, dict[str, int]] = field(init=False, repr=False, compare=False)
+    support: frozenset[str] = field(init=False, repr=False, compare=False)
+    positive: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pmf", dict(self.pmf))
@@ -73,9 +75,11 @@ class CredenceFunction:
                 )
         if any(v.numerator < 0 for v in self.pmf.values()):
             raise ValueError(f"agent {self.name}: negative mass")
-        error = _sum_error(self.name, self.counts)
+        counts = common_denominator(self.pmf)
+        error = _sum_error(self.name, counts)
         if error is not None:
             raise ValueError(error)
+        self._set_forms(counts)
 
     @classmethod
     def _canonical(
@@ -86,41 +90,22 @@ class CredenceFunction:
         The caller guarantees every rule ``__post_init__`` checks: a
         nonempty dict of ``int`` or ``Fraction`` masses (no bool), none
         negative, summing to 1. It also guarantees that ``counts`` is
-        exactly ``common_denominator(pmf)``, which it fills in as the
-        cached ``counts``; ``support`` and ``positive`` (read off the
-        counts) are filled in alongside, so no cached property is
-        computed, under its lock, on first read.
+        exactly ``common_denominator(pmf)``.
         """
         agent = object.__new__(cls)
         object.__setattr__(agent, "name", name)
         object.__setattr__(agent, "pmf", pmf)
-        object.__setattr__(agent, "counts", counts)
-        support = frozenset(pmf)
-        n = counts[1]
-        positive = frozenset([x for x, c in n.items() if c]) if 0 in n.values() else support
-        object.__setattr__(agent, "support", support)
-        object.__setattr__(agent, "positive", positive)
+        agent._set_forms(counts)
         return agent
 
-    @cached_property
-    def support(self) -> frozenset[str]:
-        """Awareness set: all pmf keys, zero-mass outcomes included."""
-        return frozenset(self.pmf)
-
-    @cached_property
-    def positive(self) -> frozenset[str]:
-        """The outcomes of positive mass: the awareness set less its zero-mass outcomes."""
-        return frozenset(x for x, v in self.pmf.items() if v.numerator > 0)
-
-    @cached_property
-    def counts(self) -> tuple[int, dict[str, int]]:
-        """The pmf over one common denominator: ``(d, {x: n_x})``, ``pmf[x] == n_x / d``."""
-        return common_denominator(self.pmf)
-
-    def mass(self, event: Iterable[str]) -> Fraction:
-        """Exact mass of an event, restricted to the awareness set."""
-        d, counts = self.counts
-        return Fraction(sum(counts[x] for x in event if x in counts), d)
+    def _set_forms(self, counts: tuple[int, dict[str, int]]) -> None:
+        """Set ``counts``, and ``support`` and ``positive`` read off them."""
+        support = frozenset(self.pmf)
+        n = counts[1]
+        positive = frozenset([x for x, c in n.items() if c]) if 0 in n.values() else support
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "positive", positive)
 
 
 def _sum_error(name: str, counts: tuple[int, dict[str, int]]) -> str | None:
@@ -178,12 +163,6 @@ class AgentSystem:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.agents)
-
-    def agent(self, name: str) -> CredenceFunction:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        raise KeyError(f"no agent named {name!r}")
 
     @cached_property
     def overlaps(self) -> dict[tuple[int, int], Overlap]:

@@ -61,10 +61,8 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
         )
 
     def exponent(i: int, top: int) -> int:
-        # Antisymmetric extension of the cocycle to ordered vertex pairs.
-        if i == top:
-            return 0
-        return twist[(i, top)] if i < top else -twist[(top, i)]
+        # The cocycle on edge (i, top); top, the simplex's last vertex, is its largest.
+        return twist[(i, top)] if i < top else 0
 
     simplices = [s for level in X.by_dim for s in level]
     labels = [X.label(s) for s in simplices]

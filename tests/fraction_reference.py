@@ -1,6 +1,6 @@
 """Fraction-only exact checks: the reference the integer cross-multiplications are tested against.
 
-These are ``CredenceFunction.mass``, the pairwise test, ``solve_scaling``,
+These are the mass of an event, the pairwise test, ``solve_scaling``,
 ``glue_urprior``, ``verify_urprior`` and the oracle as they were before
 the library decided its equalities on per-agent integer counts. Every
 sum, product and comparison here is ``fractions.Fraction`` arithmetic,

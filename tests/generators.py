@@ -10,6 +10,8 @@ from typing import Any
 from urprior.complexes import SimplicialComplex, from_facets
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 
+from .fraction_reference import mass
+
 
 def random_system(
     rng: random.Random, max_agents: int = 6, max_outcomes: int = 8, min_agents: int = 1
@@ -82,12 +84,12 @@ def random_complex(rng: random.Random, max_vertices: int = 7) -> SimplicialCompl
 
 def holonomy_from_pmfs(system: AgentSystem, cycle: tuple[str, ...]) -> Fraction:
     """Ratio product around a cycle, recomputed from the raw pmfs alone."""
+    agents = {a.name: a for a in system.agents}
     product = Fraction(1)
     for u_name, v_name in zip(cycle, cycle[1:] + cycle[:1]):
-        u = system.agent(u_name)
-        v = system.agent(v_name)
+        u, v = agents[u_name], agents[v_name]
         shared = u.support & v.support
-        product *= u.mass(shared) / v.mass(shared)
+        product *= mass(u, shared) / mass(v, shared)
     return product
 
 
@@ -186,6 +188,38 @@ def annulus(rng: random.Random, m: int) -> SimplicialComplex:
     vertices = [f"u{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
     rng.shuffle(vertices)
     return from_facets(vertices, facets)
+
+
+def pairwise_system(
+    X: SimplicialComplex,
+    cocycle: dict[tuple[int, ...], int],
+    weights: dict[tuple[int, ...], int | Fraction],
+) -> AgentSystem:
+    """Agents that agree pairwise, built on X from an integer 1-cocycle and simplex weights.
+
+    ``generate_counterexample`` with any cocycle and any weights: each
+    simplex s of X is one outcome, named by its label, and vertex i is an
+    agent aware of the simplices that contain it, weighting s as
+    ``weights[s] * 2**c(i, top)``, top the last (so largest) vertex of s,
+    c the cocycle and c(top, top) = 0. ``cocycle`` maps every edge of X
+    to an int with zero coboundary, and every weight is positive. Two
+    agents i and j then weigh each shared simplex in the ratio 2**c(i, j),
+    since c(i, top) - c(j, top) = c(i, j) on every simplex, so the system
+    is pairwise compatible; its overlap complex is X; and it has a common
+    prior exactly when the cocycle is a coboundary.
+    """
+
+    def exponent(i: int, top: int) -> int:
+        return cocycle[(i, top)] if i < top else 0
+
+    simplices = [s for level in X.by_dim for s in level]
+    agents = []
+    for i, name in enumerate(X.vertices):
+        mine = [s for s in simplices if i in s]
+        raw = {X.label(s): weights[s] * Fraction(2) ** exponent(i, s[-1]) for s in mine}
+        total = sum(raw.values())
+        agents.append(CredenceFunction(name, {x: w / total for x, w in raw.items()}))
+    return AgentSystem(OutcomeSpace(tuple(X.label(s) for s in simplices)), tuple(agents))
 
 
 def facets(X: SimplicialComplex) -> list[tuple[int, ...]]:

@@ -23,6 +23,8 @@ from urprior.compat import Asymmetry, CompatibilityReport, RatioCochain, Violati
 from urprior.complexes import Simplex, SimplicialComplex
 from urprior.credence import AgentSystem
 
+from .fraction_reference import mass
+
 
 def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     violations: list[Violation] = []
@@ -31,8 +33,8 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
         shared = left.support & right.support
         if not shared:
             continue
-        mass_left = left.mass(shared)
-        mass_right = right.mass(shared)
+        mass_left = mass(left, shared)
+        mass_right = mass(right, shared)
         if mass_left > 0 and mass_right > 0:
             for x in sorted(shared):
                 if left.pmf[x] * mass_right != right.pmf[x] * mass_left:
@@ -87,8 +89,8 @@ def ratio_cochain(system: AgentSystem, X: SimplicialComplex) -> RatioCochain:
     ratios: dict[tuple[int, int], Fraction] = {}
     for i, j in X.simplices(1):
         shared = agents[i].support & agents[j].support
-        mass_i = agents[i].mass(shared)
-        mass_j = agents[j].mass(shared)
+        mass_i = mass(agents[i], shared)
+        mass_j = mass(agents[j], shared)
         if mass_i <= 0 or mass_j <= 0:
             raise ValueError(
                 f"edge {X.label((i, j))} lacks a two-sided positive overlap; "
@@ -172,8 +174,9 @@ def overlap_mass(system: AgentSystem, agent_name: str, group: Iterable[str]) -> 
         raise ValueError(f"unknown agent name(s): {unknown}")
     if agent_name not in members:
         raise ValueError(f"agent {agent_name!r} is not a member of the group")
+    agents = {a.name: a for a in system.agents}
     overlap: frozenset[str] | None = None
     for member in members:
-        support = system.agent(member).support
+        support = agents[member].support
         overlap = support if overlap is None else overlap & support
-    return system.agent(agent_name).mass(overlap or ())
+    return mass(agents[agent_name], overlap or ())

@@ -88,6 +88,22 @@ class TestCheck:
         assert "verdict: no ur-prior" in out
         assert "27/8" in out
 
+    def test_disconnected_skeleton_note(self, tmp_path, capsys):
+        path = tmp_path / "disjoint.json"
+        agents = [{"name": "1", "credence": {"a": "1"}}, {"name": "2", "credence": {"b": "1"}}]
+        path.write_text(json.dumps({"outcomes": ["a", "b"], "agents": agents}))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-5:] == [
+            "verdict: ur-prior exists",
+            "ur-prior:",
+            "  a = 1/2",
+            "  b = 1/2",
+            "note: the overlap skeleton is disconnected, so the relative mass "
+            "between components is one valid choice among many",
+        ]
+        assert "components: 2" in out.splitlines()
+
     def test_output_is_deterministic(self, data_dir, capsys):
         _, first, _ = run(capsys, "check", str(data_dir / "ex1.json"), "--json")
         _, second, _ = run(capsys, "check", str(data_dir / "ex1.json"), "--json")
@@ -205,6 +221,13 @@ class TestCohomology:
         assert code == 0
         assert calls == [path]
 
+    def test_invalid_system_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"outcomes": ["a"], "agents": [{"name": "1", "credence": {"a": "1/2"}}]}')
+        code, out, err = run(capsys, "cohomology", str(path))
+        assert (code, out) == (2, "")
+        assert err == "invalid system file: pmf sum != 1 for agent 1 (sum 1/2)\n"
+
     def test_degree_zero_rejected(self, data_dir, capsys):
         code, _, err = run(capsys, "cohomology", str(data_dir / "tri_filled.json"), "--dim", "0")
         assert code == 2
@@ -232,6 +255,21 @@ class TestCounterexample:
         assert report["pairwise"]["compatible"] is True
         assert report["h1"] >= 1
         assert report["certificate"]["kind"] == "cycle_holonomy"
+
+    def test_non_object_complex_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text('[["a", "b"]]')
+        code, out, err = run(capsys, "counterexample", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}: complex file must be a JSON object\n"
+
+    def test_unwritable_output_exits_two(self, data_dir, tmp_path, capsys):
+        target = tmp_path / "missing" / "system.json"
+        source = str(data_dir / "c4.json")
+        code, out, err = run(capsys, "counterexample", source, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+        assert not target.parent.exists()
 
     def test_hole_free_complex_exits_one(self, data_dir, capsys):
         code, _, err = run(capsys, "counterexample", str(data_dir / "tri_filled.json"))

@@ -70,6 +70,39 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimplicialComplex(("a", "b"), (((1,), (0,)),))
 
+    @pytest.mark.parametrize(
+        "vertices, by_dim, message",
+        [
+            (("a", "a"), (((0,), (1,)),), "vertex labels must be unique"),
+            (("a", "b"), (((0,), (1,)), ((0,),)), r"^\(0,\) listed at dimension 1$"),
+            (("a",), (((0,), (1,)),), r"^simplex \(1,\) uses an invalid vertex index$"),
+            (("a",), ((("0",),),), r"^simplex \('0',\) uses an invalid vertex index$"),
+            (("a", "b"), (((0,), (1,)), ((1, 0),)), r"^simplex \(1, 0\) is not strictly increasing"),
+            (("a", "b"), (((0,), (1,)), ((0, 0),)), r"^simplex \(0, 0\) is not strictly increasing"),
+            (("a", "b"), (((0,),),), "^every vertex must appear as a 0-simplex$"),
+            (("a",), (), "^every vertex must appear as a 0-simplex$"),
+            (("a",), (((0,),), ()), "^trailing empty dimension; trim before constructing$"),
+        ],
+        ids=[
+            "duplicate-label",
+            "wrong-dimension",
+            "index-out-of-range",
+            "index-not-int",
+            "not-increasing",
+            "repeated-index",
+            "vertex-missing",
+            "vertex-missing-no-levels",
+            "trailing-empty-level",
+        ],
+    )
+    def test_public_constructor_rejects(self, vertices, by_dim, message):
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(vertices, by_dim)
+
+    def test_from_facets_rejects_a_repeated_vertex_label(self):
+        with pytest.raises(ValueError, match="^vertex labels must be unique$"):
+            from_facets(("a", "b", "a"), [("a", "b")])
+
     def test_label_formatting(self, tri_unfilled):
         assert tri_unfilled.label((0, 1)) == "{1,2}"
         assert tri_unfilled.label((2,)) == "{3}"

@@ -37,7 +37,7 @@ class TestValidate:
             )
         )
         assert system.names == ("1", "2")
-        assert system.agent("2").pmf["b"] == Fraction(1, 4)
+        assert system.agents[1].pmf["b"] == Fraction(1, 4)
 
     def test_broken_sum_reports_agent_and_total(self):
         with pytest.raises(ValidationError) as exc:
@@ -96,14 +96,31 @@ class TestValidate:
                 [{"name": "1", "credence": {"a": "1"}}, {"name": "1", "credence": {"b": "1"}}],
                 ["duplicate agent name '1'"],
             ),
+            (
+                [3, {"name": "1", "credence": {"a": "1"}}],
+                ["agent #0: entry must be an object"],
+            ),
+            (
+                [{"credence": {"a": "1"}}, {"name": ""}],
+                ["agent #0: missing or invalid name", "agent #1: missing or invalid name"],
+            ),
+            (
+                [{"name": "1", "credence": ["a"]}],
+                ["agent 1: 'credence' must be a nonempty mapping"],
+            ),
         ],
-        ids=["sum", "negative", "unknown outcome", "duplicate name"],
+        ids=["sum", "negative", "unknown outcome", "duplicate name", "entry", "name", "credence"],
     )
     def test_error_lines(self, agents, expected):
         with pytest.raises(ValidationError) as exc:
             validate(_raw(["a", "b"], agents))
         assert exc.value.violations == expected
         assert str(exc.value) == "; ".join(expected)
+
+    def test_non_string_outcome_label(self):
+        with pytest.raises(ValidationError) as exc:
+            validate(_raw([1, "a"], [{"name": "1", "credence": {"a": "1"}}]))
+        assert exc.value.violations == ["outcome label 1 is not a string"]
 
     def test_sum_error_line_in_the_cli_report(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -117,7 +134,7 @@ class TestValidate:
         system = validate(
             _raw(["a", "b", "c"], [{"name": "1", "credence": {"a": "-0", "b": "1", "c": "-0/7"}}])
         )
-        agent = system.agent("1")
+        (agent,) = system.agents
         assert agent.pmf == {"a": 0, "b": 1, "c": 0}
         assert agent.support == frozenset({"a", "b", "c"})
 
@@ -163,22 +180,29 @@ class TestModel:
             for agent in system.agents:
                 assert agent.positive == frozenset(x for x, v in agent.pmf.items() if v > 0)
 
-    def test_mass_of_event(self):
-        agent = CredenceFunction("1", {"a": Fraction(1, 4), "b": Fraction(3, 4)})
-        assert agent.mass({"a", "b"}) == Fraction(1)
-        assert agent.mass({"c"}) == Fraction(0)
-
     def test_plain_int_masses(self):
         # zero is awareness without weight, not a negative mass
         agent = CredenceFunction("1", {"a": 1, "b": 0})
         assert agent.support == frozenset({"a", "b"})
-        assert agent.mass({"b"}) == 0
+        assert agent.counts == (1, {"a": 1, "b": 0})
         with pytest.raises(ValueError, match="negative mass"):
             CredenceFunction("1", {"a": 2, "b": -1})
 
     def test_pmf_must_sum_to_one(self):
         with pytest.raises(ValueError, match=r"^pmf sum != 1 for agent 1 \(sum 1/2\)$"):
             CredenceFunction("1", {"a": Fraction(1, 2)})
+
+    def test_rejects_an_empty_pmf(self):
+        with pytest.raises(ValueError, match="^agent 1: awareness set is empty$"):
+            CredenceFunction("1", {})
+
+    def test_system_rejects_no_agents_and_repeated_names(self):
+        space = OutcomeSpace(("a",))
+        with pytest.raises(ValueError, match="^a system needs at least one agent$"):
+            AgentSystem(space, ())
+        agent = CredenceFunction("1", {"a": 1})
+        with pytest.raises(ValueError, match="^agent names must be unique$"):
+            AgentSystem(space, (agent, CredenceFunction("1", {"a": Fraction(1)})))
 
     def test_space_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -192,10 +216,6 @@ class TestModel:
 
     def test_union_support(self, ex1):
         assert ex1.union_support() == frozenset(ex1.space.outcomes)
-
-    def test_unknown_agent_lookup(self, ex1):
-        with pytest.raises(KeyError):
-            ex1.agent("nope")
 
 
 class TestOverlapMass:
@@ -234,8 +254,9 @@ def _assert_checked_once(system: AgentSystem) -> None:
 
     ``validate`` and ``generate_counterexample`` build agents and systems
     through the unchecked ``_canonical`` forms and hand each agent its
-    counts, support and positive outcomes; the public constructors check
-    every rule and derive all three from the pmf.
+    counts; the public constructors check every rule and derive the
+    counts from the pmf. Either way the counts, support and positive
+    outcomes are set when the agent is built.
     """
     for agent in system.agents:
         assert agent.counts == common_denominator(agent.pmf)
@@ -246,7 +267,8 @@ def _assert_checked_once(system: AgentSystem) -> None:
     )
     assert rebuilt == system
     for ours, theirs in zip(system.agents, rebuilt.agents):
-        assert vars(ours).keys() >= {"counts", "support", "positive"}  # filled in, not computed on read
+        for agent in (ours, theirs):  # set when built, not computed on read
+            assert vars(agent).keys() >= {"counts", "support", "positive"}
         assert ours.counts == theirs.counts
         assert type(ours.support) is frozenset and ours.support == theirs.support
         assert type(ours.positive) is frozenset and ours.positive == theirs.positive

@@ -68,19 +68,6 @@ def test_counts_are_the_pmf_over_the_lcm_of_its_denominators():
             assert all(type(n) is int for n in counts.values())
 
 
-def test_mass_equals_the_reference():
-    rng = random.Random(7)
-    for system in SYSTEMS + HOLED:
-        for agent in system.agents:
-            events = [(), agent.support, ("not an outcome",)]
-            outcomes = system.space.outcomes
-            events += [rng.sample(outcomes, k) for k in range(len(outcomes))]
-            for event in events:
-                ours = agent.mass(event)
-                assert ours == reference.mass(agent, event)
-                assert type(ours) is Fraction
-
-
 def test_pairwise_reports_equal_the_reference():
     for system in SYSTEMS + HOLED:
         assert pairwise_compatibility(system) == reference.pairwise_compatibility(system)

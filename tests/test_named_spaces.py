@@ -10,16 +10,24 @@ the invariant that decides.
 
 from __future__ import annotations
 
+import random
+from math import lcm
+
 import pytest
 
-from urprior.cohomology import cohomology_dim
-from urprior.compat import CycleCertificate, decide_urprior, pairwise_compatibility
+from urprior.cohomology import cohomology_dim, noncoboundary_cocycle
+from urprior.compat import (
+    CycleCertificate,
+    decide_urprior,
+    pairwise_compatibility,
+    verify_urprior,
+)
 from urprior.complexes import build_overlap_complex, from_facets
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
 from . import dense_reference as dense
-from .generators import holonomy_from_pmfs
+from .generators import holonomy_from_pmfs, pairwise_system
 
 
 def _cyclic(n: int, *offsets: tuple[int, ...]) -> list[list[str]]:
@@ -111,3 +119,75 @@ def test_counterexample_round_trips(name):
     assert isinstance(certificate, CycleCertificate)
     assert holonomy_from_pmfs(system, certificate.cycle) == certificate.holonomy != 1
     assert feasibility_oracle(system) is None
+
+
+def _random_cocycle(X, rng: random.Random) -> dict[tuple[int, ...], int]:
+    """A seeded integer 1-cocycle: a random integer mix of a kernel basis of delta_1.
+
+    Each basis vector is cleared of denominators first, so the mix is an
+    integer cochain with zero coboundary. Nothing here knows which
+    cocycles are coboundaries.
+    """
+    edges = X.simplices(1)
+    values = [0] * len(edges)
+    for vector in dense.nullspace_basis(dense.coboundary_matrix(X, 1)):
+        scale = lcm(*(v.denominator for v in vector))
+        k = rng.randint(-2, 2)
+        values = [a + k * int(v * scale) for a, v in zip(values, vector)]
+    return dict(zip(edges, values))
+
+
+def _random_weights(X, rng: random.Random) -> dict[tuple[int, ...], int]:
+    return {s: rng.randint(1, 5) for level in X.by_dim for s in level}
+
+
+def test_pairwise_system_with_the_canonical_cocycle_is_the_counterexample():
+    for name, space in SPACES.items():
+        X = space[0]()
+        twist = noncoboundary_cocycle(X)
+        if twist is not None:
+            unit = {s: 1 for level in X.by_dim for s in level}
+            assert pairwise_system(X, twist, unit) == generate_counterexample(X), name
+
+
+def test_every_integer_cocycle_on_rp2_gives_a_prior():
+    # H^1(RP^2; Q) = 0: every integer cocycle is a rational coboundary, so
+    # each system it twists is realised by a common prior
+    X = _rp2()
+    rng = random.Random(17)
+    twisted = 0
+    for _ in range(40):
+        cocycle = _random_cocycle(X, rng)
+        twisted += any(cocycle.values())
+        system = pairwise_system(X, cocycle, _random_weights(X, rng))
+        assert build_overlap_complex(system) == X
+        assert pairwise_compatibility(system).compatible
+        result = decide_urprior(system)
+        assert result.verdict == "exists", cocycle
+        assert verify_urprior(system, result.measure).ok
+        assert feasibility_oracle(system) == result.measure  # X is connected: one prior
+    assert twisted >= 35
+
+
+def test_a_non_coboundary_on_the_torus_leaves_no_prior():
+    X = _torus()
+    edges = X.simplices(1)
+    rng = random.Random(29)
+    holed = 0
+    for _ in range(40):
+        cocycle = _random_cocycle(X, rng)
+        system = pairwise_system(X, cocycle, _random_weights(X, rng))
+        assert build_overlap_complex(system) == X
+        assert pairwise_compatibility(system).compatible
+        result = decide_urprior(system)
+        if dense.coboundary_witness(X, 1, [cocycle[e] for e in edges]) is not None:
+            assert result.verdict == "exists", cocycle
+            assert feasibility_oracle(system) == result.measure
+            continue
+        holed += 1
+        assert result.verdict == "none", cocycle
+        certificate = result.certificate
+        assert isinstance(certificate, CycleCertificate)
+        assert holonomy_from_pmfs(system, certificate.cycle) == certificate.holonomy != 1
+        assert feasibility_oracle(system) is None
+    assert holed >= 30

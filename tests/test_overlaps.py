@@ -14,6 +14,7 @@ from urprior.credence import validate
 from urprior.oracle import feasibility_oracle
 
 from . import overlap_reference as reference
+from .fraction_reference import mass
 from .generators import EDGE_CASES, hub_system, seeded_systems
 
 SYSTEMS = seeded_systems()
@@ -41,8 +42,8 @@ def test_table_lists_every_sharing_pair_with_its_masses():
         assert list(system.overlaps) == sorted(expected)
         for (i, j), (shared, sum_i, sum_j) in system.overlaps.items():
             assert type(sum_i) is int and type(sum_j) is int
-            assert Fraction(sum_i, agents[i].counts[0]) == agents[i].mass(shared)
-            assert Fraction(sum_j, agents[j].counts[0]) == agents[j].mass(shared)
+            assert Fraction(sum_i, agents[i].counts[0]) == mass(agents[i], shared)
+            assert Fraction(sum_j, agents[j].counts[0]) == mass(agents[j], shared)
 
 
 def test_table_and_supports_are_built_once():
@@ -185,5 +186,5 @@ def test_shared_outcomes_are_sorted_by_label():
     # x counts 1/2 as 1 of 2 and y counts 1 as 1 of 1, so both overlaps weigh 1
     assert system.overlaps == {(0, 1): (("a", "c"), 2, 1)}
     x, y = system.agents
-    assert Fraction(2, x.counts[0]) == x.mass(("a", "c")) == 1
-    assert Fraction(1, y.counts[0]) == y.mass(("a", "c")) == 1
+    assert Fraction(2, x.counts[0]) == mass(x, ("a", "c")) == 1
+    assert Fraction(1, y.counts[0]) == mass(y, ("a", "c")) == 1

@@ -21,14 +21,14 @@ class TestGoldenWitness:
         assert system.space.outcomes == ("{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}")
         assert system.names == ("1", "2", "3")
         # the twist sits on the non-tree edge {2,3}: agent 2 weighs it double
-        agent2 = system.agent("2")
-        assert agent2.pmf == {
+        agents = {a.name: a for a in system.agents}
+        assert agents["2"].pmf == {
             "{2}": Fraction(1, 4),
             "{1,2}": Fraction(1, 4),
             "{2,3}": Fraction(1, 2),
         }
         for name in ("1", "3"):
-            assert set(system.agent(name).pmf.values()) == {Fraction(1, 3)}
+            assert set(agents[name].pmf.values()) == {Fraction(1, 3)}
 
     def test_unfilled_triangle_is_irreconcilable(self, tri_unfilled):
         system = generate_counterexample(tri_unfilled)
