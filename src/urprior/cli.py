@@ -487,6 +487,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; exit 3 for any exception, even one raised while reporting another."""
+    try:
+        return _run(argv)
+    except Exception as exc:  # exit code 1 means "no ur-prior", never "crashed"
+        failure = exc
+    # Out of the handler (Python 3.10 holds the traceback there): free the
+    # failed call's frames before formatting, which may need the memory.
+    link: BaseException | None = failure
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__context__
+    try:
+        message = " ".join(str(failure).split())
+        print(f"internal error: {type(failure).__name__}: {message}", file=sys.stderr)
+    except Exception:
+        pass  # out of memory even for the message: the exit code still says "crashed"
+    return 3
+
+
+def _run(argv: Sequence[str] | None) -> int:
+    """Parse the arguments and run the command; invalid input and files exit with their codes."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = commands.get(argv[0]) if argv else None
@@ -504,10 +525,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # exit code 1 means "no ur-prior", never "crashed"
-        message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping
 
 from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
 from urprior.credence import AgentSystem
@@ -87,7 +87,7 @@ class CycleCertificate:
     breaking_edge: tuple[str, str]
 
 
-Certificate = Union[Violation, Asymmetry, CycleCertificate]
+Certificate = Violation | Asymmetry | CycleCertificate
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,12 @@ def rank(m: Matrix) -> int:
     return rref(m).rank
 
 
+def cohomology_dim(X: SimplicialComplex, k: int) -> int:
+    """dim H^k(X; Q): the k-cochains less the ranks of delta_k and delta_(k-1)."""
+    cochains = len(X.simplices(k))
+    return cochains - rank(coboundary_matrix(X, k)) - rank(coboundary_matrix(X, k - 1))
+
+
 def nullspace_basis(m: Matrix) -> list[Vector]:
     """Canonical kernel basis, one vector per free column.
 

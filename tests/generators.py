@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Any
 
 from urprior.complexes import SimplicialComplex, from_facets
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 
+from . import dense_reference as dense
 from .fraction_reference import mass
 
 
@@ -220,6 +223,40 @@ def pairwise_system(
         total = sum(raw.values())
         agents.append(CredenceFunction(name, {x: w / total for x, w in raw.items()}))
     return AgentSystem(OutcomeSpace(tuple(X.label(s) for s in simplices)), tuple(agents))
+
+
+def random_cocycle(X: SimplicialComplex, rng: random.Random) -> dict[tuple[int, ...], int]:
+    """A seeded integer 1-cocycle: a random integer mix of a kernel basis of delta_1.
+
+    Each basis vector is cleared of denominators first, so the mix is an
+    integer cochain with zero coboundary. Nothing here knows which
+    cocycles are coboundaries.
+    """
+    edges = X.simplices(1)
+    values = [0] * len(edges)
+    for vector in dense.nullspace_basis(dense.coboundary_matrix(X, 1)):
+        scale = lcm(*(v.denominator for v in vector))
+        k = rng.randint(-2, 2)
+        values = [a + k * int(v * scale) for a, v in zip(values, vector)]
+    return dict(zip(edges, values))
+
+
+def random_weights(X: SimplicialComplex, rng: random.Random) -> dict[tuple[int, ...], int]:
+    return {s: rng.randint(1, 5) for level in X.by_dim for s in level}
+
+
+def closure(
+    vertices: Sequence[str], family: Iterable[Iterable[str]]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """By brute force: the vertices plus every nonempty subset of every facet, as levels."""
+    index = {label: i for i, label in enumerate(vertices)}
+    faces = {(i,) for i in range(len(vertices))}
+    for facet in family:
+        members = sorted({index[label] for label in facet})
+        for size in range(1, len(members) + 1):
+            faces.update(combinations(members, size))
+    top = max(map(len, faces), default=0)
+    return tuple(tuple(sorted(s for s in faces if len(s) == k + 1)) for k in range(top))
 
 
 def facets(X: SimplicialComplex) -> list[tuple[int, ...]]:

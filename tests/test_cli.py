@@ -700,3 +700,34 @@ class TestInputRobustness:
         assert out == ""
         assert err.startswith("internal error: KeyError: ")
         assert err.count("\n") == 1
+
+    def test_out_of_memory_while_reporting_still_exits_three(self, data_dir, monkeypatch):
+        # the handler runs out of memory, and so does the line reporting it
+        error = MemoryError()
+
+        def broken(system):
+            raise error
+
+        class FullStream:
+            def write(self, text):
+                raise MemoryError
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli, "feasibility_oracle", broken)
+        monkeypatch.setattr(sys, "stderr", FullStream())
+        assert cli.main(["oracle", str(data_dir / "ex1.json")]) == 3
+        assert error.__traceback__ is None  # the failed call's frames were let go
+
+    @pytest.mark.parametrize("stage", ["parser", "error line"])
+    def test_any_exception_after_entry_exits_three(self, tmp_path, capsys, monkeypatch, stage):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        if stage == "parser":
+            monkeypatch.setattr(cli, "_build_parser", no_memory)
+        else:  # a missing file exits 2, unless its message cannot be written
+            monkeypatch.setattr(sys, "stderr", type("FullStream", (), {"write": no_memory})())
+        assert cli.main(["check", str(tmp_path / "missing.json")]) == 3
+        assert capsys.readouterr().out == ""

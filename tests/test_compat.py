@@ -9,6 +9,7 @@ import pytest
 from urprior import cli
 from urprior.compat import (
     Asymmetry,
+    Certificate,
     CycleCertificate,
     RatioCochain,
     Violation,
@@ -280,6 +281,13 @@ class TestDecide:
         result = decide_urprior(gap)
         assert result.verdict == "none"
         assert result.certificate == pairwise_compatibility(gap).asymmetries[0]
+
+    def test_every_certificate_is_a_certificate(self, ex1, ex2, ex3, gap):
+        kinds = [type(decide_urprior(system).certificate) for system in (ex2, ex3, gap)]
+        assert kinds == [CycleCertificate, Violation, Asymmetry]
+        for system in (ex2, ex3, gap):
+            assert isinstance(decide_urprior(system).certificate, Certificate)
+        assert not isinstance(decide_urprior(ex1).measure, Certificate)
 
     def test_single_agent(self):
         system = validate(

@@ -20,6 +20,7 @@ from .dense_reference import coboundary_matrix
 from .overlap_reference import overlap_mass
 from .generators import (
     annulus,
+    closure,
     facets,
     hub_system,
     random_complex,
@@ -112,18 +113,6 @@ class TestConstruction:
         assert tri_unfilled.counts(3) == [3, 3, 0, 0]
 
 
-def _closure(vertices, family):
-    """By brute force: the vertices plus every nonempty subset of every facet, as levels."""
-    index = {label: i for i, label in enumerate(vertices)}
-    faces = {(i,) for i in range(len(vertices))}
-    for facet in family:
-        members = sorted({index[label] for label in facet})
-        for size in range(1, len(members) + 1):
-            faces.update(itertools.combinations(members, size))
-    top = max(map(len, faces), default=0)
-    return tuple(tuple(sorted(s for s in faces if len(s) == k + 1)) for k in range(top))
-
-
 class TestFromFacetsIsTheClosure:
     def test_seeded_facet_families(self):
         # repeated labels inside a facet, repeated and nested facets,
@@ -143,7 +132,7 @@ class TestFromFacetsIsTheClosure:
                     family.append(facet[: rng.randint(1, len(facet))])
             X = from_facets(vertices, family)
             assert X.vertices == tuple(vertices)
-            assert X.by_dim == _closure(vertices, family)
+            assert X.by_dim == closure(vertices, family)
 
     def test_every_labelled_complex_on_four_vertices(self):
         # every downward-closed family of 2-or-more-vertex subsets of 4
@@ -159,7 +148,7 @@ class TestFromFacetsIsTheClosure:
             seen += 1
             maximal = [s for s in family if not any(set(s) < set(t) for t in family)]
             labels = [[vertices[i] for i in s] for s in maximal]
-            assert from_facets(vertices, labels).by_dim == _closure(vertices, labels)
+            assert from_facets(vertices, labels).by_dim == closure(vertices, labels)
         assert seen == 114
 
 

@@ -11,7 +11,6 @@ the invariant that decides.
 from __future__ import annotations
 
 import random
-from math import lcm
 
 import pytest
 
@@ -27,7 +26,7 @@ from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
 from . import dense_reference as dense
-from .generators import holonomy_from_pmfs, pairwise_system
+from .generators import holonomy_from_pmfs, pairwise_system, random_cocycle, random_weights
 
 
 def _cyclic(n: int, *offsets: tuple[int, ...]) -> list[list[str]]:
@@ -87,11 +86,6 @@ SPACES = {
 }
 
 
-def _dense_cohomology_dim(X, k: int) -> int:
-    cochains = len(X.simplices(k))
-    return cochains - dense.rank(dense.coboundary_matrix(X, k)) - dense.rank(dense.coboundary_matrix(X, k - 1))
-
-
 @pytest.mark.parametrize("name", SPACES)
 def test_counts_euler_characteristic_and_cohomology(name):
     build, counts, chi, h1, h2 = SPACES[name]
@@ -100,7 +94,7 @@ def test_counts_euler_characteristic_and_cohomology(name):
     assert sum((-1) ** k * c for k, c in enumerate(counts)) == chi
     assert (cohomology_dim(X, 1), cohomology_dim(X, 2)) == (h1, h2)
     for k in (1, 2):
-        assert cohomology_dim(X, k) == _dense_cohomology_dim(X, k)
+        assert cohomology_dim(X, k) == dense.cohomology_dim(X, k)
 
 
 @pytest.mark.parametrize("name", [name for name, space in SPACES.items() if space[3] == 0])
@@ -121,26 +115,6 @@ def test_counterexample_round_trips(name):
     assert feasibility_oracle(system) is None
 
 
-def _random_cocycle(X, rng: random.Random) -> dict[tuple[int, ...], int]:
-    """A seeded integer 1-cocycle: a random integer mix of a kernel basis of delta_1.
-
-    Each basis vector is cleared of denominators first, so the mix is an
-    integer cochain with zero coboundary. Nothing here knows which
-    cocycles are coboundaries.
-    """
-    edges = X.simplices(1)
-    values = [0] * len(edges)
-    for vector in dense.nullspace_basis(dense.coboundary_matrix(X, 1)):
-        scale = lcm(*(v.denominator for v in vector))
-        k = rng.randint(-2, 2)
-        values = [a + k * int(v * scale) for a, v in zip(values, vector)]
-    return dict(zip(edges, values))
-
-
-def _random_weights(X, rng: random.Random) -> dict[tuple[int, ...], int]:
-    return {s: rng.randint(1, 5) for level in X.by_dim for s in level}
-
-
 def test_pairwise_system_with_the_canonical_cocycle_is_the_counterexample():
     for name, space in SPACES.items():
         X = space[0]()
@@ -157,9 +131,9 @@ def test_every_integer_cocycle_on_rp2_gives_a_prior():
     rng = random.Random(17)
     twisted = 0
     for _ in range(40):
-        cocycle = _random_cocycle(X, rng)
+        cocycle = random_cocycle(X, rng)
         twisted += any(cocycle.values())
-        system = pairwise_system(X, cocycle, _random_weights(X, rng))
+        system = pairwise_system(X, cocycle, random_weights(X, rng))
         assert build_overlap_complex(system) == X
         assert pairwise_compatibility(system).compatible
         result = decide_urprior(system)
@@ -175,8 +149,8 @@ def test_a_non_coboundary_on_the_torus_leaves_no_prior():
     rng = random.Random(29)
     holed = 0
     for _ in range(40):
-        cocycle = _random_cocycle(X, rng)
-        system = pairwise_system(X, cocycle, _random_weights(X, rng))
+        cocycle = random_cocycle(X, rng)
+        system = pairwise_system(X, cocycle, random_weights(X, rng))
         assert build_overlap_complex(system) == X
         assert pairwise_compatibility(system).compatible
         result = decide_urprior(system)
