@@ -195,10 +195,10 @@ def _measure_to_json(measure: Mapping[str, Any], system: AgentSystem) -> dict[st
     return {x: format_rational(measure[x]) for x in system.space.outcomes if x in measure}
 
 
-def build_check_report(system: AgentSystem, max_dim: int = 2) -> tuple[dict[str, Any], int]:
-    """Assemble the full check report and its exit code."""
+def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
+    """Assemble the full check report and its exit code; the overlap complex is listed to depth 2."""
     compatibility = pairwise_compatibility(system)
-    X = build_overlap_complex(system, max_dim=max_dim)
+    X = build_overlap_complex(system, max_dim=2)
     result = _decide(system, compatibility, X)
     report: dict[str, Any] = {
         "valid": True,
@@ -209,7 +209,7 @@ def build_check_report(system: AgentSystem, max_dim: int = 2) -> tuple[dict[str,
             "violations": [_certificate_to_json(v) for v in compatibility.violations],
         },
         "asymmetries": [_certificate_to_json(a) for a in compatibility.asymmetries],
-        "complex": {"counts": X.counts(max(2, X.dim))},
+        "complex": {"counts": X.counts(2)},
         "components": len(connected_components(X)),
         "h1": cohomology_dim(X, 1),
         "verdict": result.verdict,
@@ -294,13 +294,11 @@ def _invalid_system(exc: ValidationError, as_json: bool) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.max_dim < 2:
-        raise CliError("--max-dim must be at least 2 for check reports")
     try:
         system = load_system(args.file)
     except ValidationError as exc:
         return _invalid_system(exc, args.json)
-    report, code = build_check_report(system, max_dim=args.max_dim)
+    report, code = build_check_report(system)
     _emit(report, lambda: render_check_text(report), args.json)
     return code
 
@@ -330,14 +328,11 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         raise CliError("--dim must be at least 1")
     raw = _load_json(args.file)
     if isinstance(raw, Mapping) and "agents" in raw:
-        if args.max_dim is not None and args.max_dim < args.dim + 1:
-            raise CliError(f"--max-dim must be at least dim + 1 = {args.dim + 1} for system files")
         try:
             system = validate(raw)
         except ValidationError as exc:
             raise CliError("invalid system file: " + "; ".join(exc.violations)) from exc
-        depth = args.max_dim if args.max_dim is not None else args.dim + 1
-        X = build_overlap_complex(system, max_dim=depth)
+        X = build_overlap_complex(system, max_dim=args.dim + 1)
     elif isinstance(raw, Mapping) and "facets" in raw:
         X = _complex_from_raw(raw, args.file)
     else:
@@ -447,24 +442,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_check = sub.add_parser("check", help="decide a system file and report the result")
     p_check.add_argument("file", help="system JSON file")
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
-    p_check.add_argument(
-        "--max-dim",
-        type=int,
-        default=2,
-        help="how deep to enumerate the overlap complex for the report (default 2)",
-    )
     p_check.set_defaults(handler=cmd_check)
 
     p_coh = sub.add_parser("cohomology", help="cohomology of a system's overlap complex or a complex file")
     p_coh.add_argument("file", help="system or complex JSON file")
-    p_coh.add_argument("--dim", type=int, default=1, help="cohomology degree k (default 1)")
-    p_coh.add_argument("--json", action="store_true", help="machine-readable report")
     p_coh.add_argument(
-        "--max-dim",
+        "--dim",
         type=int,
-        default=None,
-        help="overlap enumeration depth for system files, at least dim+1 (default: dim+1)",
+        default=1,
+        help="cohomology degree k (default 1); a system's overlap complex is listed through depth k+1",
     )
+    p_coh.add_argument("--json", action="store_true", help="machine-readable report")
     p_coh.add_argument(
         "--dump-matrices", action="store_true", help="print the labeled coboundary matrices"
     )

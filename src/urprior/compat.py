@@ -187,32 +187,27 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     return CompatibilityReport(not violations, tuple(violations), tuple(asymmetries))
 
 
-def ratio_cochain(system: AgentSystem, X: SimplicialComplex) -> RatioCochain:
-    """Edge ratios r[i,j] = mass_i(overlap) / mass_j(overlap).
+def ratio_cochain(system: AgentSystem) -> RatioCochain:
+    """Edge ratios r[i,j] = mass_i(overlap) / mass_j(overlap) on the system's overlap complex.
 
-    ``X`` must be (a truncation of) the system's overlap complex, which is
-    exactly what guarantees both masses on every edge are positive. The
+    The cochain lives on the depth-1 overlap complex, whose edges are
+    exactly the pairs that both weight their overlap positively. The
     masses are read from the system's overlap table as M_i / d_i and
     M_j / d_j, so each ratio is one ``Fraction(M_i * d_j, M_j * d_i)``.
     """
     agents, overlaps = system.agents, system.overlaps
+    X = build_overlap_complex(system, max_dim=1)
     ratios: dict[tuple[int, int], Fraction] = {}
-    for edge in X.simplices(1):
-        _, sum_i, sum_j = overlaps.get(edge, ((), 0, 0))
-        if sum_i <= 0 or sum_j <= 0:
-            raise ValueError(
-                f"edge {X.label(edge)} lacks a two-sided positive overlap; "
-                "X is not this system's overlap complex"
-            )
-        i, j = edge
-        ratios[edge] = Fraction(sum_i * agents[j].counts[0], sum_j * agents[i].counts[0])
+    for i, j in X.simplices(1):
+        _, sum_i, sum_j = overlaps[(i, j)]
+        ratios[(i, j)] = Fraction(sum_i * agents[j].counts[0], sum_j * agents[i].counts[0])
     return RatioCochain(X, ratios)
 
 
 def solve_scaling(
-    X: SimplicialComplex, ratios: RatioCochain
+    ratios: RatioCochain,
 ) -> tuple[dict[str, Fraction] | None, CycleCertificate | None]:
-    """Find positive per-vertex scales with ratio[i,j] == scale[j] / scale[i].
+    """Find positive per-vertex scales with ratio[i,j] == scale[j] / scale[i] on ``ratios.complex``.
 
     Runs the forest propagation of ``decide_urprior`` on the ratios'
     (numerator, denominator) pairs, from scale 1 at the smallest vertex
@@ -220,6 +215,7 @@ def solve_scaling(
     None: the scaling (keyed by vertex label) on success, a cycle
     certificate for the first failing non-tree edge otherwise.
     """
+    X = ratios.complex
     pairs = {e: (r.numerator, r.denominator) for e, r in ratios.ratios.items()}
     units, cycle = _propagate(X, pairs, lambda v: (1, 1))
     if cycle is not None:

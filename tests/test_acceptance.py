@@ -163,7 +163,7 @@ def test_08_cocycle_property():
         if not pairwise_compatibility(system).compatible:
             continue
         X = build_overlap_complex(system, max_dim=2)
-        r = ratio_cochain(system, X).ratios
+        r = ratio_cochain(system).ratios
         for (i, j, k) in X.simplices(2):
             triangles += 1
             if r[(i, j)] * r[(j, k)] != r[(i, k)]:

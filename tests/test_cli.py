@@ -12,9 +12,10 @@ import pytest
 
 from urprior import cli, compat
 from urprior.cohomology import cohomology_dim
+from urprior.complexes import build_overlap_complex
 from urprior.witness import generate_counterexample
 
-from .generators import annulus, geometric_chain, random_complex, seeded_systems
+from .generators import annulus, geometric_chain, hub_system, random_complex, seeded_systems
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -140,11 +141,6 @@ class TestCheck:
         assert code == 2
         assert err
 
-    def test_max_dim_floor(self, data_dir, capsys):
-        code, _, err = run(capsys, "check", str(data_dir / "ex1.json"), "--max-dim", "1")
-        assert code == 2
-        assert "max-dim" in err
-
 
 class TestCohomology:
     def test_complex_file_h1(self, data_dir, capsys):
@@ -189,20 +185,20 @@ class TestCohomology:
                 code, out, err = run(capsys, "cohomology", str(data_dir / name), *flags.split())
                 assert {"exit": code, "stdout": out, "stderr": err} == expected, (name, flags)
 
-    @pytest.mark.parametrize("dim, max_dim", [(1, 1), (1, 0), (2, 2)])
-    def test_max_dim_below_the_next_degree_is_rejected(self, data_dir, capsys, dim, max_dim):
-        # delta_k needs the (k+1)-simplices: a shallower complex would
-        # report the H^k of a truncation, not of the overlap complex
-        argv = ["cohomology", str(data_dir / "ex1.json"), "--dim", str(dim), "--max-dim", str(max_dim)]
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "--max-dim" in err and err.count("\n") == 1
-
-    def test_max_dim_is_ignored_for_complex_files(self, data_dir, capsys):
-        path = str(data_dir / "tri_unfilled.json")
-        expected = run(capsys, "cohomology", path, "--dim", "1")
-        assert run(capsys, "cohomology", path, "--dim", "1", "--max-dim", "0") == expected
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_system_file_is_listed_through_the_next_degree(self, data_dir, tmp_path, capsys, depth):
+        # delta_k is read off the (k+1)-simplices, so --dim k lists a
+        # system's overlap complex through depth k + 1, and no shallower;
+        # the data files stop at depth 2, a 7-agent hub is the full simplex
+        systems = [p for p in sorted(data_dir.glob("*.json")) if '"agents"' in p.read_text()]
+        assert len(systems) == 5
+        hub = tmp_path / "hub-7.json"
+        hub.write_text(json.dumps(cli.system_to_dict(hub_system(random.Random(7), 7)[0])))
+        for path in systems + [hub]:
+            expected = build_overlap_complex(cli.load_system(str(path)), max_dim=depth).counts()
+            code, report, _ = run_json(capsys, "cohomology", str(path), "--dim", str(depth - 1), "--json")
+            assert code == 0
+            assert report["counts"] == expected, (path.name, depth)
 
     @pytest.mark.parametrize("name", ["c4.json", "ex1.json"])
     def test_file_is_read_once(self, data_dir, capsys, monkeypatch, name):
@@ -476,6 +472,7 @@ class TestDispatch:
             ["check", "F", "--max-dim", "x"],
             ["oracle", "F", "--", "x"],
             ["cohomology", "F", "--dim", "0"],
+            ["cohomology", "F", "--dim", "x"],
             ["cohomology", "F", "--dim"],
             ["counterexample", "C", "--output"],
         ],
@@ -488,6 +485,23 @@ class TestDispatch:
         assert commands  # with no subcommand parsers to hand, main parses everything in full
         monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
         assert run_anyhow(capsys, *argv) == direct
+
+    @pytest.mark.parametrize("command", ["check", "cohomology"])
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    @pytest.mark.parametrize("option", [["--max-dim", "3"], ["--max-dim=3"]])
+    def test_no_option_sets_the_depth(self, data_dir, capsys, monkeypatch, command, at, option):
+        # check lists a system's overlap complex to depth 2 and cohomology
+        # --dim k to depth k + 1: --max-dim is an unknown option anywhere
+        argv = [command, str(data_dir / "ex1.json"), "--json"]
+        argv[at:at] = option
+        parser, commands = cli._build_parser()
+        for route in (commands, {}):  # straight to the subcommand, then the full parse
+            monkeypatch.setattr(cli, "_build_parser", lambda: (parser, route))
+            code, out, err = run_anyhow(capsys, *argv)
+            assert code == 2 and out == ""
+            last = err.splitlines()[-1]
+            assert err.startswith("usage: urprior ")
+            assert last.startswith("urprior: error: unrecognized arguments: ") and "--max-dim" in last
 
 
 def run_anyhow(capsys, *argv):
@@ -527,13 +541,12 @@ class TestRepeatedCalls:
         )
         assert results[0] == results[3]
         assert results[0][1].startswith("agents: 3")
+        assert results[2][0] == 2 and "unrecognized arguments: --max-dim 3" in results[2][2]
         assert json.loads(results[1][1])["verdict"] == "exists"
 
-    def test_cohomology_max_dim_default_comes_back(self, data_dir, capsys):
+    def test_cohomology_dim_default_comes_back(self, data_dir, capsys):
         path = str(data_dir / "ex4.json")
-        results = self.sequence(
-            capsys, ["cohomology", path, "--dim", "2", "--max-dim", "3"], ["cohomology", path]
-        )
+        results = self.sequence(capsys, ["cohomology", path, "--dim", "2"], ["cohomology", path])
         assert "H2 = 1" in results[0][1]
         assert "H1 = 0" in results[1][1]
 

@@ -96,15 +96,13 @@ class TestPairwise:
 
 class TestRatioCochain:
     def test_ex1_ratios(self, ex1):
-        X = build_overlap_complex(ex1, max_dim=1)
-        r = ratio_cochain(ex1, X)
+        r = ratio_cochain(ex1)
         assert r.ratios[(0, 1)] == Fraction(5, 4)
         assert r.ratios[(0, 2)] == Fraction(5, 8)
         assert r.ratios[(1, 2)] == Fraction(1, 2)
 
     def test_ex2_ratios(self, ex2):
-        X = build_overlap_complex(ex2, max_dim=1)
-        r = ratio_cochain(ex2, X)
+        r = ratio_cochain(ex2)
         assert r.ratios[(0, 1)] == Fraction(3, 2)
         assert r.ratios[(1, 2)] == Fraction(3, 2)
         assert r.ratios[(0, 2)] == Fraction(2, 3)
@@ -115,20 +113,27 @@ class TestRatioCochain:
         for _ in range(60):
             system = conditioned_system(rng)
             X = build_overlap_complex(system, max_dim=2)
-            r = ratio_cochain(system, X)
+            r = ratio_cochain(system)
             for (i, j, k) in X.simplices(2):
                 found_triangle = True
                 assert r.ratios[(i, j)] * r.ratios[(j, k)] == r.ratios[(i, k)]
         assert found_triangle
 
     def test_built_cochains_pass_the_public_checks(self):
-        # ratio_cochain skips the constructor's checks; its output must still pass them
+        # the cochain ratio_cochain builds passes the public constructor's checks again
         for system in seeded_systems():
-            for max_dim in (1, 2):
-                X = build_overlap_complex(system, max_dim=max_dim)
-                r = ratio_cochain(system, X)
-                assert RatioCochain(X, r.ratios) == r
-                assert all(type(v) is Fraction for v in r.ratios.values())
+            r = ratio_cochain(system)
+            assert RatioCochain(r.complex, r.ratios) == r
+            assert all(type(v) is Fraction for v in r.ratios.values())
+
+    def test_edges_are_the_two_sided_overlaps(self):
+        # the cochain's complex is the depth-1 overlap complex: an edge for
+        # each pair that both weight their overlap positively, and no other
+        for system in seeded_systems():
+            r = ratio_cochain(system)
+            two_sided = {e for e, (_, left, right) in system.overlaps.items() if left > 0 and right > 0}
+            assert set(r.complex.simplices(1)) == set(r.ratios) == two_sided
+            assert r.complex == build_overlap_complex(system, max_dim=1)
 
     @pytest.mark.parametrize("ratio", [0, -1, Fraction(-1, 2)])
     def test_rejects_nonpositive_ratios(self, ratio):
@@ -137,24 +142,15 @@ class TestRatioCochain:
         with pytest.raises(ValueError, match="strictly positive"):
             RatioCochain(X, {(0, 1): ratio})
 
-    def test_rejects_edge_without_two_sided_overlap(self, gap):
-        from urprior.complexes import from_facets
-
-        foreign = from_facets(("1", "2"), [("1", "2")])
-        with pytest.raises(ValueError):
-            ratio_cochain(gap, foreign)
-
 
 class TestSolveScaling:
     def test_ex1_scaling(self, ex1):
-        X = build_overlap_complex(ex1, max_dim=1)
-        scaling, cert = solve_scaling(X, ratio_cochain(ex1, X))
+        scaling, cert = solve_scaling(ratio_cochain(ex1))
         assert cert is None
         assert scaling == {"1": Fraction(1), "2": Fraction(5, 4), "3": Fraction(5, 8)}
 
     def test_ex2_cycle_certificate(self, ex2):
-        X = build_overlap_complex(ex2, max_dim=1)
-        scaling, cert = solve_scaling(X, ratio_cochain(ex2, X))
+        scaling, cert = solve_scaling(ratio_cochain(ex2))
         assert scaling is None
         assert cert == CycleCertificate(
             cycle=("1", "2", "3"),
@@ -163,16 +159,14 @@ class TestSolveScaling:
         )
 
     def test_certificate_holonomy_recomputes_from_pmfs(self, ex2):
-        X = build_overlap_complex(ex2, max_dim=1)
-        _, cert = solve_scaling(X, ratio_cochain(ex2, X))
+        _, cert = solve_scaling(ratio_cochain(ex2))
         assert holonomy_from_pmfs(ex2, cert.cycle) == cert.holonomy
         assert cert.holonomy != 1
 
     def test_gauge_freedom(self, ex1):
         # scaling factors are only fixed per component up to a global
         # constant; any positive rescale still glues to the same prior
-        X = build_overlap_complex(ex1, max_dim=1)
-        scaling, _ = solve_scaling(X, ratio_cochain(ex1, X))
+        scaling, _ = solve_scaling(ratio_cochain(ex1))
         direct = glue_urprior(ex1, scaling)
         rescaled = {name: Fraction(7, 3) * lam for name, lam in scaling.items()}
         assert glue_urprior(ex1, rescaled) == direct
@@ -187,8 +181,7 @@ class TestSolveScaling:
                 ],
             }
         )
-        X = build_overlap_complex(system, max_dim=1)
-        scaling, cert = solve_scaling(X, ratio_cochain(system, X))
+        scaling, cert = solve_scaling(ratio_cochain(system))
         assert cert is None
         assert scaling == {"1": Fraction(1), "2": Fraction(1)}
 
@@ -205,14 +198,12 @@ class TestGlueAndVerify:
     }
 
     def test_ex1_golden_table(self, ex1):
-        X = build_overlap_complex(ex1, max_dim=1)
-        scaling, _ = solve_scaling(X, ratio_cochain(ex1, X))
+        scaling, _ = solve_scaling(ratio_cochain(ex1))
         measure = glue_urprior(ex1, scaling)
         assert measure == self.EX1_PRIOR
 
     def test_keys_follow_outcome_space_order(self, ex1):
-        X = build_overlap_complex(ex1, max_dim=1)
-        scaling, _ = solve_scaling(X, ratio_cochain(ex1, X))
+        scaling, _ = solve_scaling(ratio_cochain(ex1))
         measure = glue_urprior(ex1, scaling)
         order = {label: i for i, label in enumerate(ex1.space.outcomes)}
         keys = list(measure)

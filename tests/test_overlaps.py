@@ -142,24 +142,10 @@ def test_hub_complex_is_the_full_2_skeleton():
 
 def test_ratio_cochains_equal_the_reference():
     for system in SYSTEMS:
-        X = build_overlap_complex(system, max_dim=1)
-        assert ratio_cochain(system, X).ratios == reference.ratio_cochain(system, X).ratios
-
-
-def test_ratio_cochain_rejects_an_edge_outside_the_overlap_complex():
-    cases = [
-        ("disjoint agents", [["1", "2"]]),  # the edge shares no outcome
-        ("shared zero on both sides", [["1", "2"]]),  # nobody weights the overlap
-        ("one-sided overlap", [["1", "2"]]),  # only agent 2 weights it
-    ]
-    for name, facets in cases:
-        system = EDGE_CASES[name]
-        X = from_facets(system.names, facets)
-        with pytest.raises(ValueError) as ours:
-            ratio_cochain(system, X)
-        with pytest.raises(ValueError) as theirs:
-            reference.ratio_cochain(system, X)
-        assert str(ours.value) == str(theirs.value)
+        X = reference.build_overlap_complex(system, max_dim=1)
+        ours = ratio_cochain(system)
+        assert ours.complex == X
+        assert ours.ratios == reference.ratio_cochain(system, X).ratios
 
 
 def test_oracle_equals_the_all_pairs_oracle():

@@ -15,6 +15,9 @@ on 4 vertices (114) and on a seeded sample of those on 5 (6,894):
   that ``decide_urprior`` realises exactly when the dense reference
   finds c a coboundary. The oracle agrees, and each cycle certificate's
   holonomy recomputes from the pmfs.
+- ``generate_counterexample`` refuses X exactly when H^1 = 0. Otherwise
+  its system has overlap complex X and is pairwise compatible, yet
+  ``decide_urprior`` and the oracle both find no prior.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from urprior.complexes import (
 )
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 from urprior.oracle import feasibility_oracle
+from urprior.witness import NoHoleError, generate_counterexample
 
 from . import dense_reference as dense
 from .generators import (
@@ -157,3 +161,24 @@ def test_a_prior_exists_exactly_when_the_cocycle_is_a_coboundary(n):
         assert holonomy_from_pmfs(system, certificate.cycle) == certificate.holonomy != 1
         assert oracle is None, name
     assert min(found.values()) >= 40, found
+
+
+def test_a_counterexample_exists_exactly_when_h1_is_nonzero():
+    emitted = {4: 0, 5: 0}
+    for name, X in _complexes():
+        if dense.cohomology_dim(X, 1) == 0:
+            with pytest.raises(NoHoleError):
+                generate_counterexample(X)
+            continue
+        system = generate_counterexample(X)
+        emitted[len(X.vertices)] += 1
+        assert build_overlap_complex(system) == X, name
+        assert pairwise_compatibility(system).compatible, name
+        result = decide_urprior(system)
+        assert result.verdict == "none", name
+        certificate = result.certificate
+        assert isinstance(certificate, CycleCertificate), name
+        assert holonomy_from_pmfs(system, certificate.cycle) == certificate.holonomy != 1
+        assert feasibility_oracle(system) is None, name
+    assert emitted[4] == 48
+    assert emitted[5] >= SAMPLE * 3 // 5

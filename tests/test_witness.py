@@ -138,8 +138,7 @@ class TestTwistStructure:
 
         twist = noncoboundary_cocycle(tri_unfilled)
         system = generate_counterexample(tri_unfilled)
-        X = build_overlap_complex(system, max_dim=1)
-        r = ratio_cochain(system, X)
+        r = ratio_cochain(system)
         assert r.ratios == {
             (0, 1): Fraction(4, 3),
             (0, 2): Fraction(1),
