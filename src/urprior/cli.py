@@ -9,7 +9,9 @@ Subcommands:
 Exit codes: 0 when a common prior exists (or the command simply
 succeeded), 1 when it does not exist (or no counterexample is possible),
 2 for invalid input (a duplicated key in a JSON object included), 3 for
-an internal error, reported on one stderr line. A crash never exits 1.
+an internal error, reported on one stderr line. Once ``main`` is entered
+a crash never exits 1; a ``MemoryError`` while Python imports this
+module, before ``main`` runs, still can.
 All probabilities in reports are exact fractions in lowest terms;
 reports are deterministic byte for byte for a given input. A ``--json``
 report is the text of ``json.dumps(payload, indent=2)``, from a writer on

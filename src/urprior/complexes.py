@@ -18,11 +18,11 @@ simplices strictly increasing over valid indices, every vertex a
 unique and closed by construction, so they return through
 ``SimplicialComplex._canonical``, which checks nothing again.
 
-A complex file and an overlap complex are both the complex generated by
-a family of vertex sets (the facets; the groups of agents that weight
-one outcome), and one routine, ``_generated``, lists both. Only the
-overlap complex of a system with a sign-split edge is listed another
-way, level by level.
+A complex file and an overlap complex are both listed by one routine,
+``_generated``, from a family of vertex sets (the facets; the groups of
+agents that weight, or on a system with a sign-split edge hold, one
+outcome), the subsets of the holders' groups tested against the
+definition of the overlap complex.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from urprior.credence import AgentSystem
 from urprior.numerics import Column
@@ -158,27 +158,20 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     pairs of the system's overlap table that both sides weight; with
     ``max_dim == 1`` the complex stops there, before anything below runs.
 
-    Let A_x be the agents that give outcome x positive mass. Every subset
-    of an A_x is a simplex: x lies in the group's joint overlap and every
-    member weights it. The converse holds on a system with no sign-split
-    edge, an edge (i, j) on whose shared outcomes the two agents disagree
-    about which carry mass (``positive[i] & support[j] != positive[j] &
-    support[i]``). If J is a simplex, its lowest member i weights some x
-    of the joint overlap; each other member j shares x with i, and (i, j)
-    is an edge, so j weights x too, and J lies in A_x. Such a complex is
-    therefore exactly the one generated by the A_x. A split edge is always
-    a pairwise violation (at the outcome in dispute one conditional is 0
-    and the other is not), so every violation-free system has none.
-
-    One index pass lists each A_x and the agents aware of x without
-    weighting it; a split edge is a (weighting, non-weighting) pair of one
-    outcome's holders that is an edge. Without one, the levels above the
-    edges are those of the complex the A_x generate, listed by
-    ``_generated`` as the levels of ``from_facets`` are. A system with a
-    split edge is enumerated level by level instead: a simplex s is
-    extended only by neighbours of s[0] above s[-1], and only when all
-    facets of the extension survived the previous level, the extension's
-    overlap tested against each member's positive outcomes.
+    The lowest member i of a simplex J weights some outcome x of the
+    joint overlap, which every member holds, so J is i plus a subset of
+    the holders of x above i; ``_generated`` keeps the subsets that meet
+    the definition. On a system with no sign-split edge, an edge (i, j) on
+    whose shared outcomes the two agents disagree about which carry mass
+    (``positive[i] & support[j] != positive[j] & support[i]``), no test is
+    needed: each other member shares x with i over an edge, so weights x
+    too, and the complex is the one the sets A_x of agents weighting x
+    generate. A split edge is always a pairwise violation (at the outcome
+    in dispute one conditional is 0 and the other is not), so every
+    violation-free system has none. One index pass lists each A_x and the
+    agents aware of x without weighting it; a split edge is a (weighting,
+    non-weighting) pair of one outcome's holders that is an edge, and
+    only a system with one builds the holders' groups.
     """
     agents = system.agents
     n = len(agents)
@@ -195,19 +188,27 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     for i, agent in enumerate(agents):
         for x, c in agent.counts[1].items():
             (weighting if c > 0 else unweighting).setdefault(x, []).append(i)
-    for x, zeros in unweighting.items():
-        for i in weighting.get(x, ()):
-            for j in zeros:
-                _, sum_lo, sum_hi = overlaps[(i, j) if i < j else (j, i)]
-                if sum_lo > 0 and sum_hi > 0:
-                    return _overlap_complex_by_levels(system, edges, max_dim)
+    groups, keep = weighting, None
+    if any(
+        min(overlaps[(i, j) if i < j else (j, i)][1:]) > 0
+        for x, zeros in unweighting.items()
+        for i in weighting.get(x, ())
+        for j in zeros
+    ):
+        groups = {x: sorted(members + unweighting.get(x, [])) for x, members in weighting.items()}
+        supports = [agent.support for agent in agents]
+        positives = [agent.positive for agent in agents]
+
+        def keep(J: Simplex) -> bool:
+            shared = frozenset.intersection(*(supports[j] for j in J))
+            return all(not shared.isdisjoint(positives[j]) for j in J)
 
     above: list[list[Simplex]] = [[] for _ in agents]
     for i, agent in enumerate(agents):
         for x in agent.positive:
-            members = weighting[x]
+            members = groups[x]
             above[i].append(tuple(members[bisect_right(members, i) :]))
-    return _generated(system.names, (vertices, edges), above, max_dim)
+    return _generated(system.names, (vertices, edges), above, max_dim, keep)
 
 
 def _generated(
@@ -215,69 +216,47 @@ def _generated(
     levels: tuple[tuple[Simplex, ...], ...],
     above: Sequence[Iterable[Simplex]],
     max_dim: int | None,
+    keep: Callable[[Simplex], bool] | None = None,
 ) -> SimplicialComplex:
     """``levels`` extended, through ``max_dim``, by the complex a family of vertex sets generates.
 
     ``above[i]`` holds, for each generating set that contains vertex i,
     its members above i, sorted; sets too small to reach the first new
     level are ignored. Level k lists, for each lowest vertex i in order,
-    ``(i,) +`` the sorted k-subsets of those sets: canonical order by
-    construction, with no facet test and no set but one per vertex and
-    level, and none when one set holds all the others, whose
-    combinations are then taken alone.
+    ``(i,) +`` the sorted k-subsets of those sets, only those ``keep``
+    accepts when it is given (it must accept the faces of what it
+    accepts): canonical order by construction, with no facet test and no
+    set but one per vertex and level, and none when one set holds all the
+    others, whose combinations are then taken alone. The levels are
+    listed across all vertices, one after the other, up to the first
+    empty one.
     """
-    start = len(levels)
-    new: list[list[Simplex]] = []
+    k = len(levels)
+    offers: list[tuple[int, Simplex, set[Simplex]]] = []
     for i, sets in enumerate(above):
-        mine = {t for t in sets if len(t) >= start}
-        if not mine:
-            continue
-        big = max(mine, key=len)
-        if len(mine) > 1 and set(big).issuperset(chain.from_iterable(mine)):
-            mine = {big}
-        top = len(big) if max_dim is None else min(len(big), max_dim)
-        for k in range(start, top + 1):
+        mine = {t for t in sets if len(t) >= k}
+        if mine:
+            big = max(mine, key=len)
+            if len(mine) > 1 and set(big).issuperset(chain.from_iterable(mine)):
+                mine = {big}
+            offers.append((i, big, mine))
+    found = list(levels)
+    while max_dim is None or k <= max_dim:
+        level: list[Simplex] = []
+        for i, big, mine in offers:
+            if len(big) < k:
+                continue
             if len(mine) == 1:
                 tails: Iterable[Simplex] = combinations(big, k)
             else:
                 tails = sorted(set().union(*(combinations(t, k) for t in mine)))
-            if len(new) == k - start:
-                new.append([])
-            new[k - start].extend(map((i,).__add__, tails))
-    return SimplicialComplex._canonical(names, (*levels, *map(tuple, new)))
-
-
-def _overlap_complex_by_levels(
-    system: AgentSystem, edges: tuple[Simplex, ...], max_dim: int | None
-) -> SimplicialComplex:
-    """The overlap complex above its edges, one level from the last (see build_overlap_complex)."""
-    agents = system.agents
-    up: list[list[int]] = [[] for _ in agents]
-    for i, j in edges:
-        up[i].append(j)
-
-    levels: list[tuple[Simplex, ...]] = [tuple((i,) for i in range(len(agents))), edges]
-    k = 2
-    while max_dim is None or k <= max_dim:
-        prev = levels[k - 1]
-        prev_set = set(prev)
-        found: list[Simplex] = []
-        for s in prev:
-            shared = agents[s[0]].support
-            for i in s[1:]:
-                shared = shared & agents[i].support
-            for v in up[s[0]]:
-                if v <= s[-1] or any(s[:j] + s[j + 1 :] + (v,) not in prev_set for j in range(k)):
-                    continue
-                cand = s + (v,)
-                overlap = shared & agents[v].support
-                if not any(overlap.isdisjoint(agents[i].positive) for i in cand):
-                    found.append(cand)
-        if not found:
+            simplices = map((i,).__add__, tails)
+            level.extend(simplices if keep is None else filter(keep, simplices))
+        if not level:
             break
-        levels.append(tuple(found))
+        found.append(tuple(level))
         k += 1
-    return SimplicialComplex._canonical(system.names, tuple(levels))
+    return SimplicialComplex._canonical(names, tuple(found))
 
 
 def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:
@@ -346,6 +325,7 @@ def _build_forest(X: SimplicialComplex) -> SpanningForest:
             adjacency[i].append(j)
             adjacency[j].append(i)
 
+    # edges come in canonical order, so each adjacency list is increasing
     order: list[int] = []
     parent: dict[int, int] = {}
     seen = [False] * n
@@ -357,7 +337,7 @@ def _build_forest(X: SimplicialComplex) -> SpanningForest:
         while queue:
             u = queue.popleft()
             order.append(u)
-            for v in sorted(adjacency[u]):
+            for v in adjacency[u]:
                 if not seen[v]:
                     seen[v] = True
                     parent[v] = u

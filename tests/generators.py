@@ -142,6 +142,24 @@ def hub_system(rng: random.Random, agents: int) -> tuple[AgentSystem, dict[str, 
     }
 
 
+def split_hub_system(agents: int) -> AgentSystem:
+    """``agents`` agents weight one hub outcome; one more, listed last, holds it at mass 0.
+
+    Agent a<i> weights the hub and its private outcome p<i> equally; the
+    last agent weights every p<i> equally and the hub not at all, so each
+    of its edges is sign-split. The overlap complex is the full simplex on
+    the hub's weighters plus one edge from each of them to the last agent,
+    which lies in no triangle: the holders of the hub include it, but it
+    weights nothing every group of three holds.
+    """
+    outcomes = ("hub",) + tuple(f"p{i}" for i in range(agents))
+    half = Fraction(1, 2)
+    agent_list = [CredenceFunction(f"a{i}", {"hub": half, f"p{i}": half}) for i in range(agents)]
+    last = {"hub": Fraction(0)} | {x: Fraction(1, agents) for x in outcomes[1:]}
+    agent_list.append(CredenceFunction("holder", last))
+    return AgentSystem(OutcomeSpace(outcomes), tuple(agent_list))
+
+
 def geometric_chain(agents: int, ratio: int) -> AgentSystem:
     """Agent i is aware of outcomes i and i+1 and weights them 1 : ratio.
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from urprior.oracle import feasibility_oracle
 
 from . import overlap_reference as reference
 from .fraction_reference import mass
-from .generators import EDGE_CASES, hub_system, seeded_systems
+from .generators import EDGE_CASES, hub_system, seeded_systems, split_hub_system
 
 SYSTEMS = seeded_systems()
 
@@ -121,9 +125,51 @@ def test_systems_with_a_split_edge_equal_the_reference():
         )
         generated = set(_generated_complex(system, 2).simplices(2))
         outside += any(t not in generated for t in X.simplices(2))
-    # the sample reaches the level-by-level path, and on it triangles
-    # that no weighting group holds (48 and 10 of 231 when written)
+    # the sample reaches split systems, and on them triangles that no
+    # weighting group holds (48 and 10 of 231 when written)
     assert split >= 40 and outside >= 8
+
+
+@pytest.mark.parametrize("max_dim", [None, 2, 3])
+@pytest.mark.parametrize("agents", range(1, 13))
+def test_split_hubs_equal_the_reference(agents, max_dim):
+    system = split_hub_system(agents)
+    assert len(_split_edges(system)) == agents
+    X = build_overlap_complex(system, max_dim=max_dim)
+    assert X == reference.build_overlap_complex(system, max_dim=max_dim)
+    # the full simplex on the hub's weighters, and the last agent's edges
+    top = agents - 1 if max_dim is None else min(agents - 1, max_dim)
+    assert X.dim == max(top, 1)
+
+
+STAR = """
+from fractions import Fraction
+from urprior.complexes import build_overlap_complex
+from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
+
+others = 39
+private = [f"q{i}" for i in range(others)]
+centre = CredenceFunction("c", {x: Fraction(1, others + 1) for x in ["o", *private]})
+leaves = [CredenceFunction(f"b{i}", {"o": Fraction(0), x: Fraction(1)}) for i, x in enumerate(private)]
+system = AgentSystem(OutcomeSpace(("o", *private)), (centre, *leaves))
+print(build_overlap_complex(system).counts())
+"""
+
+
+def test_a_split_star_stops_at_its_edges():
+    # the centre weights o, which its 39 leaves hold at mass 0, so each of
+    # its edges is sign-split and all 2^39 groups of leaves are candidates
+    # above it; none of the 741 at dimension 2 is a simplex, and the
+    # listing stops there. Run apart, so that a listing which walks on
+    # fails at the timeout instead of stalling the suite.
+    env = dict(os.environ)
+    paths = [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    process = subprocess.run(
+        [sys.executable, "-c", STAR], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout == "[40, 39]\n"
 
 
 def test_every_split_edge_is_a_pairwise_violation():

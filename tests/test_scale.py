@@ -10,7 +10,14 @@ from urprior import cli
 from urprior.cohomology import cohomology_dim
 from urprior.compat import decide_urprior, verify_urprior
 
-from .generators import annulus, complex_to_dict, holonomy_from_pmfs, hub_system, window_chain
+from .generators import (
+    annulus,
+    complex_to_dict,
+    holonomy_from_pmfs,
+    hub_system,
+    split_hub_system,
+    window_chain,
+)
 
 
 def test_check_on_a_200_agent_window_chain(tmp_path, capsys):
@@ -73,6 +80,20 @@ def test_check_and_cohomology_on_a_60_agent_hub(tmp_path, capsys):
         "coboundaries": 59,
         "h": 0,
     }
+
+
+def test_check_on_a_60_agent_split_hub(tmp_path, capsys):
+    # the hub's holders are all 61 agents, so every triple of them is a
+    # candidate, but only the 34,220 without the last agent are triangles;
+    # its 60 sign-split edges close 59 independent cycles
+    path = tmp_path / "split-hub.json"
+    path.write_text(json.dumps(cli.system_to_dict(split_hub_system(60))))
+    code = cli.main(["check", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["pairwise"]["compatible"] is False
+    assert report["complex"]["counts"] == [61, 1830, 34220]
+    assert report["h1"] == 59
 
 
 def test_counterexample_round_trip_on_a_1280_edge_annulus(tmp_path, capsys):
