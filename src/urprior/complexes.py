@@ -19,9 +19,9 @@ unique and closed by construction, so they return through
 ``SimplicialComplex._canonical``, which checks nothing again.
 
 A complex file and an overlap complex are both listed by one routine,
-``_generated``, from a family of vertex sets (the facets; the groups of
-agents that weight, or on a system with a sign-split edge hold, one
-outcome), the subsets of the holders' groups tested against the
+``_generated``: from a family of vertex sets (the facets; the groups of
+agents that weight one outcome), or, on a system with a sign-split edge,
+from the edges up, each level from the one below, tested against the
 definition of the overlap complex.
 """
 
@@ -31,7 +31,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from typing import Callable, Iterable, Mapping, Sequence
 
 from urprior.credence import AgentSystem
@@ -159,19 +159,18 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     ``max_dim == 1`` the complex stops there, before anything below runs.
 
     The lowest member i of a simplex J weights some outcome x of the
-    joint overlap, which every member holds, so J is i plus a subset of
-    the holders of x above i; ``_generated`` keeps the subsets that meet
-    the definition. On a system with no sign-split edge, an edge (i, j) on
-    whose shared outcomes the two agents disagree about which carry mass
-    (``positive[i] & support[j] != positive[j] & support[i]``), no test is
-    needed: each other member shares x with i over an edge, so weights x
-    too, and the complex is the one the sets A_x of agents weighting x
-    generate. A split edge is always a pairwise violation (at the outcome
-    in dispute one conditional is 0 and the other is not), so every
-    violation-free system has none. One index pass lists each A_x and the
-    agents aware of x without weighting it; a split edge is a (weighting,
-    non-weighting) pair of one outcome's holders that is an edge, and
-    only a system with one builds the holders' groups.
+    joint overlap, and each other member j holds x. On a system with no
+    sign-split edge, an edge (i, j) on whose shared outcomes the two
+    agents disagree about which carry mass (``positive[i] & support[j] !=
+    positive[j] & support[i]``), j then weights x too, since (i, j) is an
+    edge, so J lies in the set A_x of agents weighting x: the complex is
+    the one the A_x generate. A split edge is always a pairwise violation
+    (at the outcome in dispute one conditional is 0 and the other is
+    not), so every violation-free system has none. One index pass lists
+    each A_x and the agents aware of x without weighting it; a split edge
+    is a (weighting, non-weighting) pair of one outcome's holders that is
+    an edge. A system with one is listed from its edges up, each
+    candidate tested against the definition.
     """
     agents = system.agents
     n = len(agents)
@@ -188,14 +187,12 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     for i, agent in enumerate(agents):
         for x, c in agent.counts[1].items():
             (weighting if c > 0 else unweighting).setdefault(x, []).append(i)
-    groups, keep = weighting, None
     if any(
         min(overlaps[(i, j) if i < j else (j, i)][1:]) > 0
         for x, zeros in unweighting.items()
         for i in weighting.get(x, ())
         for j in zeros
     ):
-        groups = {x: sorted(members + unweighting.get(x, [])) for x, members in weighting.items()}
         supports = [agent.support for agent in agents]
         positives = [agent.positive for agent in agents]
 
@@ -203,12 +200,14 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
             shared = frozenset.intersection(*(supports[j] for j in J))
             return all(not shared.isdisjoint(positives[j]) for j in J)
 
+        return _generated(system.names, (vertices, edges), (), max_dim, keep)
+
     above: list[list[Simplex]] = [[] for _ in agents]
     for i, agent in enumerate(agents):
         for x in agent.positive:
-            members = groups[x]
+            members = weighting[x]
             above[i].append(tuple(members[bisect_right(members, i) :]))
-    return _generated(system.names, (vertices, edges), above, max_dim, keep)
+    return _generated(system.names, (vertices, edges), above, max_dim)
 
 
 def _generated(
@@ -218,20 +217,27 @@ def _generated(
     max_dim: int | None,
     keep: Callable[[Simplex], bool] | None = None,
 ) -> SimplicialComplex:
-    """``levels`` extended, through ``max_dim``, by the complex a family of vertex sets generates.
+    """``levels`` extended, through ``max_dim``, up to the first empty level.
 
-    ``above[i]`` holds, for each generating set that contains vertex i,
-    its members above i, sorted; sets too small to reach the first new
-    level are ignored. Level k lists, for each lowest vertex i in order,
-    ``(i,) +`` the sorted k-subsets of those sets, only those ``keep``
-    accepts when it is given (it must accept the faces of what it
-    accepts): canonical order by construction, with no facet test and no
-    set but one per vertex and level, and none when one set holds all the
-    others, whose combinations are then taken alone. The levels are
-    listed across all vertices, one after the other, up to the first
-    empty one.
+    Without ``keep``, the new levels are those of the complex a family of
+    vertex sets generates. ``above[i]`` holds, for each set that contains
+    vertex i, its members above i, sorted; sets too small to reach the
+    first new level are ignored. Level k lists, for each lowest vertex i
+    in order, ``(i,) +`` the sorted k-subsets of those sets: canonical
+    order by construction, with no facet test and no set but one per
+    vertex and level, and none when one set holds all the others, whose
+    combinations are then taken alone.
+
+    With ``keep`` (closed downward, and the last given level exactly its
+    simplices of that dimension), ``above`` is not read: level k joins
+    each two simplices of level k - 1 that differ only in their last
+    vertex and lists the joins ``keep`` accepts. Both of those faces of a
+    simplex are accepted, so none is missed, and the joins come in
+    canonical order; the work follows the level below, not the size of
+    the groups a simplex could lie in.
     """
     k = len(levels)
+    found = list(levels)
     offers: list[tuple[int, Simplex, set[Simplex]]] = []
     for i, sets in enumerate(above):
         mine = {t for t in sets if len(t) >= k}
@@ -240,9 +246,12 @@ def _generated(
             if len(mine) > 1 and set(big).issuperset(chain.from_iterable(mine)):
                 mine = {big}
             offers.append((i, big, mine))
-    found = list(levels)
     while max_dim is None or k <= max_dim:
         level: list[Simplex] = []
+        if keep is not None:
+            for head, faces in groupby(found[-1], key=lambda s: s[:-1]):
+                pairs = combinations([s[-1] for s in faces], 2)
+                level.extend(filter(keep, (head + pair for pair in pairs)))
         for i, big, mine in offers:
             if len(big) < k:
                 continue
@@ -250,8 +259,7 @@ def _generated(
                 tails: Iterable[Simplex] = combinations(big, k)
             else:
                 tails = sorted(set().union(*(combinations(t, k) for t in mine)))
-            simplices = map((i,).__add__, tails)
-            level.extend(simplices if keep is None else filter(keep, simplices))
+            level.extend(map((i,).__add__, tails))
         if not level:
             break
         found.append(tuple(level))

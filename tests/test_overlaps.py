@@ -143,33 +143,45 @@ def test_split_hubs_equal_the_reference(agents, max_dim):
 
 
 STAR = """
+import sys
 from fractions import Fraction
 from urprior.complexes import build_overlap_complex
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 
-others = 39
+others, clique = map(int, sys.argv[1:])
 private = [f"q{i}" for i in range(others)]
 centre = CredenceFunction("c", {x: Fraction(1, others + 1) for x in ["o", *private]})
 leaves = [CredenceFunction(f"b{i}", {"o": Fraction(0), x: Fraction(1)}) for i, x in enumerate(private)]
-system = AgentSystem(OutcomeSpace(("o", *private)), (centre, *leaves))
+group = [CredenceFunction(f"k{i}", {"r": Fraction(1)}) for i in range(clique)]
+system = AgentSystem(OutcomeSpace(("o", *private, "r")), (centre, *leaves, *group))
 print(build_overlap_complex(system).counts())
 """
 
 
-def test_a_split_star_stops_at_its_edges():
-    # the centre weights o, which its 39 leaves hold at mass 0, so each of
-    # its edges is sign-split and all 2^39 groups of leaves are candidates
-    # above it; none of the 741 at dimension 2 is a simplex, and the
-    # listing stops there. Run apart, so that a listing which walks on
-    # fails at the timeout instead of stalling the suite.
+@pytest.mark.parametrize(
+    "others, clique, counts",
+    [(39, 0, [40, 39]), (60, 8, [69, 88, 56, 70, 56, 28, 8, 1])],
+)
+def test_a_split_star_stops_at_its_edges(others, clique, counts):
+    # the centre weights o, which its leaves hold at mass 0, so each of
+    # its edges is sign-split and every group of leaves holds an outcome
+    # the centre weights; none of the groups of two leaves with the centre
+    # is a simplex. Alone, the star's listing must stop at its edges; next
+    # to a clique on r, whose levels go on through dimension 7, it must
+    # try no larger group of leaves. Run apart, so that a listing which
+    # walks on fails at the timeout instead of stalling the suite.
     env = dict(os.environ)
     paths = [str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     process = subprocess.run(
-        [sys.executable, "-c", STAR], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", STAR, str(others), str(clique)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert process.returncode == 0, process.stderr
-    assert process.stdout == "[40, 39]\n"
+    assert process.stdout == f"{counts}\n"
 
 
 def test_every_split_edge_is_a_pairwise_violation():
