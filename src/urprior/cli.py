@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
-from urprior.cohomology import coboundary_dim, cohomology_dim
+from urprior.cohomology import coboundary_columns, coboundary_rank, cohomology_dim
 from urprior.compat import (
     Asymmetry,
     Certificate,
@@ -47,7 +47,6 @@ from urprior.compat import (
 from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
-    coboundary_columns,
     connected_components,
     from_facets,
 )
@@ -341,8 +340,8 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         raise CliError(f"{args.file}: neither a system file (agents) nor a complex file (facets)")
 
     k = args.dim
-    rank_below = coboundary_dim(X, k)
-    rank_at = coboundary_dim(X, k + 1)
+    rank_below = coboundary_rank(X, k - 1)
+    rank_at = coboundary_rank(X, k)
     cocycles = len(X.simplices(k)) - rank_at
     coboundaries = rank_below
     h = cocycles - coboundaries

@@ -1,8 +1,10 @@
-"""Coboundary ranks, rational cohomology dimensions and the canonical 1-cocycle.
+"""Coboundary maps, their ranks, rational cohomology dimensions and the canonical 1-cocycle.
 
-Ranks come from sparse integer columns through the exact column
-reduction of ``urprior.numerics``; no dense matrix is built. Every rank
-of a coboundary map is read through this module, and degrees 0 and 1
+A coboundary map exists only as sparse integer columns
+(``coboundary_columns``); no dense matrix is built, not even for
+display. This module alone writes their signs and alone reduces them,
+through the exact column reduction of ``urprior.numerics``. Every rank
+of a coboundary map is ``coboundary_rank(X, k)``, and degrees 0 and 1
 read the complex's cached spanning forest (``spanning_forest``):
 
 - rank delta_0 is the number of vertices minus the number of components,
@@ -17,28 +19,49 @@ read the complex's cached spanning forest (``spanning_forest``):
   and no delta_1 column is ever reduced;
 - degrees 2 and up reduce the columns of ``coboundary_columns``.
 
-A cochain is a plain map from simplices to values; the one this module
-returns, the cocycle of ``noncoboundary_cocycle``, is an ``{edge: int}``
-map over every edge.
+``cohomology_dim(X, k)`` is the number of k-simplices less rank delta_k
+and rank delta_(k-1). A cochain is a plain map from simplices to values;
+the one this module returns, the cocycle of ``noncoboundary_cocycle``, is
+an ``{edge: int}`` map over every edge.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from urprior.complexes import Simplex, SimplicialComplex, coboundary_columns, spanning_forest
+from urprior.complexes import Simplex, SimplicialComplex, spanning_forest
 from urprior.numerics import Column, _left_kernel_vector, _reduce, matrix_rank
 
 __all__ = [
-    "coboundary_dim",
-    "cocycle_dim",
+    "coboundary_columns",
+    "coboundary_rank",
     "cohomology_dim",
     "noncoboundary_cocycle",
 ]
 
 
-def _coboundary_rank(X: SimplicialComplex, k: int) -> int:
+def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:
+    """Sparse columns of the degree-k coboundary map in canonical simplex order.
+
+    Column j belongs to the j-th k-simplex and maps the index of each
+    (k+1)-simplex containing it to the sign of that face: (-1)**p when
+    the face is obtained by deleting vertex position p.
+    """
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    col_simplices = X.simplices(k)
+    col_index = {s: j for j, s in enumerate(col_simplices)}
+    columns: list[Column] = [{} for _ in col_simplices]
+    for i, t in enumerate(X.simplices(k + 1)):
+        for p in range(len(t)):
+            columns[col_index[t[:p] + t[p + 1 :]]][i] = 1 if p % 2 == 0 else -1
+    return columns
+
+
+def coboundary_rank(X: SimplicialComplex, k: int) -> int:
     """rank delta_k: by the forest for k = 0 and 1 (see the module notes), else by reduction."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
     if k == 0:
         return len(spanning_forest(X).parent)
     if k == 1:
@@ -59,6 +82,7 @@ def _cycle_space_reduction(X: SimplicialComplex) -> tuple[tuple[Simplex, ...], d
     def boundaries() -> Iterator[Column]:
         for a, b, c in X.simplices(2):
             column: Column = {}
+            # (-1)**p at the face that deletes vertex position p, as in coboundary_columns
             for face, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
                 row = rows.get(face)
                 if row is not None:
@@ -68,25 +92,11 @@ def _cycle_space_reduction(X: SimplicialComplex) -> tuple[tuple[Simplex, ...], d
     return non_tree, _reduce(boundaries(), len(non_tree))
 
 
-def cocycle_dim(X: SimplicialComplex, k: int) -> int:
-    """Dimension of the space of k-cocycles (kernel of the degree-k map)."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return len(X.simplices(k)) - _coboundary_rank(X, k)
-
-
-def coboundary_dim(X: SimplicialComplex, k: int) -> int:
-    """Dimension of the space of k-coboundaries (image of the degree k-1 map)."""
-    if k < 1:
-        raise ValueError("coboundaries start at degree 1")
-    return _coboundary_rank(X, k - 1)
-
-
 def cohomology_dim(X: SimplicialComplex, k: int) -> int:
     """dim H^k over the rationals. Degree 0 is out of scope here."""
     if k < 1:
         raise ValueError("cohomology_dim supports k >= 1 only")
-    return cocycle_dim(X, k) - coboundary_dim(X, k)
+    return len(X.simplices(k)) - coboundary_rank(X, k) - coboundary_rank(X, k - 1)
 
 
 def noncoboundary_cocycle(X: SimplicialComplex) -> dict[Simplex, int] | None:

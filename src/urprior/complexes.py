@@ -2,12 +2,10 @@
 
 A complex stores, per dimension, the lexicographically sorted tuples of
 vertex indices. For overlap complexes the index order is the agent order
-of the system, which fixes every orientation downstream. A coboundary
-map exists only as sparse integer columns (``coboundary_columns``); no
-dense matrix is built, not even for display. A complex is immutable, so
-its spanning forest is built once, on first use, and cached on it: the
-components, the scaling solve, rank delta_0 and the degree-1 cohomology
-all read that one forest.
+of the system, which fixes every orientation downstream. A complex is
+immutable, so its spanning forest is built once, on first use, and
+cached on it: the components, the scaling solve, rank delta_0 and the
+degree-1 cohomology all read that one forest.
 
 A complex is built one of two ways. The public constructor
 ``SimplicialComplex(...)`` is the path for input from outside the
@@ -35,7 +33,6 @@ from itertools import chain, combinations, groupby
 from typing import Callable, Iterable, Mapping, Sequence
 
 from urprior.credence import AgentSystem
-from urprior.numerics import Column
 
 Simplex = tuple[int, ...]
 
@@ -44,7 +41,6 @@ __all__ = [
     "SimplicialComplex",
     "SpanningForest",
     "build_overlap_complex",
-    "coboundary_columns",
     "connected_components",
     "from_facets",
     "spanning_forest",
@@ -265,24 +261,6 @@ def _generated(
         found.append(tuple(level))
         k += 1
     return SimplicialComplex._canonical(names, tuple(found))
-
-
-def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:
-    """Sparse columns of the degree-k coboundary map in canonical simplex order.
-
-    Column j belongs to the j-th k-simplex and maps the index of each
-    (k+1)-simplex containing it to the sign of that face: (-1)**p when
-    the face is obtained by deleting vertex position p.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    col_simplices = X.simplices(k)
-    col_index = {s: j for j, s in enumerate(col_simplices)}
-    columns: list[Column] = [{} for _ in col_simplices]
-    for i, t in enumerate(X.simplices(k + 1)):
-        for p in range(len(t)):
-            columns[col_index[t[:p] + t[p + 1 :]]][i] = 1 if p % 2 == 0 else -1
-    return columns
 
 
 @dataclass(frozen=True)

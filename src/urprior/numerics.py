@@ -15,11 +15,20 @@ and reports built on it are reproducible byte for byte.
 
 The pivot of a column is its smallest row index: the lowest entry when
 the rows are listed in reverse, as persistent cohomology lists them.
-Which row serves as pivot changes no answer, only the work. On the
-coboundary maps of sliding-window overlap complexes the smallest index
-keeps every reduction a few steps long, where the largest index makes
-the steps grow with the number of agents (on a 3,200-agent window-4
-chain, 16k steps against 6.8M).
+``_left_kernel_vector`` relies on it; for a rank, which row serves as
+pivot changes no answer, only the work, and no fixed order is best on
+every input. Coboundary columns are reduced from degree 2 up (degrees
+0 and 1 read the spanning forest). Rank delta_2, as
+``matrix_rank(coboundary_columns(X, 2), ...)``, smallest index against
+largest, on a 2-core Xeon with Python 3.11.7:
+
+- 3,200-agent window-4 chain: 0.02 s against 13.1 s;
+- 800-agent window-8 chain: 0.26 s against 10.7 s;
+- 30-agent hub, the full 3-skeleton: 4.3 s and 279 MB peak RSS against
+  0.15 s and 28 MB.
+
+The smallest index stays; what the dense case needs is fewer columns,
+not another order.
 
 Rationals become integers over a common denominator in one place,
 ``common_denominator``: each agent's pmf counts and the measure that

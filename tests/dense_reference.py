@@ -6,10 +6,11 @@ column reduction replaced it, together with the dense matrix type, the
 dense coboundary matrix and the ``Fraction`` rescaling of a kernel
 vector to coprime integers that went with it. It is kept here, unchanged
 in behaviour, so that tests can require the sparse results to equal the
-dense ones. ``noncoboundary_cocycle`` is the one exception: it computes
-the library's canonical cocycle straight from its definition. Cochains
-are plain: a map from simplices to values, or a tuple of values in
-canonical simplex order.
+dense ones. Two functions are built straight from a definition instead:
+``coboundary_matrix`` writes each face sign from the simplices alone,
+and ``noncoboundary_cocycle`` computes the library's canonical cocycle.
+Cochains are plain: a map from simplices to values, or a tuple of values
+in canonical simplex order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from urprior.complexes import Simplex, SimplicialComplex, coboundary_columns, spanning_forest
+from urprior.complexes import Simplex, SimplicialComplex, spanning_forest
 
 Vector = tuple[Fraction, ...]
 
@@ -51,17 +52,20 @@ class Matrix:
 
 
 def coboundary_matrix(X: SimplicialComplex, k: int) -> Matrix:
-    """Dense matrix of the degree-k coboundary map.
+    """Dense matrix of the degree-k coboundary map, from its definition.
 
-    Rows are the (k+1)-simplices, columns the k-simplices, entries as in
-    ``coboundary_columns``.
+    Rows are the (k+1)-simplices, columns the k-simplices, each in
+    canonical order. Entry (t, s) is (-1)**p when s is the face of t that
+    deletes the vertex at position p of t, and 0 when s is no face of t.
     """
-    columns = coboundary_columns(X, k)
-    grid = [[Fraction(0)] * len(columns) for _ in X.simplices(k + 1)]
-    for j, column in enumerate(columns):
-        for i, sign in column.items():
-            grid[i][j] = Fraction(sign)
-    return Matrix.from_rows(grid, cols=len(columns))
+    rows, cols = X.simplices(k + 1), X.simplices(k)
+    grid = [[Fraction(0)] * len(cols) for _ in rows]
+    for i, t in enumerate(rows):
+        for j, s in enumerate(cols):
+            if set(s) <= set(t):
+                (missing,) = set(t) - set(s)
+                grid[i][j] = Fraction((-1) ** t.index(missing))
+    return Matrix.from_rows(grid, cols=len(cols))
 
 
 def _coprime_integers(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -6,11 +6,10 @@ import random
 import pytest
 
 from urprior import cli, complexes
-from urprior.cohomology import cohomology_dim, noncoboundary_cocycle
+from urprior.cohomology import coboundary_columns, cohomology_dim, noncoboundary_cocycle
 from urprior.complexes import (
     SimplicialComplex,
     build_overlap_complex,
-    coboundary_columns,
     connected_components,
     from_facets,
     spanning_forest,

@@ -76,6 +76,18 @@ def test_only_cohomology_reduces_coboundary_maps():
     assert callers == {"cohomology.py"}
 
 
+def test_only_cohomology_writes_coboundary_signs():
+    # the sparse coboundary columns, and with them the face signs, are
+    # defined in the one module that reduces them
+    definers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "coboundary_columns"
+    }
+    assert definers == {"cohomology.py"}
+
+
 def test_the_oracle_shares_only_the_data_model():
     # the oracle cross-checks the main pipeline, so it may read agents and
     # pmfs but neither the pipeline's modules nor the integer counts and
