@@ -51,7 +51,7 @@ from urprior.complexes import (
     from_facets,
 )
 from urprior.credence import AgentSystem, ValidationError, validate
-from urprior.numerics import Column, format_rational, matrix_rank
+from urprior.numerics import Column, _format_pair, format_rational, matrix_rank
 from urprior.oracle import feasibility_oracle
 from urprior.witness import AmbiguousLabelError, NoHoleError, generate_counterexample
 
@@ -137,7 +137,7 @@ def system_to_dict(system: AgentSystem) -> dict[str, Any]:
             {
                 "name": agent.name,
                 "credence": {
-                    x: format_rational(agent.pmf[x]) for x in sorted(agent.pmf, key=position)
+                    x: _format_pair(*agent.masses[x]) for x in sorted(agent.masses, key=position)
                 },
             }
             for agent in system.agents
@@ -328,13 +328,17 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     if args.dim < 1:
         raise CliError("--dim must be at least 1")
     raw = _load_json(args.file)
-    if isinstance(raw, Mapping) and "agents" in raw:
+    system_file = isinstance(raw, Mapping) and "agents" in raw
+    complex_file = isinstance(raw, Mapping) and "facets" in raw
+    if system_file and complex_file:
+        raise CliError(f"{args.file}: both a system file (agents) and a complex file (facets)")
+    if system_file:
         try:
             system = validate(raw)
         except ValidationError as exc:
             raise CliError("invalid system file: " + "; ".join(exc.violations)) from exc
         X = build_overlap_complex(system, max_dim=args.dim + 1)
-    elif isinstance(raw, Mapping) and "facets" in raw:
+    elif complex_file:
         X = _complex_from_raw(raw, args.file)
     else:
         raise CliError(f"{args.file}: neither a system file (agents) nor a complex file (facets)")

@@ -360,7 +360,7 @@ def verify_urprior(system: AgentSystem, measure: Mapping[str, Fraction]) -> Veri
     for x, v in measure.items():
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise ValueError(f"measure: outcome {x!r}: mass {v!r} is not an int or a Fraction")
-    D, w = common_denominator(measure)
+    D, w = common_denominator({x: (v.numerator, v.denominator) for x, v in measure.items()})
     return _verify(system, w, D)
 
 

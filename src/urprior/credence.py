@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from urprior.numerics import common_denominator, format_rational, parse_rational
+from urprior.numerics import _format_pair, _rational_pair, common_denominator, format_rational
 
 __all__ = [
     "AgentSystem",
@@ -45,21 +45,25 @@ class CredenceFunction:
     The key set of ``pmf`` is the awareness set. An outcome carried with
     mass zero is awareness without weight, which is different from the
     outcome being absent. Masses must be ``int`` or ``Fraction`` values;
-    a float, bool or string is rejected. Both types carry ``numerator``
-    and a ``Fraction``'s denominator is positive, so the library tests
-    the sign of a mass on its numerator, an ``int`` comparison.
+    a float, bool or string is rejected.
 
-    Three forms are set when the agent is built. ``counts`` is the pmf in
-    integer form, ``(d, {x: n_x})`` with ``pmf[x] == n_x / d`` and ``d``
-    the lcm of the pmf's denominators; the exact checks downstream
+    Four forms are set when the agent is built. ``masses`` is each mass
+    as its coprime integer pair ``(p, q)``, ``q > 0``, in pmf key order,
+    so the sign of a mass is the sign of its ``p``. ``counts`` is the pmf
+    in integer form, ``(d, {x: n_x})`` with ``pmf[x] == n_x / d`` and
+    ``d`` the lcm of the pmf's denominators; the exact checks downstream
     compare these per-agent integers by cross-multiplication, so
     deciding an equality never reduces a fraction. ``support`` is the
     awareness set, every pmf key. ``positive`` is the set of outcomes of
     positive mass, from which the overlap complex is built.
+
+    An agent built by ``_canonical`` has no ``pmf`` until it is first
+    read; it is then built from ``masses`` and kept.
     """
 
     name: str
     pmf: Mapping[str, Fraction]
+    masses: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
     counts: tuple[int, dict[str, int]] = field(init=False, repr=False, compare=False)
     support: frozenset[str] = field(init=False, repr=False, compare=False)
     positive: frozenset[str] = field(init=False, repr=False, compare=False)
@@ -73,36 +77,47 @@ class CredenceFunction:
                 raise ValueError(
                     f"agent {self.name}: outcome {x!r}: mass {v!r} is not an int or a Fraction"
                 )
-        if any(v.numerator < 0 for v in self.pmf.values()):
+        masses = {x: (v.numerator, v.denominator) for x, v in self.pmf.items()}
+        if any(p < 0 for p, _ in masses.values()):
             raise ValueError(f"agent {self.name}: negative mass")
-        counts = common_denominator(self.pmf)
+        counts = common_denominator(masses)
         error = _sum_error(self.name, counts)
         if error is not None:
             raise ValueError(error)
-        self._set_forms(counts)
+        self._set_forms(masses, counts)
 
     @classmethod
     def _canonical(
-        cls, name: str, pmf: dict[str, Fraction], counts: tuple[int, dict[str, int]]
+        cls, name: str, masses: dict[str, tuple[int, int]], counts: tuple[int, dict[str, int]]
     ) -> CredenceFunction:
-        """An agent from a pmf the caller guarantees valid, built without checks.
+        """An agent from masses the caller guarantees valid, built without checks.
 
         The caller guarantees every rule ``__post_init__`` checks: a
-        nonempty dict of ``int`` or ``Fraction`` masses (no bool), none
-        negative, summing to 1. It also guarantees that ``counts`` is
-        exactly ``common_denominator(pmf)``.
+        nonempty dict of coprime integer pairs ``(p, q)`` with ``p >= 0``
+        and ``q > 0``, summing to 1. It also guarantees that ``counts``
+        is exactly ``common_denominator(masses)``.
         """
         agent = object.__new__(cls)
         object.__setattr__(agent, "name", name)
-        object.__setattr__(agent, "pmf", pmf)
-        agent._set_forms(counts)
+        agent._set_forms(masses, counts)
         return agent
 
-    def _set_forms(self, counts: tuple[int, dict[str, int]]) -> None:
-        """Set ``counts``, and ``support`` and ``positive`` read off them."""
-        support = frozenset(self.pmf)
+    def __getattr__(self, name: str) -> dict[str, Fraction]:
+        # Runs only while an attribute is missing: the pmf of a _canonical agent, until first read.
+        if name != "pmf":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pmf = {x: Fraction(p, q) for x, (p, q) in self.masses.items()}
+        object.__setattr__(self, "pmf", pmf)
+        return pmf
+
+    def _set_forms(
+        self, masses: dict[str, tuple[int, int]], counts: tuple[int, dict[str, int]]
+    ) -> None:
+        """Set ``masses`` and ``counts``, and ``support`` and ``positive`` read off them."""
+        support = frozenset(masses)
         n = counts[1]
         positive = frozenset([x for x, c in n.items() if c]) if 0 in n.values() else support
+        object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "positive", positive)
@@ -211,9 +226,10 @@ def validate(raw: object) -> AgentSystem:
     Every rule of the ``CredenceFunction`` and ``AgentSystem``
     constructors is checked here, on the raw input, so the system is
     built through their ``_canonical`` forms and checked only once:
-    each pmf is a nonempty dict of non-negative ``Fraction`` masses
-    summing to 1 (its counts come from the sum check), agent names are
-    unique, and every outcome an agent names is in the outcome space.
+    each agent's masses are a nonempty dict of non-negative coprime
+    pairs summing to 1 (its counts, the lcm of their ``q``s, come from
+    the sum check), agent names are unique, and every outcome an agent
+    names is in the outcome space. No mass becomes a ``Fraction``.
     """
     if not isinstance(raw, Mapping):
         raise ValidationError(["system description must be a JSON object"])
@@ -258,7 +274,7 @@ def validate(raw: object) -> AgentSystem:
         if not isinstance(table, Mapping) or not table:
             violations.append(f"agent {name}: 'credence' must be a nonempty mapping")
             continue
-        pmf: dict[str, Fraction] = {}
+        masses: dict[str, tuple[int, int]] = {}
         ok = True
         for outcome, value in table.items():
             if outcome not in known:
@@ -266,23 +282,23 @@ def validate(raw: object) -> AgentSystem:
                 ok = False
                 continue
             try:
-                q = parse_rational(value)
+                p, q = _rational_pair(value)
             except (TypeError, ValueError) as exc:
                 violations.append(f"agent {name}: outcome {outcome!r}: {exc}")
                 ok = False
                 continue
-            if q.numerator < 0:
+            if p < 0:
                 violations.append(
-                    f"agent {name}: outcome {outcome!r} has negative mass {format_rational(q)}"
+                    f"agent {name}: outcome {outcome!r} has negative mass {_format_pair(p, q)}"
                 )
                 ok = False
                 continue
-            pmf[outcome] = q
+            masses[outcome] = (p, q)
         if ok:
-            counts = common_denominator(pmf)
+            counts = common_denominator(masses)
             error = _sum_error(name, counts)
             if error is None:
-                agents.append(CredenceFunction._canonical(name, pmf, counts))
+                agents.append(CredenceFunction._canonical(name, masses, counts))
             else:
                 violations.append(error)
 

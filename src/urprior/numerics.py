@@ -89,34 +89,44 @@ def parse_rational(value: object) -> Fraction:
     literals ("0.3", read exactly as 3/10), with any number of digits and
     an exponent of at most 10,000 in absolute value ("1e-5").
     Floats are rejected outright: they carry binary rounding error and
-    would poison exact comparisons.
+    would poison exact comparisons. The value is ``_rational_pair``'s,
+    with its errors.
+    """
+    return Fraction(*_rational_pair(value))
+
+
+def _rational_pair(value: object) -> tuple[int, int]:
+    """``parse_rational(value)`` as a coprime pair ``(p, q)``, ``q > 0``; no ``Fraction`` is built.
 
     A plain integer "p" or "p/q" string, ASCII digits only, each part at
     most ``_DIRECT_DIGITS`` long, and a nonzero q, is read straight as
-    ``Fraction(int(p))`` or ``Fraction(int(p), int(q))``. Everything
-    else goes through the literal grammar, with the same value or error
-    either way: a sign, whitespace, ``_``, a decimal point, an exponent,
-    a non-ASCII digit, a zero or longer part.
+    ``int(p)`` or ``int(p), int(q)`` over their gcd. Everything else goes
+    through the literal grammar, with the same value or error either way:
+    a sign, whitespace, ``_``, a decimal point, an exponent, a non-ASCII
+    digit, a zero or longer part.
     """
     if isinstance(value, str):  # first: a file's masses are all strings
         num, slash, den = value.partition("/")
         if len(num) <= _DIRECT_DIGITS and value.isascii() and num.isdigit():
             if not slash:
-                return Fraction(int(num))
+                return int(num), 1
             if len(den) <= _DIRECT_DIGITS and den.isdigit() and (q := int(den)):
-                return Fraction(int(num), q)
+                p = int(num)
+                g = gcd(p, q)
+                return p // g, q // g
         try:
-            return _parse_literal(value)
+            literal = _parse_literal(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             shown = repr(value)
             if len(value) > _ECHO:
                 shown = f"{value[:_ECHO]!r}... ({len(value)} characters)"
             problem = exc.args[0] if isinstance(exc, OverflowError) else "not a rational literal"
             raise ValueError(f"{problem}: {shown}") from exc
+        return literal.numerator, literal.denominator
     if isinstance(value, bool):
         raise TypeError("cannot interpret a boolean as a rational")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value.numerator, value.denominator
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; write it as a string such as '3/10'")
     raise TypeError(f"cannot parse {type(value).__name__} as a rational")
@@ -191,21 +201,26 @@ def format_rational(value: Fraction | int) -> str:
     An ``int`` or ``Fraction`` is always in lowest terms, so its
     ``numerator`` and ``denominator`` are read as they are.
     """
-    numerator = _decimal(value.numerator)
-    return numerator if value.denominator == 1 else f"{numerator}/{_decimal(value.denominator)}"
+    return _format_pair(value.numerator, value.denominator)
 
 
-def common_denominator(values: Mapping[K, Fraction | int]) -> tuple[int, dict[K, int]]:
-    """The values over one common denominator: ``(D, {k: n_k})`` with ``values[k] == n_k / D``.
+def _format_pair(p: int, q: int) -> str:
+    """``format_rational`` of the coprime pair ``(p, q)``, ``q > 0``; no ``Fraction`` is built."""
+    numerator = _decimal(p)
+    return numerator if q == 1 else f"{numerator}/{_decimal(q)}"
 
-    D is the lcm of the denominators (1 for no values); each ``lcm`` is
-    taken only when D is not yet a multiple of the next denominator.
+
+def common_denominator(values: Mapping[K, tuple[int, int]]) -> tuple[int, dict[K, int]]:
+    """Pairs ``(p, q)`` over one common denominator: ``(D, {k: n_k})`` with ``p / q == n_k / D``.
+
+    Each q is positive. D is the lcm of the q (1 for no values); each
+    ``lcm`` is taken only when D is not yet a multiple of the next q.
     """
     D = 1
-    for v in values.values():
-        if D % v.denominator:
-            D = lcm(D, v.denominator)
-    return D, {k: v.numerator * (D // v.denominator) for k, v in values.items()}
+    for _, q in values.values():
+        if D % q:
+            D = lcm(D, q)
+    return D, {k: p * (D // q) for k, (p, q) in values.items()}
 
 
 # Reduced columns keyed by their pivot, the smallest row index.

@@ -5,13 +5,13 @@ solutions: it treats the problem as plain linear feasibility in the
 sector masses and propagates constraints through the graph of outcomes
 that two agents both weight positively. It exists to cross-check the
 main pipeline, so it deliberately shares nothing with it beyond the data
-model and exact rational arithmetic: it reads the numerator and
-denominator of each pmf value on its own, and works in plain integers.
-Each sector mass is a reduced pair (a, b), meaning a / b, extended along
-a link with one ``gcd``; the links that extension did not cross are
-checked by cross-multiplication; the outcome masses are summed over one
-common denominator. The only ``Fraction`` it builds is each returned
-mass, one ``gcd`` apiece.
+model and exact rational arithmetic: it reads each agent's ``masses``,
+every pmf value as its reduced integer pair, and works in plain
+integers. Each sector mass is a reduced pair (a, b), meaning a / b,
+extended along a link with one ``gcd``; the links that extension did
+not cross are checked by cross-multiplication; the outcome masses are
+summed over one common denominator. The only ``Fraction`` it builds is
+each returned mass, one ``gcd`` apiece.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     n = len(agents)
     aware_at: dict[str, list[int]] = {}
     for i, agent in enumerate(agents):
-        for x in agent.pmf:
+        for x in agent.masses:
             aware_at.setdefault(x, []).append(i)
     union = [x for x in system.space.outcomes if x in aware_at]
 
@@ -56,7 +56,7 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     positive_at: dict[str, list[int]] = {}
     for x in union:
         aware = aware_at[x]
-        positives = [i for i in aware if agents[i].pmf[x].numerator > 0]
+        positives = [i for i in aware if agents[i].masses[x][0] > 0]
         if positives and len(positives) != len(aware):
             return None
         positive_at[x] = positives
@@ -71,10 +71,10 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
         if not positives:
             continue
         i = positives[0]
-        mi = agents[i].pmf[x]
+        ni, di = agents[i].masses[x]
         for j in positives[1:]:
-            mj = agents[j].pmf[x]
-            p, q = mi.numerator * mj.denominator, mi.denominator * mj.numerator
+            nj, dj = agents[j].masses[x]
+            p, q = ni * dj, di * nj
             adjacency[i].append((j, p, q, len(links)))
             adjacency[j].append((i, q, p, len(links)))
             links.append((i, j, p, q))
@@ -113,9 +113,9 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
             reduced.append((0, 1))
             continue
         k = positives[0]
-        m = agents[k].pmf[x]
+        m, d = agents[k].masses[x]
         a, b = sector[k]
-        num, den = m.numerator * a, m.denominator * b
+        num, den = m * a, d * b
         g = gcd(num, den)
         t = den // g
         reduced.append((num // g, t))
@@ -129,12 +129,12 @@ def feasibility_oracle(system: AgentSystem) -> dict[str, Fraction] | None:
     # Full direct re-check of the constraints that define feasibility, on
     # the candidate W_x / total: agent i's sector is the integer sum S of
     # W_x over its awareness set, and candidate(x) == pmf_i(x) * S / total
-    # reads W_x * den == num * S.
+    # reads W_x * d == m * S, with pmf_i(x) the reduced pair (m, d).
     for agent in agents:
-        S = sum(W[x] for x in agent.pmf)
+        S = sum(W[x] for x in agent.masses)
         if S <= 0:
             return None
-        for x, m in agent.pmf.items():
-            if W[x] * m.denominator != m.numerator * S:
+        for x, (m, d) in agent.masses.items():
+            if W[x] * d != m * S:
                 return None
     return {x: Fraction(w, total) for x, w in W.items()}

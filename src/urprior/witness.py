@@ -9,7 +9,7 @@ plain ``{edge: int}`` map it returns.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from urprior.cohomology import noncoboundary_cocycle
 from urprior.complexes import SimplicialComplex
@@ -41,12 +41,14 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
 
     Each agent is built once, in integer form: its point weights are the
     integers 2^(e - min e) over their integer sum T, so one weight is 1
-    and ``(T, weights)`` is exactly the agent's ``counts``. The vertex ->
-    simplices index is built in one pass, so the cost is linear in the
-    number of (vertex, simplex) incidences. Every pmf is non-negative
-    and sums to 1, names are the unique vertex labels, and every
-    awareness set lies in the outcome space, so the agents and the
-    system are built through their ``_canonical`` forms, unchecked.
+    and ``(T, weights)`` is exactly the agent's ``counts``; each mass is
+    the pair ``(w / g, T / g)`` with g = gcd(w, T), and no ``Fraction``
+    is built. The vertex -> simplices index is built in one pass, so the
+    cost is linear in the number of (vertex, simplex) incidences. Every
+    pmf is non-negative and sums to 1, names are the unique vertex
+    labels, and every awareness set lies in the outcome space, so the
+    agents and the system are built through their ``_canonical`` forms,
+    unchecked.
 
     Outcomes are named by their simplex labels, vertex labels joined with
     commas, so a vertex label that holds a comma can give two simplices
@@ -83,6 +85,9 @@ def generate_counterexample(X: SimplicialComplex) -> AgentSystem:
         low = min(exponents)
         weights = {labels[k]: 1 << (e - low) for k, e in zip(mine[i], exponents)}
         total = sum(weights.values())
-        pmf = {x: Fraction(w, total) for x, w in weights.items()}
-        agents.append(CredenceFunction._canonical(vertex_label, pmf, (total, weights)))
+        masses = {}
+        for x, w in weights.items():
+            g = gcd(w, total)
+            masses[x] = (w // g, total // g)
+        agents.append(CredenceFunction._canonical(vertex_label, masses, (total, weights)))
     return AgentSystem._canonical(OutcomeSpace(tuple(labels)), tuple(agents))

@@ -224,6 +224,21 @@ class TestCohomology:
         assert (code, out) == (2, "")
         assert err == "invalid system file: pmf sum != 1 for agent 1 (sum 1/2)\n"
 
+    def test_file_of_both_kinds_or_neither_exits_two(self, tmp_path, capsys):
+        # agents and facets together are ambiguous: rejected, not read as either
+        system = {"outcomes": ["a"], "agents": [{"name": "1", "credence": {"a": "1"}}]}
+        cases = [
+            ({**system, "vertices": ["1"], "facets": [["1"]]}, "both a system file (agents) and a complex file (facets)"),
+            ({"outcomes": ["a"]}, "neither a system file (agents) nor a complex file (facets)"),
+        ]
+        for raw, line in cases:
+            path = tmp_path / "file.json"
+            path.write_text(json.dumps(raw))
+            for json_flag in ([], ["--json"]):
+                code, out, err = run(capsys, "cohomology", str(path), *json_flag)
+                assert (code, out) == (2, "")
+                assert err == f"{path}: {line}\n"
+
     def test_degree_zero_rejected(self, data_dir, capsys):
         code, _, err = run(capsys, "cohomology", str(data_dir / "tri_filled.json"), "--dim", "0")
         assert code == 2

@@ -254,13 +254,16 @@ def _assert_checked_once(system: AgentSystem) -> None:
 
     ``validate`` and ``generate_counterexample`` build agents and systems
     through the unchecked ``_canonical`` forms and hand each agent its
-    counts; the public constructors check every rule and derive the
-    counts from the pmf. Either way the counts, support and positive
-    outcomes are set when the agent is built.
+    masses and counts; the public constructors check every rule and
+    derive both from the pmf. Either way the masses, counts, support and
+    positive outcomes are set when the agent is built, and a
+    ``_canonical`` agent's pmf is built from its masses on first read.
     """
     for agent in system.agents:
-        assert agent.counts == common_denominator(agent.pmf)
-        assert list(agent.counts[1]) == list(agent.pmf)
+        assert "pmf" not in vars(agent)
+    for agent in system.agents:
+        assert agent.counts == common_denominator(agent.masses)
+        assert list(agent.counts[1]) == list(agent.masses)
     rebuilt = AgentSystem(
         OutcomeSpace(system.space.outcomes),
         tuple(CredenceFunction(agent.name, agent.pmf) for agent in system.agents),
@@ -268,7 +271,9 @@ def _assert_checked_once(system: AgentSystem) -> None:
     assert rebuilt == system
     for ours, theirs in zip(system.agents, rebuilt.agents):
         for agent in (ours, theirs):  # set when built, not computed on read
-            assert vars(agent).keys() >= {"counts", "support", "positive"}
+            assert vars(agent).keys() >= {"pmf", "masses", "counts", "support", "positive"}
+            pairs = [(x, (v.numerator, v.denominator)) for x, v in agent.pmf.items()]
+            assert list(agent.masses.items()) == pairs
         assert ours.counts == theirs.counts
         assert type(ours.support) is frozenset and ours.support == theirs.support
         assert type(ours.positive) is frozenset and ours.positive == theirs.positive
@@ -279,8 +284,22 @@ class TestCheckedOnce:
     def test_validated_seeded_systems(self):
         for system in seeded_systems():
             again = validate(cli.system_to_dict(system))
-            assert again == system
             _assert_checked_once(again)
+            assert again == system
+
+    def test_validated_literals_of_every_form(self):
+        # unreduced, signed, spaced, grouped, decimal and integer literals
+        # all become coprime pairs with a positive denominator
+        credence = {"a": "2/8", "b": " +0.125 ", "c": "1_0/8_0", "d": "0/6", "e": "1E-1"}
+        credence |= {"f": "3/12", "g": "12/80"}
+        system = validate(_raw("abcdefgh", [
+            {"name": "u", "credence": credence},
+            {"name": "v", "credence": {"g": "00/3", "h": "1", "a": 0}},
+            {"name": "w", "credence": {"a": "6/10", "h": "4/10"}},
+        ]))
+        assert system.agents[0].masses["a"] == (1, 4)
+        assert system.agents[0].masses["d"] == (0, 1)
+        _assert_checked_once(system)
 
     def test_counterexamples_of_the_data_complexes(self, c4, c5, wedge, tri_unfilled):
         for X in (c4, c5, wedge, tri_unfilled):

@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from urprior.numerics import (
     _left_kernel_vector,
     _parse_literal,
+    _rational_pair,
     _reduce,
     format_rational,
     matrix_rank,
@@ -132,8 +134,9 @@ class TestParseRational:
                 assert parse_rational(text) == expected
 
     def test_plain_fractions_read_as_the_literal_grammar_reads_them(self):
-        # parse_rational reads plain "p/q" strings without the grammar; every
-        # string must give the value or the exact error the grammar gives
+        # parse_rational and _rational_pair read plain "p/q" strings without
+        # the grammar; every string must give the value or the exact error
+        # the grammar gives, the pair coprime over a positive denominator
         def by_grammar(text):
             try:
                 return _parse_literal(text)
@@ -152,6 +155,14 @@ class TestParseRational:
             assert type(value) is Fraction
             return value
 
+        def pair(text):
+            try:
+                p, q = _rational_pair(text)
+            except ValueError as exc:
+                return ValueError, str(exc)
+            assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1
+            return Fraction(p, q)
+
         corpus = ["1/2", "00/05", "0/7", "1/0", "1/00", "0/0", " 1/2", "1/2 ", "+1/2", "-3/6"]
         corpus += ["1_0/3", "1/0_3", "٣/٤", "²/3", "1/", "/2", "/", "1//2", "1/2/3", "1.5/2"]
         corpus += ["1/2e3", "12", "", "1/-2", "1/+2", "0x1/2", "1 /2"]
@@ -166,6 +177,7 @@ class TestParseRational:
         for text in corpus:
             expected = by_grammar(text)
             assert ours(text) == expected, text[:80]
+            assert pair(text) == expected, text[:80]
             values += isinstance(expected, Fraction)
         assert values > 400
 

@@ -90,8 +90,9 @@ def test_only_cohomology_writes_coboundary_signs():
 
 def test_the_oracle_shares_only_the_data_model():
     # the oracle cross-checks the main pipeline, so it may read agents and
-    # pmfs but neither the pipeline's modules nor the integer counts and
-    # the overlap table that the pipeline builds on the data model
+    # their masses as reduced pairs, but neither the pipeline's modules nor
+    # the integer counts and the overlap table that the pipeline builds on
+    # the data model, nor the pmf, whose Fractions it has no need for
     path = next(p for p in SOURCES if p.name == "oracle.py")
     tree = ast.parse(path.read_text())
     modules = set()
@@ -103,4 +104,5 @@ def test_the_oracle_shares_only_the_data_model():
     assert {m for m in modules if m.split(".")[0] == "urprior"} == {"urprior.credence"}
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
-    assert not {"counts", "overlaps"} & (read | named)
+    assert not {"pmf", "counts", "overlaps"} & (read | named)
+    assert "masses" in read
