@@ -16,14 +16,26 @@ over one lcm and is verified on those integers. ``solve_scaling``,
 propagation, glue and verification. A reduced ``Fraction`` is built
 only for what is returned or printed: measures, scalings, ratios,
 certificates and diagnostics.
+
+``decide_urprior`` first looks for a yes on star links, without the
+overlap table: when no agent has a zero mass, each outcome links its
+first holder to every later one, and the units are walked along those
+links from each component's lowest agent, as on the spanning forest.
+If every link holds, those units, which are the ones the forest gives,
+are weighed and verified as in the glue. Otherwise it falls back to the
+steps above, so every certificate is the one they find. Its memory
+follows the (agent, outcome) entries of the input, not the overlapping
+pairs, whose number grows with the square of the agents on a shared
+outcome.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
 from urprior.credence import AgentSystem
@@ -315,8 +327,8 @@ def _glue(system: AgentSystem, units: Iterable[tuple[int, int]]) -> tuple[dict[s
     order; with the pmf as n_x / d_i, the agent's mass at x is g_i * n_x,
     taken at x's first agent and cross-multiplied against each later one.
     A disagreement means an internal invariant broke, so it raises
-    GluingError; the first in agent order wins. W_x is the mass times L,
-    the lcm of the units' denominators.
+    GluingError; the first in agent order wins. The weights are then
+    ``_weigh``'s.
     """
     seen: list[tuple[int, int]] = []
     merged: dict[str, tuple[int, int]] = {}  # outcome -> (its first agent, n_x)
@@ -335,9 +347,21 @@ def _glue(system: AgentSystem, units: Iterable[tuple[int, int]]) -> tuple[dict[s
                     f"agents {system.agents[b].name} and {agent.name} assign different "
                     f"rescaled masses to {outcome!r}"
                 )
-    L = lcm(*(q for _, q in seen))
-    scale = [p * (L // q) for p, q in seen]
-    weights = {x: scale[a] * n for x, (a, n) in merged.items()}
+    return _weigh(seen, merged)
+
+
+def _weigh(
+    units: Sequence[tuple[int, int]], first: Mapping[str, tuple[int, int]]
+) -> tuple[dict[str, int], int]:
+    """W_x for each outcome x and their sum, the agents' rescaled masses being known to agree.
+
+    ``first`` maps each outcome to its first agent a, in agent order, and
+    n_a(x); W_x is g_a * n_a(x) times L, the lcm of the units'
+    denominators.
+    """
+    L = lcm(*(q for _, q in units))
+    scale = [p * (L // q) for p, q in units]
+    weights = {x: scale[a] * n for x, (a, n) in first.items()}
     total = sum(weights.values())
     if total == 0:
         raise GluingError("glued measure has zero total mass")
@@ -413,9 +437,85 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     then a one-sided overlap, then an inconsistent ratio cycle. Each is a
     genuine blocker on its own. When none fires, the scaled credences
     glue into a measure, which is verified exactly before being returned.
+
+    A yes is first sought on star links (``_star_units``), which never
+    build the pairwise overlap table: the cost follows the number of
+    (agent, outcome) entries, not the number of overlapping pairs. The
+    star links are the cross-multiplications ``_glue`` makes, so on
+    success the weights come straight from ``_weigh``, and ``_verify``
+    re-checks them as on the other path. When an agent has a zero mass
+    or a star link fails, the call falls back to the pairwise scan and
+    the overlap complex, which give the certificate. Either way the
+    result equals ``_decide`` on the system's pairwise report and depth-1
+    overlap complex.
     """
+    star = _star_units(system)
+    if star is not None:
+        return _exists(system, *_weigh(*star))
     report = pairwise_compatibility(system)
     return _decide(system, report, build_overlap_complex(system, max_dim=1))
+
+
+def _star_units(
+    system: AgentSystem,
+) -> tuple[list[tuple[int, int]], dict[str, tuple[int, int]]] | None:
+    """Every agent's unit g_i from star links, or None when the star path does not apply.
+
+    It applies only when no agent has a zero mass, so that no overlap is
+    one-sided. Each outcome x then links its first holder a, in agent
+    order, to every later holder b, with g_b / g_a == n_a(x) / n_b(x) on
+    the integer counts: the rescaled masses agree at x. Linking each
+    holder to the first pins the same ratios as linking every pair, so
+    the links connect exactly the components of the overlap complex.
+    Each component is walked breadth-first from its lowest agent at
+    (1, d_root), as ``_propagate`` starts, one gcd per step; every link
+    the walk did not cross is then cross-multiplied, and the first that
+    fails returns None. When every link holds, all rescaled masses agree
+    wherever agents meet, so no pair violates and no cycle fails; and a
+    component's units are fixed by its root's, so they are the units
+    ``_decide`` finds. The links are those ``_glue`` would cross-multiply
+    again, so the units are returned with each outcome's first holder and
+    n_x, for ``_weigh``.
+    """
+    agents = system.agents
+    if any(len(agent.positive) != len(agent.support) for agent in agents):
+        return None
+    first: dict[str, tuple[int, int]] = {}  # outcome -> (its first holder, n_x)
+    links: list[tuple[int, int, int, int]] = []  # (a, b, n_a, n_b)
+    adjacency: list[list[tuple[int, int, int, int]]] = [[] for _ in agents]
+    for b, agent in enumerate(agents):
+        for x, n_b in agent.counts[1].items():
+            a, n_a = first.setdefault(x, (b, n_b))
+            if a != b:
+                # (far end, then g_far / g_near as a pair, then the link)
+                adjacency[a].append((b, n_a, n_b, len(links)))
+                adjacency[b].append((a, n_b, n_a, len(links)))
+                links.append((a, b, n_a, n_b))
+
+    units: list[tuple[int, int] | None] = [None] * len(agents)
+    crossed = [False] * len(links)
+    for root, agent in enumerate(agents):
+        if units[root] is not None:
+            continue
+        units[root] = (1, agent.counts[0])
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            p, q = units[u]
+            for v, r, s, link in adjacency[u]:
+                if units[v] is None:
+                    p_v, q_v = p * r, q * s
+                    k = gcd(p_v, q_v)
+                    units[v] = (p_v // k, q_v // k)
+                    crossed[link] = True
+                    queue.append(v)
+    for (a, b, n_a, n_b), tree in zip(links, crossed):
+        if tree:
+            continue
+        (p_a, q_a), (p_b, q_b) = units[a], units[b]
+        if p_b * n_b * q_a != p_a * n_a * q_b:  # g_b * n_b(x) != g_a * n_a(x)
+            return None
+    return units, first
 
 
 def _decide(
@@ -437,7 +537,11 @@ def _decide(
     units, cycle = _propagate(X, system.overlaps, lambda v: (1, agents[v].counts[0]))
     if cycle is not None:
         return UrPriorResult("none", None, cycle)
-    weights, total = _glue(system, units)
+    return _exists(system, *_glue(system, units))
+
+
+def _exists(system: AgentSystem, weights: Mapping[str, int], total: int) -> UrPriorResult:
+    """The "exists" result for the glued weights W_x over their sum, once they verify."""
     check = _verify(system, weights, total)
     if not check.ok:
         raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))

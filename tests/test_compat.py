@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from urprior import cli
+from urprior import cli, compat
 from urprior.compat import (
     Asymmetry,
     Certificate,
@@ -19,12 +19,24 @@ from urprior.compat import (
     ratio_cochain,
     solve_scaling,
     verify_urprior,
+    _decide,
+    _star_units,
 )
 from urprior.complexes import build_overlap_complex, from_facets
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, validate
 from urprior.oracle import feasibility_oracle
+from urprior.witness import generate_counterexample
 
-from .generators import conditioned_system, holonomy_from_pmfs, random_system, seeded_systems
+from .generators import (
+    annulus,
+    conditioned_system,
+    disjoint_union,
+    holonomy_from_pmfs,
+    hub_system,
+    random_system,
+    seeded_systems,
+    window_chain,
+)
 
 
 class TestPairwise:
@@ -325,3 +337,82 @@ class TestDecide:
                 none += 1
                 assert result.certificate is not None
         assert exists > 0 and none > 0
+
+
+def _pairwise_decide(system: AgentSystem):
+    """decide_urprior as it reads without the star path: the pairwise report and the complex."""
+    return _decide(system, pairwise_compatibility(system), build_overlap_complex(system, max_dim=1))
+
+
+def _differential_systems(data_dir) -> list[AgentSystem]:
+    systems = seeded_systems()
+    for path in sorted(data_dir.glob("*.json")):
+        if "agents" in json.loads(path.read_text()):
+            systems.append(cli.load_system(str(path)))
+    rng = random.Random(26)
+    for k in range(2000):
+        systems.append(random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9))
+        sizes = {"max_agents": 2 + k % 9, "max_outcomes": 3 + k % 8}
+        systems.append(conditioned_system(rng, **sizes, common_outcome=k % 2 == 0))
+    systems += [hub_system(rng, n)[0] for n in (5, 60, 300)]
+    systems += [window_chain(rng, n, growth=1000)[0] for n in (2, 7, 64)]
+    # two components: each is scaled from its own lowest agent at (1, d_root)
+    systems.append(
+        disjoint_union(window_chain(rng, 24, growth=1000)[0], window_chain(rng, 9, window=3)[0])
+    )
+    return systems
+
+
+class TestStarPath:
+    def test_equals_the_pairwise_decision(self, data_dir, monkeypatch):
+        systems = _differential_systems(data_dir)
+        expected = [_pairwise_decide(system) for system in systems]
+        starred = [
+            all(agent.positive == agent.support for agent in system.agents)
+            and result.verdict == "exists"
+            for system, result in zip(systems, expected)
+        ]
+
+        def forbidden(system):
+            raise AssertionError("the star path fell back to the pairwise scan")
+
+        for system, result, star in zip(systems, expected, starred):
+            if not star:
+                assert repr(decide_urprior(system)) == repr(result)
+        # every feasible system without a zero mass is decided on star links alone
+        monkeypatch.setattr(compat, "pairwise_compatibility", forbidden)
+        monkeypatch.setattr(compat, "build_overlap_complex", forbidden)
+        for system, result, star in zip(systems, expected, starred):
+            if star:
+                assert repr(decide_urprior(system)) == repr(result)
+        assert sum(starred) > 1000
+
+    def test_the_yes_path_builds_no_overlap_table(self):
+        system = hub_system(random.Random(5), 50)[0]
+        assert decide_urprior(system).verdict == "exists"
+        assert "overlaps" not in vars(system)
+
+    def test_a_zero_mass_takes_the_pairwise_path(self):
+        system = validate(
+            {
+                "outcomes": ["a", "b", "c"],
+                "agents": [
+                    {"name": "1", "credence": {"a": "1/2", "b": "1/2", "c": "0"}},
+                    {"name": "2", "credence": {"b": "1/3", "c": "2/3"}},
+                ],
+            }
+        )
+        assert _star_units(system) is None
+        assert decide_urprior(system) == _pairwise_decide(system)
+
+    def test_a_failing_star_link_falls_back_to_the_cycle_certificate(self, c4, c5):
+        # a counterexample weights every outcome it names, so a failing
+        # link, not a zero mass, declines the star walk
+        for X in (c4, c5, annulus(random.Random(6), 6)):
+            system = generate_counterexample(X)
+            assert all(agent.positive == agent.support for agent in system.agents)
+            assert _star_units(system) is None
+            result = decide_urprior(system)
+            assert result.verdict == "none"
+            assert isinstance(result.certificate, CycleCertificate)
+            assert result == _pairwise_decide(system)

@@ -6,12 +6,17 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from urprior import cli
+from urprior.compat import decide_urprior
+
+from .generators import hub_system
 
 ROOT = Path(__file__).parent.parent
 
@@ -86,3 +91,18 @@ def test_calls_keep_nothing(data_dir):
         one_round()
     gc.collect()
     assert abs(len(gc.get_objects()) - before) <= 5
+
+
+def test_decide_on_a_2000_agent_hub_builds_no_pairwise_table():
+    # 1,999,000 agent pairs share the hub outcome, but the yes path links
+    # each agent to the hub's first holder only, so its memory follows the
+    # 4,000 (agent, outcome) entries, not the pairs
+    system, hidden = hub_system(random.Random(2000), 2000)
+    tracemalloc.start()
+    try:
+        result = decide_urprior(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.verdict == "exists" and result.measure == hidden
+    assert peak < 16 * 2**20, f"peak {peak} bytes"

@@ -88,6 +88,24 @@ def test_only_cohomology_writes_coboundary_signs():
     assert definers == {"cohomology.py"}
 
 
+def _urprior_modules(tree: ast.Module) -> set[str]:
+    """Every urprior module the source imports, by its dotted name.
+
+    ``from urprior import oracle`` counts as ``urprior.oracle``.
+    """
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "urprior" + (f".{node.module}" if node.module else "") if node.level else node.module
+            if module == "urprior":
+                modules |= {f"urprior.{alias.name}" for alias in node.names}
+            else:
+                modules.add(module)
+    return {m for m in modules if m.split(".")[0] == "urprior"}
+
+
 def test_the_oracle_shares_only_the_data_model():
     # the oracle cross-checks the main pipeline, so it may read agents and
     # their masses as reduced pairs, but neither the pipeline's modules nor
@@ -95,14 +113,24 @@ def test_the_oracle_shares_only_the_data_model():
     # the data model, nor the pmf, whose Fractions it has no need for
     path = next(p for p in SOURCES if p.name == "oracle.py")
     tree = ast.parse(path.read_text())
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            modules.add("urprior" + (f".{node.module}" if node.module else "") if node.level else node.module)
-    assert {m for m in modules if m.split(".")[0] == "urprior"} == {"urprior.credence"}
+    assert _urprior_modules(tree) == {"urprior.credence"}
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert not {"pmf", "counts", "overlaps"} & (read | named)
     assert "masses" in read
+
+
+def test_the_pipeline_does_not_import_the_oracle():
+    # decide_urprior's star walk and the oracle both link each outcome's
+    # holders to the first; neither may borrow the other's code, or the
+    # oracle would no longer check the pipeline independently. Names are
+    # imported from their own modules, not from the package, so that this
+    # follows every import compat makes, directly or through another module.
+    imports = {f"urprior.{p.stem}": _urprior_modules(ast.parse(p.read_text())) for p in SOURCES}
+    reached, todo = set(), ["urprior.compat"]
+    while todo:
+        for module in imports[todo.pop()] - reached:
+            assert module in imports and module != "urprior.__init__", module
+            reached.add(module)
+            todo.append(module)
+    assert reached and "urprior.oracle" not in reached
