@@ -10,32 +10,55 @@ agents that agree pairwise yet admit no common prior whenever the
 overlap pattern leaves room for one.
 """
 
-from urprior.cohomology import cohomology_dim, noncoboundary_cocycle
-from urprior.compat import (
-    Asymmetry,
-    CompatibilityReport,
-    CycleCertificate,
-    RatioCochain,
-    UrPriorResult,
-    VerificationReport,
-    Violation,
-    decide_urprior,
-    glue_urprior,
-    pairwise_compatibility,
-    ratio_cochain,
-    solve_scaling,
-    verify_urprior,
-)
-from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets
-from urprior.credence import (
-    AgentSystem,
-    CredenceFunction,
-    OutcomeSpace,
-    ValidationError,
-    validate,
-)
-from urprior.oracle import feasibility_oracle
-from urprior.witness import AmbiguousLabelError, NoHoleError, generate_counterexample
+from importlib import import_module
+
+# Each exported name and the module that defines it. A name is imported on
+# first use (PEP 562), so ``import urprior`` loads no module of the
+# library, and ``python -m urprior`` imports the command line inside its
+# own guard (see ``urprior.__main__``).
+_HOMES = {
+    "AgentSystem": "credence",
+    "AmbiguousLabelError": "witness",
+    "Asymmetry": "compat",
+    "CompatibilityReport": "compat",
+    "CredenceFunction": "credence",
+    "CycleCertificate": "compat",
+    "NoHoleError": "witness",
+    "OutcomeSpace": "credence",
+    "RatioCochain": "compat",
+    "SimplicialComplex": "complexes",
+    "UrPriorResult": "compat",
+    "ValidationError": "credence",
+    "VerificationReport": "compat",
+    "Violation": "compat",
+    "build_overlap_complex": "complexes",
+    "cohomology_dim": "cohomology",
+    "decide_urprior": "compat",
+    "feasibility_oracle": "oracle",
+    "from_facets": "complexes",
+    "generate_counterexample": "witness",
+    "glue_urprior": "compat",
+    "noncoboundary_cocycle": "cohomology",
+    "pairwise_compatibility": "compat",
+    "ratio_cochain": "compat",
+    "solve_scaling": "compat",
+    "validate": "credence",
+    "verify_urprior": "compat",
+}
+
+
+def __getattr__(name: str) -> object:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"urprior.{home}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOMES))
+
 
 __version__ = "0.1.0"
 

@@ -32,6 +32,7 @@ import json
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +42,7 @@ from urprior.compat import (
     Certificate,
     CycleCertificate,
     Violation,
-    _decide,
+    _decision,
     pairwise_compatibility,
 )
 from urprior.complexes import (
@@ -55,10 +56,18 @@ from urprior.numerics import Column, _format_pair, format_rational, matrix_rank
 from urprior.oracle import feasibility_oracle
 from urprior.witness import AmbiguousLabelError, NoHoleError, generate_counterexample
 
-# matrix_rank is re-exported, not called: every rank is read through
-# urprior.cohomology, and the benchmark tracer (bench/tracing.py) wraps
-# urprior.cli.matrix_rank as one of its patch sites.
-__all__ = ["main", "load_complex", "load_system", "system_to_dict", "matrix_rank"]
+# matrix_rank and pairwise_compatibility are re-exported, not called: every
+# rank is read through urprior.cohomology, check decides through
+# urprior.compat, and the benchmark tracer (bench/tracing.py) wraps both
+# names in urprior.cli among its patch sites.
+__all__ = [
+    "main",
+    "load_complex",
+    "load_system",
+    "system_to_dict",
+    "matrix_rank",
+    "pairwise_compatibility",
+]
 
 
 class CliError(Exception):
@@ -197,10 +206,17 @@ def _measure_to_json(measure: Mapping[str, Any], system: AgentSystem) -> dict[st
 
 
 def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
-    """Assemble the full check report and its exit code; the overlap complex is listed to depth 2."""
-    compatibility = pairwise_compatibility(system)
-    X = build_overlap_complex(system, max_dim=2)
-    result = _decide(system, compatibility, X)
+    """Assemble the full check report and its exit code; the overlap complex is listed to depth 2.
+
+    The decision is ``compat._decision``'s. On a yes from star links it
+    builds no overlap table, so the complex is listed from the groups of
+    agents that hold an outcome; the ur-prior is printed from the
+    verified integer weights, one gcd per outcome.
+    """
+    compatibility, X, found = _decision(system, max_dim=2)
+    if X is None:
+        X = build_overlap_complex(system, max_dim=2)
+    exists = isinstance(found, tuple)
     report: dict[str, Any] = {
         "valid": True,
         "agents": len(system.agents),
@@ -213,13 +229,22 @@ def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
         "complex": {"counts": X.counts(2)},
         "components": len(connected_components(X)),
         "h1": cohomology_dim(X, 1),
-        "verdict": result.verdict,
-        "ur_prior": _measure_to_json(result.measure, system) if result.measure is not None else None,
-        "certificate": _certificate_to_json(result.certificate)
-        if result.certificate is not None
-        else None,
+        "verdict": "exists" if exists else "none",
+        "ur_prior": _weights_to_json(*found, system) if exists else None,
+        "certificate": None if exists else _certificate_to_json(found),
     }
-    return report, 0 if result.verdict == "exists" else 1
+    return report, 0 if exists else 1
+
+
+def _weights_to_json(weights: Mapping[str, int], total: int, system: AgentSystem) -> dict[str, str]:
+    """``_measure_to_json`` of the measure W_x / T: one gcd per mass, and no Fraction."""
+    out = {}
+    for x in system.space.outcomes:
+        w = weights.get(x)
+        if w is not None:
+            k = gcd(w, total)
+            out[x] = _format_pair(w // k, total // k)
+    return out
 
 
 def render_check_text(report: Mapping[str, Any]) -> str:
@@ -262,10 +287,16 @@ def _dumps(value: Any, pad: str = "\n") -> str:
     if isinstance(value, str):
         return _quote(value)
     inner = pad + "  "
+    # str leaves, the most common, are quoted in place
     if isinstance(value, dict):  # _quote raises TypeError on a non-str key
-        parts, brackets = [_quote(k) + ": " + _dumps(v, inner) for k, v in value.items()], "{}"
+        parts = [
+            _quote(k) + ": " + (_quote(v) if isinstance(v, str) else _dumps(v, inner))
+            for k, v in value.items()
+        ]
+        brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        parts, brackets = [_dumps(v, inner) for v in value], "[]"
+        parts = [_quote(v) if isinstance(v, str) else _dumps(v, inner) for v in value]
+        brackets = "[]"
     elif value is None:
         return "null"
     elif isinstance(value, bool):

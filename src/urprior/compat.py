@@ -17,21 +17,21 @@ propagation, glue and verification. A reduced ``Fraction`` is built
 only for what is returned or printed: measures, scalings, ratios,
 certificates and diagnostics.
 
-``decide_urprior`` first looks for a yes on star links, without the
-overlap table: when no agent has a zero mass, each outcome links its
-first holder to every later one, and the units are walked along those
-links from each component's lowest agent, as on the spanning forest.
-If every link holds, those units, which are the ones the forest gives,
-are weighed and verified as in the glue. Otherwise it falls back to the
-steps above, so every certificate is the one they find. Its memory
-follows the (agent, outcome) entries of the input, not the overlapping
-pairs, whose number grows with the square of the agents on a shared
-outcome.
+The decision (``_decision``, behind ``decide_urprior`` and the CLI's
+``check``) first looks for a yes on star links, without the overlap
+table: when no agent has a zero mass, each outcome links its first
+holder to every later one, and the units are walked along those links
+from each component's lowest agent, as on the spanning forest. If every
+link holds, those units, which are the ones the forest gives, are
+weighed and verified as in the glue. Otherwise it falls back to the
+steps above, so every certificate is the one they find. A yes costs
+memory in proportion to the (agent, outcome) entries of the input, not
+to the overlapping pairs, whose number grows with the square of the
+agents on a shared outcome.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -408,20 +408,16 @@ def _verify(system: AgentSystem, w: Mapping[str, int], D: int) -> VerificationRe
 
     for agent in system.agents:
         d, counts = agent.counts
-        sector = sum(w.get(x, 0) for x in agent.support)
+        sector = sum([w.get(x, 0) for x in counts])
         if sector == 0:
             ok = False
             diagnostics.append(f"agent {agent.name}: awareness set carries zero mass")
             continue
-        bad = None
-        for x in sorted(agent.support):
-            if w.get(x, 0) * d != counts[x] * sector:
-                bad = x
-                break
-        if bad is None:
+        if all(w.get(x, 0) * d == n * sector for x, n in counts.items()):
             diagnostics.append(f"agent {agent.name}: ok")
-        else:
+        else:  # name the first failing outcome in sorted order
             ok = False
+            bad = min(x for x, n in counts.items() if w.get(x, 0) * d != n * sector)
             got = Fraction(w.get(bad, 0), sector)
             diagnostics.append(
                 f"agent {agent.name}: conditional of {bad!r} is {format_rational(got)}, "
@@ -438,22 +434,46 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     genuine blocker on its own. When none fires, the scaled credences
     glue into a measure, which is verified exactly before being returned.
 
+    The decision is ``_decision``'s, with the overlap complex to depth 1
+    on its fallback: a yes on star links builds neither the pairwise
+    overlap table nor the complex. Either way the result is the one the
+    system's pairwise report and depth-1 overlap complex give.
+    """
+    return _result(system, _decision(system, max_dim=1)[2])
+
+
+# The glued measure in integers: W_x for each outcome x some agent holds,
+# and T, their sum; the measure is W_x / T.
+_Glued = tuple[dict[str, int], int]
+
+# The pairwise report of every system that has a common prior.
+_COMPATIBLE = CompatibilityReport(True, (), ())
+
+
+def _decision(
+    system: AgentSystem, max_dim: int
+) -> tuple[CompatibilityReport, SimplicialComplex | None, Certificate | _Glued]:
+    """The pairwise report, the overlap complex and the certificate or verified weights.
+
     A yes is first sought on star links (``_star_units``), which never
     build the pairwise overlap table: the cost follows the number of
-    (agent, outcome) entries, not the number of overlapping pairs. The
-    star links are the cross-multiplications ``_glue`` makes, so on
-    success the weights come straight from ``_weigh``, and ``_verify``
-    re-checks them as on the other path. When an agent has a zero mass
-    or a star link fails, the call falls back to the pairwise scan and
-    the overlap complex, which give the certificate. Either way the
-    result equals ``_decide`` on the system's pairwise report and depth-1
-    overlap complex.
+    (agent, outcome) entries, not the number of overlapping pairs. Where
+    a common prior exists every pair is compatible and no overlap is
+    one-sided, so the report is ``_COMPATIBLE``, and no complex is built:
+    None stands in its place. The star links are the cross-multiplications
+    ``_glue`` makes, so the weights come straight from ``_weigh``, and
+    ``_verify`` re-checks them as on the other path. When an agent has a
+    zero mass or a star link fails, the pairwise scan and the overlap
+    complex to ``max_dim`` (at least 1) decide through ``_decide``, and
+    are returned with its answer, so every certificate is the one they
+    give. ``decide_urprior`` and the CLI's ``check`` both decide here.
     """
     star = _star_units(system)
     if star is not None:
-        return _exists(system, *_weigh(*star))
+        return _COMPATIBLE, None, _verified(system, *_weigh(*star))
     report = pairwise_compatibility(system)
-    return _decide(system, report, build_overlap_complex(system, max_dim=1))
+    X = build_overlap_complex(system, max_dim=max_dim)
+    return report, X, _decide(system, report, X)
 
 
 def _star_units(
@@ -468,60 +488,61 @@ def _star_units(
     holder to the first pins the same ratios as linking every pair, so
     the links connect exactly the components of the overlap complex.
     Each component is walked breadth-first from its lowest agent at
-    (1, d_root), as ``_propagate`` starts, one gcd per step; every link
-    the walk did not cross is then cross-multiplied, and the first that
-    fails returns None. When every link holds, all rescaled masses agree
-    wherever agents meet, so no pair violates and no cycle fails; and a
-    component's units are fixed by its root's, so they are the units
-    ``_decide`` finds. The links are those ``_glue`` would cross-multiply
-    again, so the units are returned with each outcome's first holder and
-    n_x, for ``_weigh``.
+    (1, d_root), as ``_propagate`` starts, one gcd per step. A link met
+    with both ends already assigned is cross-multiplied there, once, and
+    the first that fails returns None. When every link holds, all
+    rescaled masses agree wherever agents meet, so no pair violates and
+    no cycle fails; and a component's units are fixed by its root's, so
+    they are the units ``_decide`` finds. The links are those ``_glue``
+    would cross-multiply again, so the units are returned with each
+    outcome's first holder and n_x, for ``_weigh``.
     """
     agents = system.agents
     if any(len(agent.positive) != len(agent.support) for agent in agents):
         return None
     first: dict[str, tuple[int, int]] = {}  # outcome -> (its first holder, n_x)
-    links: list[tuple[int, int, int, int]] = []  # (a, b, n_a, n_b)
     adjacency: list[list[tuple[int, int, int, int]]] = [[] for _ in agents]
+    links = 0
     for b, agent in enumerate(agents):
         for x, n_b in agent.counts[1].items():
-            a, n_a = first.setdefault(x, (b, n_b))
-            if a != b:
-                # (far end, then g_far / g_near as a pair, then the link)
-                adjacency[a].append((b, n_a, n_b, len(links)))
-                adjacency[b].append((a, n_b, n_a, len(links)))
-                links.append((a, b, n_a, n_b))
+            held = first.get(x)
+            if held is None:
+                first[x] = (b, n_b)
+                continue
+            a, n_a = held
+            # (far end, then g_far / g_near as a pair, then the link)
+            adjacency[a].append((b, n_a, n_b, links))
+            adjacency[b].append((a, n_b, n_a, links))
+            links += 1
 
     units: list[tuple[int, int] | None] = [None] * len(agents)
-    crossed = [False] * len(links)
+    met = [False] * links  # crossed by the walk, or cross-multiplied
     for root, agent in enumerate(agents):
         if units[root] is not None:
             continue
         units[root] = (1, agent.counts[0])
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        walk = [root]
+        for u in walk:  # breadth-first: the walk grows behind its reader
             p, q = units[u]
             for v, r, s, link in adjacency[u]:
-                if units[v] is None:
+                if met[link]:
+                    continue
+                met[link] = True
+                unit = units[v]
+                if unit is None:
                     p_v, q_v = p * r, q * s
                     k = gcd(p_v, q_v)
                     units[v] = (p_v // k, q_v // k)
-                    crossed[link] = True
-                    queue.append(v)
-    for (a, b, n_a, n_b), tree in zip(links, crossed):
-        if tree:
-            continue
-        (p_a, q_a), (p_b, q_b) = units[a], units[b]
-        if p_b * n_b * q_a != p_a * n_a * q_b:  # g_b * n_b(x) != g_a * n_a(x)
-            return None
+                    walk.append(v)
+                elif unit[0] * s * q != p * r * unit[1]:  # g_v / g_u != r / s
+                    return None
     return units, first
 
 
 def _decide(
     system: AgentSystem, report: CompatibilityReport, X: SimplicialComplex
-) -> UrPriorResult:
-    """decide_urprior on the system's pairwise report, in integer units.
+) -> Certificate | _Glued:
+    """The decision on the system's pairwise report, in integer units: a certificate or the weights.
 
     ``X`` is the system's overlap complex truncated at any dimension >= 1;
     only its 1-skeleton is read. Agent i's unit g_i = scale_i / d_i is
@@ -530,20 +551,28 @@ def _decide(
     ``Fraction`` is built; the glue and its verification run on integers.
     """
     if report.violations:
-        return UrPriorResult("none", None, report.violations[0])
+        return report.violations[0]
     if report.asymmetries:
-        return UrPriorResult("none", None, report.asymmetries[0])
+        return report.asymmetries[0]
     agents = system.agents
     units, cycle = _propagate(X, system.overlaps, lambda v: (1, agents[v].counts[0]))
     if cycle is not None:
-        return UrPriorResult("none", None, cycle)
-    return _exists(system, *_glue(system, units))
+        return cycle
+    return _verified(system, *_glue(system, units))
 
 
-def _exists(system: AgentSystem, weights: Mapping[str, int], total: int) -> UrPriorResult:
-    """The "exists" result for the glued weights W_x over their sum, once they verify."""
+def _verified(system: AgentSystem, weights: dict[str, int], total: int) -> _Glued:
+    """The glued weights W_x over their sum, once they verify; GluingError when they do not."""
     check = _verify(system, weights, total)
     if not check.ok:
         raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))
+    return weights, total
+
+
+def _result(system: AgentSystem, found: Certificate | _Glued) -> UrPriorResult:
+    """The result of a decision: its certificate, or the measure W_x / T in outcome order."""
+    if not isinstance(found, tuple):
+        return UrPriorResult("none", None, found)
+    weights, total = found
     measure = {x: Fraction(weights[x], total) for x in system.space.outcomes if x in weights}
     return UrPriorResult("exists", measure, None)

@@ -25,7 +25,6 @@ definition of the overlap complex.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,7 +129,7 @@ def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> Sim
     index = {label: i for i, label in enumerate(verts)}
     if len(index) != len(verts):
         raise ValueError("vertex labels must be unique")
-    above: list[list[Simplex]] = [[] for _ in verts]
+    groups: list[list[int]] = []
     for facet in facets:
         labels = list(facet)
         if not labels:
@@ -138,21 +137,18 @@ def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> Sim
         unknown = [x for x in labels if x not in index]
         if unknown:
             raise ValueError(f"facet mentions unknown vertex {unknown[0]!r}")
-        idxs = sorted({index[x] for x in labels})
-        for p in range(len(idxs) - 1):
-            above[idxs[p]].append(tuple(idxs[p + 1 :]))
+        groups.append(sorted({index[x] for x in labels}))
     if not verts:
         return SimplicialComplex._canonical((), ())
-    return _generated(verts, (tuple((i,) for i in range(len(verts))),), above, None)
+    n = len(verts)
+    return _generated(verts, (tuple((i,) for i in range(n)),), _above(n, groups), None)
 
 
 def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> SimplicialComplex:
     """The complex of agent groups whose joint overlap every member weights.
 
     A group J is a simplex exactly when each member assigns positive mass
-    to the intersection of all awareness sets of J. The edges are the
-    pairs of the system's overlap table that both sides weight; with
-    ``max_dim == 1`` the complex stops there, before anything below runs.
+    to the intersection of all awareness sets of J.
 
     The lowest member i of a simplex J weights some outcome x of the
     joint overlap, and each other member j holds x. On a system with no
@@ -167,18 +163,36 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     is a (weighting, non-weighting) pair of one outcome's holders that is
     an edge. A system with one is listed from its edges up, each
     candidate tested against the definition.
+
+    The edges are the pairs of the system's overlap table that both sides
+    weight, read from the table when the system has one (something has
+    read ``system.overlaps``) or when an agent has a zero mass. Otherwise
+    no agent holds an outcome it does not weight: no edge is split, every
+    A_x is the set of x's holders, and the edges, every pair that shares
+    an outcome, are listed from the A_x like the levels above, without
+    the table.
     """
     agents = system.agents
     n = len(agents)
     vertices: tuple[Simplex, ...] = tuple((i,) for i in range(n))
+    if max_dim is not None and max_dim < 1:
+        return SimplicialComplex._canonical(system.names, (vertices,))
+    weighting: dict[str, list[int]] = {}
+    if "overlaps" not in vars(system) and all(
+        len(agent.positive) == len(agent.support) for agent in agents
+    ):
+        for i, agent in enumerate(agents):
+            for x in agent.counts[1]:
+                weighting.setdefault(x, []).append(i)
+        return _generated(system.names, (vertices,), _above(n, weighting.values()), max_dim)
+
     overlaps = system.overlaps
     edges = tuple(pair for pair, (_, sum_i, sum_j) in overlaps.items() if sum_i > 0 and sum_j > 0)
-    if (max_dim is not None and max_dim < 1) or not edges:
+    if not edges:
         return SimplicialComplex._canonical(system.names, (vertices,))
     if max_dim == 1:
         return SimplicialComplex._canonical(system.names, (vertices, edges))
 
-    weighting: dict[str, list[int]] = {}
     unweighting: dict[str, list[int]] = {}
     for i, agent in enumerate(agents):
         for x, c in agent.counts[1].items():
@@ -198,12 +212,16 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
 
         return _generated(system.names, (vertices, edges), (), max_dim, keep)
 
-    above: list[list[Simplex]] = [[] for _ in agents]
-    for i, agent in enumerate(agents):
-        for x in agent.positive:
-            members = weighting[x]
-            above[i].append(tuple(members[bisect_right(members, i) :]))
-    return _generated(system.names, (vertices, edges), above, max_dim)
+    return _generated(system.names, (vertices, edges), _above(n, weighting.values()), max_dim)
+
+
+def _above(n: int, groups: Iterable[Sequence[int]]) -> list[list[Simplex]]:
+    """``_generated``'s ``above`` for a family of sorted sets of the vertices 0 .. n - 1."""
+    above: list[list[Simplex]] = [[] for _ in range(n)]
+    for members in groups:
+        for p in range(len(members) - 1):
+            above[members[p]].append(tuple(members[p + 1 :]))
+    return above
 
 
 def _generated(

@@ -245,7 +245,9 @@ def _insert(pivots: _Pivots, column: Column) -> bool:
 
     The copy's pivot is cleared until it is new or the copy vanishes. Each
     step is ``residue = a*residue - b*pivot`` with a > 0, followed by
-    division by the common content, so entries stay small integers.
+    division by the common content, so entries stay small integers. A
+    pivot entry of 1 or -1, the common case on coboundary columns, makes
+    a = 1: the step is then one subtraction, with no gcd and no content.
     """
     residue = dict(column)
     while residue:
@@ -255,6 +257,9 @@ def _insert(pivots: _Pivots, column: Column) -> bool:
             pivots[row] = residue
             return True
         a, b = pivot[row], residue[row]
+        if a == 1 or a == -1:  # 1 / a == a
+            _add_scaled(residue, 1, -b * a, pivot)
+            continue
         g = gcd(a, b)
         a, b = a // g, b // g
         if a < 0:

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 from typing import Any
 
 from urprior.complexes import SimplicialComplex, from_facets
-from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
+from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, validate
 
 from . import dense_reference as dense
 from .fraction_reference import mass
@@ -329,3 +331,32 @@ def seeded_systems() -> list[AgentSystem]:
     for agents in (1, 2, 5, 12):
         out.append(window_chain(rng, agents, window=1 + agents % 4)[0])
     return out
+
+
+def differential_systems(data_dir: Path, hubs: Sequence[int]) -> list[AgentSystem]:
+    """Fresh systems on which a fast path is held equal to the one it skips.
+
+    The seeded systems, the system files of ``data_dir``, 4,000
+    ``random_system`` and ``conditioned_system`` draws (half of the latter
+    with a common outcome), hubs of the given sizes, window chains of
+    growth 1 and 1000, and a disjoint union of two chains, which pins the
+    per-component root unit.
+    """
+    # copies: the edge cases are shared, and an earlier test may have built their caches
+    systems = [AgentSystem(system.space, system.agents) for system in seeded_systems()]
+    for path in sorted(data_dir.glob("*.json")):
+        raw = json.loads(path.read_text())
+        if "agents" in raw:
+            systems.append(validate(raw))
+    rng = random.Random(26)
+    for k in range(2000):
+        systems.append(random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9))
+        sizes = {"max_agents": 2 + k % 9, "max_outcomes": 3 + k % 8}
+        systems.append(conditioned_system(rng, **sizes, common_outcome=k % 2 == 0))
+    systems += [hub_system(rng, n)[0] for n in hubs]
+    systems += [window_chain(rng, n, growth=growth)[0] for n in (2, 7, 64) for growth in (1, 1000)]
+    # two components: each is scaled from its own lowest agent at (1, d_root)
+    systems.append(
+        disjoint_union(window_chain(rng, 24, growth=1000)[0], window_chain(rng, 9, window=3)[0])
+    )
+    return systems

@@ -13,9 +13,18 @@ import pytest
 from urprior import cli, compat
 from urprior.cohomology import cohomology_dim
 from urprior.complexes import build_overlap_complex
+from urprior.numerics import format_rational
 from urprior.witness import generate_counterexample
 
-from .generators import annulus, geometric_chain, hub_system, random_complex, seeded_systems
+from .generators import (
+    annulus,
+    differential_systems,
+    geometric_chain,
+    hub_system,
+    random_complex,
+    seeded_systems,
+    window_chain,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -600,6 +609,55 @@ class TestEntryPoint:
         assert (process.returncode, process.stdout, process.stderr) == (code, out, err)
 
 
+class TestCheckStarPath:
+    """``check`` reads a yes off the star links, with the bytes of the pairwise path."""
+
+    def test_equals_the_report_without_star_links(self, data_dir, monkeypatch):
+        systems = differential_systems(data_dir, hubs=(5, 60))
+        starred = [cli.build_check_report(system) for system in systems]
+        star = 0
+        for system, (report, code) in zip(systems, starred):
+            result = compat.decide_urprior(system)
+            assert code == (0 if result.verdict == "exists" else 1)
+            if result.measure is None:
+                assert report["ur_prior"] is None
+                continue
+            # each mass in lowest terms and outcome order, as its Fraction prints
+            expected = [(x, format_rational(v)) for x, v in result.measure.items()]
+            assert list(report["ur_prior"].items()) == expected
+            if all(agent.positive == agent.support for agent in system.agents):
+                assert "overlaps" not in vars(system)
+                star += 1
+        assert star > 1000
+        monkeypatch.setattr(compat, "_star_units", lambda system: None)
+        for system, (report, code) in zip(systems, starred):
+            expected, expected_code = cli.build_check_report(system)
+            assert code == expected_code
+            assert cli._dumps(report) == cli._dumps(expected)
+            assert cli.render_check_text(report) == cli.render_check_text(expected)
+
+    def test_a_yes_builds_no_overlap_table(self, tmp_path, capsys, monkeypatch):
+        def forbidden(system):
+            raise AssertionError("check fell back to the pairwise scan")
+
+        monkeypatch.setattr(compat, "pairwise_compatibility", forbidden)
+        rng = random.Random(27)
+        for system in (hub_system(rng, 40)[0], window_chain(rng, 16, growth=1000)[0]):
+            report, code = cli.build_check_report(system)
+            assert code == 0 and report["h1"] == 0 and report["components"] == 1
+            assert "overlaps" not in vars(system)
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(cli.system_to_dict(system)))
+            assert run(capsys, "check", str(path), "--json") == (0, cli._dumps(report) + "\n", "")
+
+    def test_a_no_takes_the_pairwise_path(self, data_dir, c4):
+        # a zero mass (gap) and a failing star link (a counterexample)
+        for system in (cli.load_system(str(data_dir / "gap.json")), generate_counterexample(c4)):
+            report, code = cli.build_check_report(system)
+            assert code == 1 and report["certificate"] is not None
+            assert "overlaps" in vars(system)
+
+
 class TestInputRobustness:
     def test_duplicate_key_is_rejected(self, tmp_path, capsys):
         # last-wins would read this as the valid pmf {a: 1/2, b: 1/2}
@@ -710,8 +768,10 @@ class TestInputRobustness:
         assert out.startswith("invalid system file:\n")
 
     def test_internal_error_exits_three(self, data_dir, capsys, monkeypatch):
-        # glued weights that fail re-verification raise GluingError
-        monkeypatch.setattr(compat, "_glue", lambda system, units: ({}, 1))
+        # glued weights that fail re-verification raise GluingError; both
+        # the star-link yes path and the pairwise path verify them
+        failed = compat.VerificationReport(False, ("agent 1: broken on purpose",))
+        monkeypatch.setattr(compat, "_verify", lambda system, weights, total: failed)
         code, out, err = run(capsys, "check", str(data_dir / "ex1.json"), "--json")
         assert code == 3
         assert out == ""

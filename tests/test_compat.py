@@ -20,6 +20,7 @@ from urprior.compat import (
     solve_scaling,
     verify_urprior,
     _decide,
+    _result,
     _star_units,
 )
 from urprior.complexes import build_overlap_complex, from_facets
@@ -30,12 +31,11 @@ from urprior.witness import generate_counterexample
 from .generators import (
     annulus,
     conditioned_system,
-    disjoint_union,
+    differential_systems,
     holonomy_from_pmfs,
     hub_system,
     random_system,
     seeded_systems,
-    window_chain,
 )
 
 
@@ -341,31 +341,13 @@ class TestDecide:
 
 def _pairwise_decide(system: AgentSystem):
     """decide_urprior as it reads without the star path: the pairwise report and the complex."""
-    return _decide(system, pairwise_compatibility(system), build_overlap_complex(system, max_dim=1))
-
-
-def _differential_systems(data_dir) -> list[AgentSystem]:
-    systems = seeded_systems()
-    for path in sorted(data_dir.glob("*.json")):
-        if "agents" in json.loads(path.read_text()):
-            systems.append(cli.load_system(str(path)))
-    rng = random.Random(26)
-    for k in range(2000):
-        systems.append(random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9))
-        sizes = {"max_agents": 2 + k % 9, "max_outcomes": 3 + k % 8}
-        systems.append(conditioned_system(rng, **sizes, common_outcome=k % 2 == 0))
-    systems += [hub_system(rng, n)[0] for n in (5, 60, 300)]
-    systems += [window_chain(rng, n, growth=1000)[0] for n in (2, 7, 64)]
-    # two components: each is scaled from its own lowest agent at (1, d_root)
-    systems.append(
-        disjoint_union(window_chain(rng, 24, growth=1000)[0], window_chain(rng, 9, window=3)[0])
-    )
-    return systems
+    report = pairwise_compatibility(system)
+    return _result(system, _decide(system, report, build_overlap_complex(system, max_dim=1)))
 
 
 class TestStarPath:
     def test_equals_the_pairwise_decision(self, data_dir, monkeypatch):
-        systems = _differential_systems(data_dir)
+        systems = differential_systems(data_dir, hubs=(5, 60, 300))
         expected = [_pairwise_decide(system) for system in systems]
         starred = [
             all(agent.positive == agent.support for agent in system.agents)

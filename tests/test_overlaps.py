@@ -14,7 +14,7 @@ import pytest
 
 from urprior.compat import pairwise_compatibility, ratio_cochain
 from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets
-from urprior.credence import validate
+from urprior.credence import AgentSystem, validate
 from urprior.oracle import feasibility_oracle
 
 from . import overlap_reference as reference
@@ -110,6 +110,22 @@ def test_without_a_split_edge_the_complex_is_generated_by_the_weighting_groups(m
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
         assert X == _generated_complex(system, max_dim)
     assert unsplit > 150
+
+
+@pytest.mark.parametrize("max_dim", [None, 1, 2, 3])
+def test_without_a_zero_mass_the_complex_is_listed_without_the_table(max_dim):
+    listed = 0
+    for seeded in seeded_systems():
+        if any(agent.positive != agent.support for agent in seeded.agents):
+            continue
+        system = AgentSystem(seeded.space, seeded.agents)  # a copy whose table nothing has built
+        listed += 1
+        X = build_overlap_complex(system, max_dim=max_dim)
+        assert "overlaps" not in vars(system)
+        assert X == reference.build_overlap_complex(system, max_dim=max_dim)
+        assert system.overlaps is not None  # once the table is built, its edges are read
+        assert build_overlap_complex(system, max_dim=max_dim) == X
+    assert listed > 100
 
 
 def test_systems_with_a_split_edge_equal_the_reference():
