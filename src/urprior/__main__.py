@@ -4,11 +4,11 @@ It runs ``urprior.cli.main`` on ``sys.argv``, with the same exit codes.
 Importing the command line loads the whole library before ``main`` can
 catch anything. Any exception raised there exits 3 ("internal error")
 with one stderr line, as a crash inside ``main`` does, never 1 ("no
-ur-prior"). Short of memory, that import fails with a ``MemoryError``,
-or with another error that Python raises while compiling the methods a
-dataclass generates. The package itself imports nothing of the library
-first. ``python -m urprior.cli`` runs the same commands without this
-guard.
+ur-prior"); ``crashed`` reports both. Short of memory, that import fails
+with a ``MemoryError``, or with another error that Python raises while
+compiling the methods a dataclass generates. The package itself imports
+nothing of the library first. ``python -m urprior.cli`` runs the same
+commands without this guard.
 """
 
 from __future__ import annotations
@@ -24,7 +24,20 @@ def main() -> int:
         failure = exc
     else:
         return run()
-    failure.__traceback__ = None  # free the failed import's frames before reporting
+    return crashed(failure)
+
+
+def crashed(failure: BaseException) -> int:
+    """Report ``failure`` on one "internal error" stderr line; return the exit code 3.
+
+    Call it out of the handler (Python 3.10 holds the traceback there): the
+    frames of the failure and its context are freed before formatting, which
+    may need the memory.
+    """
+    link: BaseException | None = failure
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__context__
     try:
         message = " ".join(str(failure).split())
         print(f"internal error: {type(failure).__name__}: {message}", file=sys.stderr)

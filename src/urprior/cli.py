@@ -36,6 +36,7 @@ from math import gcd
 from pathlib import Path
 from typing import Any
 
+from urprior.__main__ import crashed
 from urprior.cohomology import coboundary_columns, coboundary_rank, cohomology_dim
 from urprior.compat import (
     Asymmetry,
@@ -516,18 +517,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run(argv)
     except Exception as exc:  # exit code 1 means "no ur-prior", never "crashed"
         failure = exc
-    # Out of the handler (Python 3.10 holds the traceback there): free the
-    # failed call's frames before formatting, which may need the memory.
-    link: BaseException | None = failure
-    while link is not None:
-        link.__traceback__ = None
-        link = link.__context__
-    try:
-        message = " ".join(str(failure).split())
-        print(f"internal error: {type(failure).__name__}: {message}", file=sys.stderr)
-    except Exception:
-        pass  # out of memory even for the message: the exit code still says "crashed"
-    return 3
+    return crashed(failure)  # out of the handler, which holds the traceback
 
 
 def _run(argv: Sequence[str] | None) -> int:

@@ -6,28 +6,24 @@ negative answer comes with a finite certificate (a conditional
 disagreement, a one-sided overlap, or a cycle whose ratio product is
 not 1), and every positive answer is re-verified before it is returned.
 
-The decision runs in integers from the skeleton to the returned measure.
-Agent i's unit g_i = scale_i / d_i, with d_i its own denominator
-(``CredenceFunction.counts``), is a reduced integer pair carried along
-the spanning forest by the overlap sums M of ``system.overlaps``; every
-equality is an integer cross-multiplication; the glue puts the masses
-over one lcm and is verified on those integers. ``solve_scaling``,
-``glue_urprior`` and ``verify_urprior`` are thin adapters over the same
-propagation, glue and verification. A reduced ``Fraction`` is built
-only for what is returned or printed: measures, scalings, ratios,
-certificates and diagnostics.
-
 The decision (``_decision``, behind ``decide_urprior`` and the CLI's
-``check``) first looks for a yes on star links, without the overlap
-table: when no agent has a zero mass, each outcome links its first
-holder to every later one, and the units are walked along those links
-from each component's lowest agent, as on the spanning forest. If every
-link holds, those units, which are the ones the forest gives, are
-weighed and verified as in the glue. Otherwise it falls back to the
-steps above, so every certificate is the one they find. A yes costs
-memory in proportion to the (agent, outcome) entries of the input, not
-to the overlapping pairs, whose number grows with the square of the
-agents on a shared outcome.
+``check``) reads every yes off star links, without the overlap table:
+unless some outcome is held at 0 by one agent and weighted by another,
+each weighted outcome links its first holder to every later one, and
+agent i's unit g_i = scale_i / d_i, d_i its own denominator
+(``CredenceFunction.counts``), is walked along those links as a reduced
+integer pair from each component's lowest agent. If every link holds,
+the masses are put over one lcm and verified on those integers. A yes
+costs memory in proportion to the (agent, outcome) entries, not to the
+overlapping pairs, whose number grows with the square of the agents on
+a shared outcome. Otherwise no common prior exists, and the pairwise
+scan and the forest propagation on the overlap sums M of
+``system.overlaps`` find the certificate. ``solve_scaling``,
+``glue_urprior`` and ``verify_urprior`` are thin adapters over the same
+propagation, glue and verification. Every equality is an integer
+cross-multiplication; a reduced ``Fraction`` is built only for what is
+returned or printed: measures, scalings, ratios, certificates and
+diagnostics.
 """
 
 from __future__ import annotations
@@ -35,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from urprior.complexes import SimplicialComplex, build_overlap_complex, spanning_forest
+from urprior.complexes import SimplicialComplex, _weighting_groups, build_overlap_complex, spanning_forest
 from urprior.credence import AgentSystem
 from urprior.numerics import common_denominator, format_rational
 
@@ -229,21 +225,22 @@ def solve_scaling(
     """
     X = ratios.complex
     pairs = {e: (r.numerator, r.denominator) for e, r in ratios.ratios.items()}
-    units, cycle = _propagate(X, pairs, lambda v: (1, 1))
+    units, cycle = _propagate(X, pairs)
     if cycle is not None:
         return None, cycle
     return {X.vertices[v]: Fraction(p, q) for v, (p, q) in enumerate(units)}, None
 
 
 def _propagate(
-    X: SimplicialComplex, edges: Mapping[tuple[int, int], tuple], root: Callable
+    X: SimplicialComplex, edges: Mapping[tuple[int, int], tuple]
 ) -> tuple[list[tuple[int, int]] | None, CycleCertificate | None]:
     """Per-vertex units g_v as reduced pairs (p, q), or the first failing cycle.
 
     ``edges`` maps each edge (i, j), i < j, of X to a tuple ending in
-    (a, b) with g_j / g_i == a / b. Over X's cached spanning forest a root
-    v gets ``root(v)`` and a tree step costs one gcd; every non-tree edge
-    is then cross-multiplied, and the first that fails closes the cycle.
+    (a, b) with g_j / g_i == a / b. Over X's cached spanning forest each
+    root gets (1, 1) (no cross-multiplication depends on it) and a tree
+    step costs one gcd; every non-tree edge is then cross-multiplied, and
+    the first that fails closes the cycle.
     """
 
     def step(u: int, v: int) -> tuple[int, int]:  # g_v / g_u
@@ -255,7 +252,6 @@ def _propagate(
     for v in forest.order:
         u = forest.parent.get(v)
         if u is None:
-            units[v] = root(v)
             continue
         (p, q), (a, b) = units[u], step(u, v)
         p, q = p * a, q * b
@@ -302,52 +298,38 @@ def glue_urprior(system: AgentSystem, scaling: Mapping[str, Fraction]) -> dict[s
     Under the pipeline's preconditions (pairwise compatible, no overlap
     asymmetry, scaling solved) the rescaled masses agree wherever
     awareness sets meet. Each factor becomes the unit g_i = factor_i / d_i
-    (``CredenceFunction.counts``), reduced once, for the integer glue of
-    ``decide_urprior``; a factor that is not a positive int or
-    ``Fraction`` raises ValueError at its agent's turn.
+    (``CredenceFunction.counts``), reduced once; a factor that is not a
+    positive int or ``Fraction`` raises ValueError at its agent's turn.
+    With the pmf as n_x / d_i, the agent's mass at x is g_i * n_x, taken
+    at x's first agent and cross-multiplied against each later one; the
+    first disagreement, in agent order, raises GluingError. ``_weigh``
+    then puts the masses over one denominator.
     """
-
-    def units() -> Iterator[tuple[int, int]]:
-        for agent in system.agents:
-            factor = scaling.get(agent.name)
-            if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)) or factor <= 0:
-                raise ValueError(f"scaling must assign a positive factor to agent {agent.name}")
-            p, q = factor.numerator, factor.denominator * agent.counts[0]
-            k = gcd(p, q)
-            yield p // k, q // k
-
-    weights, total = _glue(system, units())
-    return {x: Fraction(weights[x], total) for x in system.space.outcomes if x in weights}
-
-
-def _glue(system: AgentSystem, units: Iterable[tuple[int, int]]) -> tuple[dict[str, int], int]:
-    """The glued masses as integers W_x over one denominator, and their sum.
-
-    ``units`` yields each agent's unit g_i as a reduced pair, in agent
-    order; with the pmf as n_x / d_i, the agent's mass at x is g_i * n_x,
-    taken at x's first agent and cross-multiplied against each later one.
-    A disagreement means an internal invariant broke, so it raises
-    GluingError; the first in agent order wins. The weights are then
-    ``_weigh``'s.
-    """
-    seen: list[tuple[int, int]] = []
-    merged: dict[str, tuple[int, int]] = {}  # outcome -> (its first agent, n_x)
-    for a, (agent, (p, q)) in enumerate(zip(system.agents, units)):
-        seen.append((p, q))
+    units: list[tuple[int, int]] = []
+    first: dict[str, tuple[int, int]] = {}  # outcome -> (its first agent, n_x)
+    for a, agent in enumerate(system.agents):
+        factor = scaling.get(agent.name)
+        if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)) or factor <= 0:
+            raise ValueError(f"scaling must assign a positive factor to agent {agent.name}")
+        p, q = factor.numerator, factor.denominator * agent.counts[0]
+        k = gcd(p, q)
+        p, q = p // k, q // k
+        units.append((p, q))
         for outcome, n in agent.counts[1].items():
-            first = merged.get(outcome)
-            if first is None:
-                merged[outcome] = (a, n)
+            held = first.get(outcome)
+            if held is None:
+                first[outcome] = (a, n)
                 continue
-            b, m = first
-            p_first, q_first = seen[b]
+            b, m = held
+            p_first, q_first = units[b]
             # g_b * m == g_a * n, cross-multiplied
             if p_first * m * q != p * n * q_first:
                 raise GluingError(
                     f"agents {system.agents[b].name} and {agent.name} assign different "
                     f"rescaled masses to {outcome!r}"
                 )
-    return _weigh(seen, merged)
+    weights, total = _weigh(units, first)
+    return {x: Fraction(weights[x], total) for x in system.space.outcomes if x in weights}
 
 
 def _weigh(
@@ -355,9 +337,9 @@ def _weigh(
 ) -> tuple[dict[str, int], int]:
     """W_x for each outcome x and their sum, the agents' rescaled masses being known to agree.
 
-    ``first`` maps each outcome to its first agent a, in agent order, and
-    n_a(x); W_x is g_a * n_a(x) times L, the lcm of the units'
-    denominators.
+    ``first`` maps each outcome x to its first agent a, in agent order,
+    and n_a(x), or to (0, 0) when every holder holds x at 0; W_x is
+    g_a * n_a(x) times L, the lcm of the units' denominators.
     """
     L = lcm(*(q for _, q in units))
     scale = [p * (L // q) for p, q in units]
@@ -435,15 +417,14 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     glue into a measure, which is verified exactly before being returned.
 
     The decision is ``_decision``'s, with the overlap complex to depth 1
-    on its fallback: a yes on star links builds neither the pairwise
+    for a no: a yes, read off star links, builds neither the pairwise
     overlap table nor the complex. Either way the result is the one the
     system's pairwise report and depth-1 overlap complex give.
     """
     return _result(system, _decision(system, max_dim=1)[2])
 
 
-# The glued measure in integers: W_x for each outcome x some agent holds,
-# and T, their sum; the measure is W_x / T.
+# The glued measure W_x / T in integers: W_x for each outcome some agent holds, T their sum.
 _Glued = tuple[dict[str, int], int]
 
 # The pairwise report of every system that has a common prior.
@@ -455,22 +436,26 @@ def _decision(
 ) -> tuple[CompatibilityReport, SimplicialComplex | None, Certificate | _Glued]:
     """The pairwise report, the overlap complex and the certificate or verified weights.
 
-    A yes is first sought on star links (``_star_units``), which never
-    build the pairwise overlap table: the cost follows the number of
-    (agent, outcome) entries, not the number of overlapping pairs. Where
-    a common prior exists every pair is compatible and no overlap is
-    one-sided, so the report is ``_COMPATIBLE``, and no complex is built:
-    None stands in its place. The star links are the cross-multiplications
-    ``_glue`` makes, so the weights come straight from ``_weigh``, and
-    ``_verify`` re-checks them as on the other path. When an agent has a
-    zero mass or a star link fails, the pairwise scan and the overlap
-    complex to ``max_dim`` (at least 1) decide through ``_decide``, and
-    are returned with its answer, so every certificate is the one they
-    give. ``decide_urprior`` and the CLI's ``check`` both decide here.
+    Every yes is read off star links (``_star_units``), which never build
+    the pairwise overlap table: the cost follows the number of (agent,
+    outcome) entries, not the number of overlapping pairs. Where a common
+    prior exists every pair is compatible and no overlap is one-sided, so
+    the report is ``_COMPATIBLE``, and no complex is built: None stands in
+    its place. The star links are the cross-multiplications
+    ``glue_urprior`` makes, so the weights come straight from ``_weigh``,
+    and ``_verify`` re-checks them. When the star links decline, no common
+    prior exists: the pairwise scan and the overlap complex to ``max_dim``
+    (at least 1) find the certificate through ``_decide``, and are
+    returned with it. ``decide_urprior`` and the CLI's ``check`` both
+    decide here.
     """
     star = _star_units(system)
     if star is not None:
-        return _COMPATIBLE, None, _verified(system, *_weigh(*star))
+        weights, total = _weigh(*star)
+        check = _verify(system, weights, total)
+        if not check.ok:
+            raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))
+        return _COMPATIBLE, None, (weights, total)
     report = pairwise_compatibility(system)
     X = build_overlap_complex(system, max_dim=max_dim)
     return report, X, _decide(system, report, X)
@@ -479,37 +464,42 @@ def _decision(
 def _star_units(
     system: AgentSystem,
 ) -> tuple[list[tuple[int, int]], dict[str, tuple[int, int]]] | None:
-    """Every agent's unit g_i from star links, or None when the star path does not apply.
+    """Every agent's unit g_i from star links, or None when no common prior exists.
 
-    It applies only when no agent has a zero mass, so that no overlap is
-    one-sided. Each outcome x then links its first holder a, in agent
-    order, to every later holder b, with g_b / g_a == n_a(x) / n_b(x) on
-    the integer counts: the rescaled masses agree at x. Linking each
-    holder to the first pins the same ratios as linking every pair, so
-    the links connect exactly the components of the overlap complex.
-    Each component is walked breadth-first from its lowest agent at
-    (1, d_root), as ``_propagate`` starts, one gcd per step. A link met
-    with both ends already assigned is cross-multiplied there, once, and
-    the first that fails returns None. When every link holds, all
-    rescaled masses agree wherever agents meet, so no pair violates and
-    no cycle fails; and a component's units are fixed by its root's, so
-    they are the units ``_decide`` finds. The links are those ``_glue``
-    would cross-multiply again, so the units are returned with each
-    outcome's first holder and n_x, for ``_weigh``.
+    An outcome held at 0 by one agent and weighted by another declines at
+    once (``_weighting_groups``); otherwise no overlap is one-sided. Each
+    weighted outcome x links its first holder a, in agent order, to every
+    later holder b, with g_b / g_a == n_a(x) / n_b(x) on the integer
+    counts: the rescaled masses agree at x. Linking each holder to the
+    first pins the same ratios as linking every pair, so the links connect
+    exactly the components of the overlap complex. An outcome held only
+    at 0 gets no link, and weight 0. Each component is walked
+    breadth-first from its lowest agent at (1, d_root), the unit of
+    ``solve_scaling``'s scale 1, one gcd per step. A link met with both
+    ends already assigned is cross-multiplied there, once, and the first
+    that fails returns None. When every link holds, all rescaled masses
+    agree wherever agents meet, so no pair violates and no cycle fails;
+    and a component's units are fixed by its root's, so they are the
+    units the forest propagation gives. The links are those
+    ``glue_urprior`` would cross-multiply again, so the units are
+    returned with each outcome's first holder and n_x, for ``_weigh``.
     """
-    agents = system.agents
-    if any(len(agent.positive) != len(agent.support) for agent in agents):
+    groups = _weighting_groups(system)
+    if groups is None:
         return None
+    agents = system.agents
     first: dict[str, tuple[int, int]] = {}  # outcome -> (its first holder, n_x)
     adjacency: list[list[tuple[int, int, int, int]]] = [[] for _ in agents]
     links = 0
-    for b, agent in enumerate(agents):
-        for x, n_b in agent.counts[1].items():
-            held = first.get(x)
-            if held is None:
-                first[x] = (b, n_b)
-                continue
-            a, n_a = held
+    for x, holders in groups.items():
+        if not holders:  # held only at 0: weight 0, whichever agent stands first
+            first[x] = (0, 0)
+            continue
+        a = holders[0]
+        n_a = agents[a].counts[1][x]
+        first[x] = (a, n_a)
+        for b in holders[1:]:
+            n_b = agents[b].counts[1][x]
             # (far end, then g_far / g_near as a pair, then the link)
             adjacency[a].append((b, n_a, n_b, links))
             adjacency[b].append((a, n_b, n_a, links))
@@ -539,34 +529,22 @@ def _star_units(
     return units, first
 
 
-def _decide(
-    system: AgentSystem, report: CompatibilityReport, X: SimplicialComplex
-) -> Certificate | _Glued:
-    """The decision on the system's pairwise report, in integer units: a certificate or the weights.
+def _decide(system: AgentSystem, report: CompatibilityReport, X: SimplicialComplex) -> Certificate:
+    """The first obstruction of a system the star links decline: its certificate.
 
-    ``X`` is the system's overlap complex truncated at any dimension >= 1;
-    only its 1-skeleton is read. Agent i's unit g_i = scale_i / d_i is
-    1 / d_i at a root and steps as g_j / g_i == M_i / M_j, the overlap
-    sums of ``system.overlaps`` (the d's cancel), so no ratio or scale
-    ``Fraction`` is built; the glue and its verification run on integers.
+    Only the 1-skeleton of ``X``, the overlap complex to any depth >= 1, is
+    read; the units step as g_j / g_i == M_i / M_j on the overlap sums of
+    ``system.overlaps``. Finding no obstruction means an internal invariant
+    broke, since a declined system has no common prior: GluingError.
     """
     if report.violations:
         return report.violations[0]
     if report.asymmetries:
         return report.asymmetries[0]
-    agents = system.agents
-    units, cycle = _propagate(X, system.overlaps, lambda v: (1, agents[v].counts[0]))
-    if cycle is not None:
-        return cycle
-    return _verified(system, *_glue(system, units))
-
-
-def _verified(system: AgentSystem, weights: dict[str, int], total: int) -> _Glued:
-    """The glued weights W_x over their sum, once they verify; GluingError when they do not."""
-    check = _verify(system, weights, total)
-    if not check.ok:
-        raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))
-    return weights, total
+    _, cycle = _propagate(X, system.overlaps)
+    if cycle is None:
+        raise GluingError("the star links declined, but no pair, overlap or cycle obstructs")
+    return cycle
 
 
 def _result(system: AgentSystem, found: Certificate | _Glued) -> UrPriorResult:

@@ -166,25 +166,20 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
 
     The edges are the pairs of the system's overlap table that both sides
     weight, read from the table when the system has one (something has
-    read ``system.overlaps``) or when an agent has a zero mass. Otherwise
-    no agent holds an outcome it does not weight: no edge is split, every
-    A_x is the set of x's holders, and the edges, every pair that shares
-    an outcome, are listed from the A_x like the levels above, without
-    the table.
+    read ``system.overlaps``) or when some outcome is held at 0 by one
+    agent and weighted by another. Otherwise every holder of a weighted
+    outcome weights it (``_weighting_groups``): no edge is split, and the
+    edges, the pairs that share a weighted outcome, are listed from the
+    A_x like the levels above, without the table. An outcome held only
+    at 0 joins no group.
     """
     agents = system.agents
     n = len(agents)
     vertices: tuple[Simplex, ...] = tuple((i,) for i in range(n))
     if max_dim is not None and max_dim < 1:
         return SimplicialComplex._canonical(system.names, (vertices,))
-    weighting: dict[str, list[int]] = {}
-    if "overlaps" not in vars(system) and all(
-        len(agent.positive) == len(agent.support) for agent in agents
-    ):
-        for i, agent in enumerate(agents):
-            for x in agent.counts[1]:
-                weighting.setdefault(x, []).append(i)
-        return _generated(system.names, (vertices,), _above(n, weighting.values()), max_dim)
+    if "overlaps" not in vars(system) and (groups := _weighting_groups(system)) is not None:
+        return _generated(system.names, (vertices,), _above(n, groups.values()), max_dim)
 
     overlaps = system.overlaps
     edges = tuple(pair for pair, (_, sum_i, sum_j) in overlaps.items() if sum_i > 0 and sum_j > 0)
@@ -193,6 +188,7 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     if max_dim == 1:
         return SimplicialComplex._canonical(system.names, (vertices, edges))
 
+    weighting: dict[str, list[int]] = {}
     unweighting: dict[str, list[int]] = {}
     for i, agent in enumerate(agents):
         for x, c in agent.counts[1].items():
@@ -213,6 +209,29 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
         return _generated(system.names, (vertices, edges), (), max_dim, keep)
 
     return _generated(system.names, (vertices, edges), _above(n, weighting.values()), max_dim)
+
+
+def _weighting_groups(system: AgentSystem) -> dict[str, list[int]] | None:
+    """Each outcome an agent holds, mapped to the agents that weight it, in order; or None.
+
+    None when some outcome is held at 0 by one agent and weighted by
+    another, a pairwise violation or a one-sided overlap. An outcome held
+    only at 0 maps to no agent.
+    """
+    groups: dict[str, list[int]] = {}
+    zeros: list[str] = []
+    for i, agent in enumerate(system.agents):
+        for x, c in agent.counts[1].items():
+            holders = groups.get(x)
+            if holders is None:
+                holders = groups[x] = []
+            if c:
+                holders.append(i)
+            else:
+                zeros.append(x)
+    if any(groups[x] for x in zeros):
+        return None
+    return groups
 
 
 def _above(n: int, groups: Iterable[Sequence[int]]) -> list[list[Simplex]]:

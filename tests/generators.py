@@ -122,20 +122,27 @@ def window_chain(
     }
 
 
-def hub_system(rng: random.Random, agents: int) -> tuple[AgentSystem, dict[str, Fraction]]:
+def hub_system(
+    rng: random.Random, agents: int, held_at_zero: bool = False
+) -> tuple[AgentSystem, dict[str, Fraction]]:
     """Agent i is aware of one shared outcome and one private outcome, all conditioned from one measure.
 
     Every group of agents shares the hub outcome, which all of them
     weight, so the overlap complex is the full simplex on the agents:
-    every pair is an edge and every triple a triangle. Returns the system
-    and the hidden measure normalized over the union, the ur-prior the
-    decision must find.
+    every pair is an edge and every triple a triangle. With
+    ``held_at_zero`` every agent is also aware of one more shared
+    outcome, "nil", of hidden weight 0; the complex is the same. Returns
+    the system and the hidden measure normalized over the union, the
+    ur-prior the decision must find.
     """
     outcomes = ("hub",) + tuple(f"p{i}" for i in range(agents))
     weights = {x: Fraction(rng.randint(1, 6)) for x in outcomes}
+    if held_at_zero:
+        outcomes += ("nil",)
+        weights["nil"] = Fraction(0)
     agent_list = []
     for i in range(agents):
-        mine = ("hub", f"p{i}")
+        mine = ("hub", f"p{i}", "nil") if held_at_zero else ("hub", f"p{i}")
         sector = sum(weights[x] for x in mine)
         agent_list.append(CredenceFunction(f"a{i}", {x: weights[x] / sector for x in mine}))
     total = sum(weights.values())
@@ -319,10 +326,11 @@ def seeded_systems() -> list[AgentSystem]:
     """231 seeded systems of every kind, the edge cases above among them.
 
     The library's fast paths are tested against their reference versions
-    on this set.
+    on this set. Each call returns new systems, the edge cases copied, so
+    that no cache an earlier test built decides which path a call takes.
     """
     rng = random.Random(2024)
-    out = list(EDGE_CASES.values())
+    out = [AgentSystem(system.space, system.agents) for system in EDGE_CASES.values()]
     for k in range(120):
         out.append(random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9))
     for k in range(100):
@@ -342,8 +350,7 @@ def differential_systems(data_dir: Path, hubs: Sequence[int]) -> list[AgentSyste
     growth 1 and 1000, and a disjoint union of two chains, which pins the
     per-component root unit.
     """
-    # copies: the edge cases are shared, and an earlier test may have built their caches
-    systems = [AgentSystem(system.space, system.agents) for system in seeded_systems()]
+    systems = seeded_systems()
     for path in sorted(data_dir.glob("*.json")):
         raw = json.loads(path.read_text())
         if "agents" in raw:

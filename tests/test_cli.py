@@ -12,10 +12,10 @@ import pytest
 
 from urprior import cli, compat
 from urprior.cohomology import cohomology_dim
-from urprior.complexes import build_overlap_complex
-from urprior.numerics import format_rational
+from urprior.complexes import build_overlap_complex, connected_components
 from urprior.witness import generate_counterexample
 
+from . import overlap_reference
 from .generators import (
     annulus,
     differential_systems,
@@ -25,6 +25,7 @@ from .generators import (
     seeded_systems,
     window_chain,
 )
+from .test_compat import _pairwise_decide
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
@@ -609,32 +610,56 @@ class TestEntryPoint:
         assert (process.returncode, process.stdout, process.stderr) == (code, out, err)
 
 
-class TestCheckStarPath:
-    """``check`` reads a yes off the star links, with the bytes of the pairwise path."""
+def _reference_report(system):
+    """The check report and exit code from the staged pipeline and the all-pairs complex."""
+    pairwise = compat.pairwise_compatibility(system)
+    result = _pairwise_decide(system)
+    X = overlap_reference.build_overlap_complex(system, max_dim=2)
+    exists = result.verdict == "exists"
+    report = {
+        "valid": True,
+        "agents": len(system.agents),
+        "outcomes": len(system.space.outcomes),
+        "pairwise": {
+            "compatible": pairwise.compatible,
+            "violations": [cli._certificate_to_json(v) for v in pairwise.violations],
+        },
+        "asymmetries": [cli._certificate_to_json(a) for a in pairwise.asymmetries],
+        "complex": {"counts": X.counts(2)},
+        "components": len(connected_components(X)),
+        "h1": cohomology_dim(X, 1),
+        "verdict": result.verdict,
+        "ur_prior": cli._measure_to_json(result.measure, system) if exists else None,
+        "certificate": None if exists else cli._certificate_to_json(result.certificate),
+    }
+    return report, 0 if exists else 1
 
-    def test_equals_the_report_without_star_links(self, data_dir, monkeypatch):
+
+class TestCheckStarPath:
+    """``check`` reads a yes off the star links, with the bytes of the staged pipeline."""
+
+    def test_equals_the_report_without_star_links(self, data_dir):
         systems = differential_systems(data_dir, hubs=(5, 60))
         starred = [cli.build_check_report(system) for system in systems]
         star = 0
         for system, (report, code) in zip(systems, starred):
-            result = compat.decide_urprior(system)
-            assert code == (0 if result.verdict == "exists" else 1)
-            if result.measure is None:
-                assert report["ur_prior"] is None
-                continue
-            # each mass in lowest terms and outcome order, as its Fraction prints
-            expected = [(x, format_rational(v)) for x, v in result.measure.items()]
-            assert list(report["ur_prior"].items()) == expected
-            if all(agent.positive == agent.support for agent in system.agents):
+            if code == 0:
                 assert "overlaps" not in vars(system)
                 star += 1
-        assert star > 1000
-        monkeypatch.setattr(compat, "_star_units", lambda system: None)
-        for system, (report, code) in zip(systems, starred):
-            expected, expected_code = cli.build_check_report(system)
+            expected, expected_code = _reference_report(system)
             assert code == expected_code
             assert cli._dumps(report) == cli._dumps(expected)
             assert cli.render_check_text(report) == cli.render_check_text(expected)
+        assert star > 2000
+
+    def test_a_yes_the_star_links_decline_exits_three(self, data_dir, capsys, monkeypatch):
+        # the pairwise path finds certificates only: a feasible system it is
+        # handed is an internal error, never a yes
+        monkeypatch.setattr(compat, "_star_units", lambda system: None)
+        for name in ("ex1.json", "ex4.json"):
+            code, out, err = run(capsys, "check", str(data_dir / name))
+            assert (code, out) == (3, "")
+            assert err.startswith("internal error: GluingError: ") and err.count("\n") == 1
 
     def test_a_yes_builds_no_overlap_table(self, tmp_path, capsys, monkeypatch):
         def forbidden(system):
@@ -642,7 +667,8 @@ class TestCheckStarPath:
 
         monkeypatch.setattr(compat, "pairwise_compatibility", forbidden)
         rng = random.Random(27)
-        for system in (hub_system(rng, 40)[0], window_chain(rng, 16, growth=1000)[0]):
+        systems = (hub_system(rng, 40)[0], window_chain(rng, 16, growth=1000)[0])
+        for system in systems + (hub_system(rng, 40, held_at_zero=True)[0],):
             report, code = cli.build_check_report(system)
             assert code == 0 and report["h1"] == 0 and report["components"] == 1
             assert "overlaps" not in vars(system)
@@ -651,7 +677,7 @@ class TestCheckStarPath:
             assert run(capsys, "check", str(path), "--json") == (0, cli._dumps(report) + "\n", "")
 
     def test_a_no_takes_the_pairwise_path(self, data_dir, c4):
-        # a zero mass (gap) and a failing star link (a counterexample)
+        # an outcome held at 0 and weighted (gap), and a failing star link (a counterexample)
         for system in (cli.load_system(str(data_dir / "gap.json")), generate_counterexample(c4)):
             report, code = cli.build_check_report(system)
             assert code == 1 and report["certificate"] is not None
@@ -768,8 +794,7 @@ class TestInputRobustness:
         assert out.startswith("invalid system file:\n")
 
     def test_internal_error_exits_three(self, data_dir, capsys, monkeypatch):
-        # glued weights that fail re-verification raise GluingError; both
-        # the star-link yes path and the pairwise path verify them
+        # glued weights that fail re-verification raise GluingError
         failed = compat.VerificationReport(False, ("agent 1: broken on purpose",))
         monkeypatch.setattr(compat, "_verify", lambda system, weights, total: failed)
         code, out, err = run(capsys, "check", str(data_dir / "ex1.json"), "--json")

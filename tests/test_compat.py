@@ -12,6 +12,7 @@ from urprior.compat import (
     Certificate,
     CycleCertificate,
     RatioCochain,
+    UrPriorResult,
     Violation,
     decide_urprior,
     glue_urprior,
@@ -19,8 +20,6 @@ from urprior.compat import (
     ratio_cochain,
     solve_scaling,
     verify_urprior,
-    _decide,
-    _result,
     _star_units,
 )
 from urprior.complexes import build_overlap_complex, from_facets
@@ -339,42 +338,55 @@ class TestDecide:
         assert exists > 0 and none > 0
 
 
-def _pairwise_decide(system: AgentSystem):
-    """decide_urprior as it reads without the star path: the pairwise report and the complex."""
+def _pairwise_decide(system: AgentSystem) -> UrPriorResult:
+    """The decision staged on the public pipeline: pairwise report, scaling solve, then glue.
+
+    ``solve_scaling`` starts each component at scale 1 and ``decide_urprior``
+    at unit 1 / d_root, which is the same measure; its holonomy multiplies
+    ratios M_u d_v / (M_v d_u), whose d's cancel around the cycle.
+    """
     report = pairwise_compatibility(system)
-    return _result(system, _decide(system, report, build_overlap_complex(system, max_dim=1)))
+    obstructions = report.violations + report.asymmetries
+    if obstructions:
+        return UrPriorResult("none", None, obstructions[0])
+    scaling, cycle = solve_scaling(ratio_cochain(system))
+    if cycle is not None:
+        return UrPriorResult("none", None, cycle)
+    return UrPriorResult("exists", glue_urprior(system, scaling), None)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the star path fell back to the pairwise scan")
 
 
 class TestStarPath:
     def test_equals_the_pairwise_decision(self, data_dir, monkeypatch):
         systems = differential_systems(data_dir, hubs=(5, 60, 300))
+        # decided on copies whose overlap table nothing has built
+        fresh = [AgentSystem(system.space, system.agents) for system in systems]
         expected = [_pairwise_decide(system) for system in systems]
-        starred = [
-            all(agent.positive == agent.support for agent in system.agents)
-            and result.verdict == "exists"
-            for system, result in zip(systems, expected)
-        ]
-
-        def forbidden(system):
-            raise AssertionError("the star path fell back to the pairwise scan")
-
-        for system, result, star in zip(systems, expected, starred):
-            if not star:
+        for system, result in zip(fresh, expected):
+            if result.verdict == "none":
                 assert repr(decide_urprior(system)) == repr(result)
-        # every feasible system without a zero mass is decided on star links alone
-        monkeypatch.setattr(compat, "pairwise_compatibility", forbidden)
-        monkeypatch.setattr(compat, "build_overlap_complex", forbidden)
-        for system, result, star in zip(systems, expected, starred):
-            if star:
+
+        # every feasible system, zero masses included, is decided on star links alone
+        monkeypatch.setattr(compat, "pairwise_compatibility", _forbidden)
+        monkeypatch.setattr(compat, "build_overlap_complex", _forbidden)
+        exists = held_at_zero = 0
+        for system, result in zip(fresh, expected):
+            if result.verdict == "exists":
                 assert repr(decide_urprior(system)) == repr(result)
-        assert sum(starred) > 1000
+                assert "overlaps" not in vars(system)
+                exists += 1
+                held_at_zero += any(0 in agent.counts[1].values() for agent in system.agents)
+        assert exists > 2000 and held_at_zero > 1000
 
     def test_the_yes_path_builds_no_overlap_table(self):
         system = hub_system(random.Random(5), 50)[0]
         assert decide_urprior(system).verdict == "exists"
         assert "overlaps" not in vars(system)
 
-    def test_a_zero_mass_takes_the_pairwise_path(self):
+    def test_an_outcome_held_at_zero_and_positively_takes_the_pairwise_path(self):
         system = validate(
             {
                 "outcomes": ["a", "b", "c"],
@@ -386,6 +398,24 @@ class TestStarPath:
         )
         assert _star_units(system) is None
         assert decide_urprior(system) == _pairwise_decide(system)
+
+    def test_an_outcome_held_only_at_zero_takes_the_star_path(self, monkeypatch):
+        # both agents hold c at 0: no link there, and c = 0 in the measure
+        system = validate(
+            {
+                "outcomes": ["a", "b", "c", "d"],
+                "agents": [
+                    {"name": "1", "credence": {"a": "1/2", "b": "1/2", "c": "0"}},
+                    {"name": "2", "credence": {"b": "1/3", "c": "0", "d": "2/3"}},
+                ],
+            }
+        )
+        expected = _pairwise_decide(AgentSystem(system.space, system.agents))
+        quarter = Fraction(1, 4)
+        assert expected.measure == {"a": quarter, "b": quarter, "c": 0, "d": Fraction(1, 2)}
+        monkeypatch.setattr(compat, "pairwise_compatibility", _forbidden)
+        assert repr(decide_urprior(system)) == repr(expected)
+        assert "overlaps" not in vars(system)
 
     def test_a_failing_star_link_falls_back_to_the_cycle_certificate(self, c4, c5):
         # a counterexample weights every outcome it names, so a failing

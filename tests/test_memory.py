@@ -96,13 +96,15 @@ def test_calls_keep_nothing(data_dir):
 def test_decide_on_a_2000_agent_hub_builds_no_pairwise_table():
     # 1,999,000 agent pairs share the hub outcome, but the yes path links
     # each agent to the hub's first holder only, so its memory follows the
-    # 4,000 (agent, outcome) entries, not the pairs
-    system, hidden = hub_system(random.Random(2000), 2000)
-    tracemalloc.start()
-    try:
-        result = decide_urprior(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.verdict == "exists" and result.measure == hidden
-    assert peak < 16 * 2**20, f"peak {peak} bytes"
+    # 4,000 (agent, outcome) entries, not the pairs; an outcome every agent
+    # holds at 0 gets no link at all
+    for held_at_zero in (False, True):
+        system, hidden = hub_system(random.Random(2000), 2000, held_at_zero)
+        tracemalloc.start()
+        try:
+            result = decide_urprior(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "exists" and result.measure == hidden
+        assert peak < 16 * 2**20, f"peak {peak} bytes"

@@ -19,19 +19,20 @@ from urprior.oracle import feasibility_oracle
 
 from . import overlap_reference as reference
 from .fraction_reference import mass
-from .generators import EDGE_CASES, hub_system, seeded_systems, split_hub_system
+from .generators import EDGE_CASES, conditioned_system, hub_system, seeded_systems, split_hub_system
 
-SYSTEMS = seeded_systems()
+# Each test draws its own systems from seeded_systems(), so that no table an
+# earlier test read decides which listing a complex test runs.
 
 
 def test_enough_systems():
-    assert len(SYSTEMS) >= 200
+    assert len(seeded_systems()) >= 200
 
 
 def test_table_lists_every_sharing_pair_with_its_masses():
     # each mass is the agent's integer counts summed over the overlap,
     # over the agent's own denominator
-    for system in SYSTEMS:
+    for system in seeded_systems():
         agents = system.agents
         expected = {}
         for i, j in combinations(range(len(agents)), 2):
@@ -51,14 +52,15 @@ def test_table_lists_every_sharing_pair_with_its_masses():
 
 
 def test_table_and_supports_are_built_once():
-    system = EDGE_CASES["zero-mass awareness"]
+    shared = EDGE_CASES["zero-mass awareness"]
+    system = AgentSystem(shared.space, shared.agents)  # a copy whose table nothing has built
     assert system.overlaps is system.overlaps
     assert all(agent.support is agent.support for agent in system.agents)
 
 
 def test_pairwise_reports_equal_the_reference():
     fired = {"violations": 0, "asymmetries": 0}
-    for system in SYSTEMS:
+    for system in seeded_systems():
         report = pairwise_compatibility(system)
         assert report == reference.pairwise_compatibility(system)
         fired["violations"] += bool(report.violations)
@@ -70,7 +72,8 @@ def test_pairwise_reports_equal_the_reference():
 @pytest.mark.parametrize("max_dim", [None, 0, 1, 2, 3])
 def test_overlap_complexes_equal_the_reference(max_dim):
     top = 0
-    for system in SYSTEMS:
+    for system in seeded_systems():
+        assert "overlaps" not in vars(system)
         X = build_overlap_complex(system, max_dim=max_dim)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
         top = max(top, X.dim)
@@ -102,10 +105,11 @@ def _generated_complex(system, max_dim):
 @pytest.mark.parametrize("max_dim", [None, 0, 1, 2, 3])
 def test_without_a_split_edge_the_complex_is_generated_by_the_weighting_groups(max_dim):
     unsplit = 0
-    for system in SYSTEMS:
+    for system in seeded_systems():
         if _split_edges(system):
             continue
         unsplit += 1
+        assert "overlaps" not in vars(system)
         X = build_overlap_complex(system, max_dim=max_dim)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
         assert X == _generated_complex(system, max_dim)
@@ -115,10 +119,9 @@ def test_without_a_split_edge_the_complex_is_generated_by_the_weighting_groups(m
 @pytest.mark.parametrize("max_dim", [None, 1, 2, 3])
 def test_without_a_zero_mass_the_complex_is_listed_without_the_table(max_dim):
     listed = 0
-    for seeded in seeded_systems():
-        if any(agent.positive != agent.support for agent in seeded.agents):
+    for system in seeded_systems():
+        if any(agent.positive != agent.support for agent in system.agents):
             continue
-        system = AgentSystem(seeded.space, seeded.agents)  # a copy whose table nothing has built
         listed += 1
         X = build_overlap_complex(system, max_dim=max_dim)
         assert "overlaps" not in vars(system)
@@ -128,9 +131,30 @@ def test_without_a_zero_mass_the_complex_is_listed_without_the_table(max_dim):
     assert listed > 100
 
 
+@pytest.mark.parametrize("max_dim", [None, 1, 2, 3])
+def test_outcomes_held_only_at_zero_are_listed_without_the_table(max_dim):
+    # no outcome is held at 0 by one agent and weighted by another, so
+    # the holders of each weighted outcome are its weighting group
+    rng = random.Random(28)
+    systems = [hub_system(rng, 12, held_at_zero=True)[0]]
+    systems += [conditioned_system(rng, max_agents=8) for _ in range(300)]
+    systems += seeded_systems()
+    listed = 0
+    for system in systems:
+        zeros = {x for agent in system.agents for x, c in agent.counts[1].items() if not c}
+        weighted = {x for agent in system.agents for x in agent.positive}
+        if not zeros or zeros & weighted:
+            continue
+        listed += 1
+        X = build_overlap_complex(system, max_dim=max_dim)
+        assert "overlaps" not in vars(system)
+        assert X == reference.build_overlap_complex(system, max_dim=max_dim)
+    assert listed > 200
+
+
 def test_systems_with_a_split_edge_equal_the_reference():
     split = outside = 0
-    for system in SYSTEMS:
+    for system in seeded_systems():
         if not _split_edges(system):
             continue
         split += 1
@@ -201,7 +225,7 @@ def test_a_split_star_stops_at_its_edges(others, clique, counts):
 
 
 def test_every_split_edge_is_a_pairwise_violation():
-    for system in SYSTEMS:
+    for system in seeded_systems():
         violated = {v.pair for v in pairwise_compatibility(system).violations}
         names = system.names
         assert {(names[i], names[j]) for i, j in _split_edges(system)} <= violated
@@ -215,7 +239,7 @@ def test_hub_complex_is_the_full_2_skeleton():
 
 
 def test_ratio_cochains_equal_the_reference():
-    for system in SYSTEMS:
+    for system in seeded_systems():
         X = reference.build_overlap_complex(system, max_dim=1)
         ours = ratio_cochain(system)
         assert ours.complex == X
@@ -224,7 +248,7 @@ def test_ratio_cochains_equal_the_reference():
 
 def test_oracle_equals_the_all_pairs_oracle():
     found = 0
-    for system in SYSTEMS:
+    for system in seeded_systems():
         measure = feasibility_oracle(system)
         assert measure == reference.feasibility_oracle(system)
         if measure is not None:
