@@ -19,8 +19,8 @@ overlapping pairs, whose number grows with the square of the agents on
 a shared outcome. Otherwise no common prior exists, and the pairwise
 scan and the forest propagation on the overlap sums M of
 ``system.overlaps`` find the certificate. ``solve_scaling``,
-``glue_urprior`` and ``verify_urprior`` are thin adapters over the same
-propagation, glue and verification. Every equality is an integer
+``glue_urprior`` and ``verify_urprior`` run the same propagation,
+weighing and verification code. Every equality is an integer
 cross-multiplication; a reduced ``Fraction`` is built only for what is
 returned or printed: measures, scalings, ratios, certificates and
 diagnostics.
