@@ -47,9 +47,12 @@ from urprior.compat import (
     pairwise_compatibility,
 )
 from urprior.complexes import (
+    Collapsible,
     SimplicialComplex,
+    _counted,
+    _facet_groups,
+    _weighting_groups,
     build_overlap_complex,
-    connected_components,
     from_facets,
 )
 from urprior.credence import AgentSystem, ValidationError, validate
@@ -116,8 +119,14 @@ def load_complex(path: str) -> SimplicialComplex:
     return _complex_from_raw(_load_json(path), path)
 
 
-def _complex_from_raw(raw: Any, path: str) -> SimplicialComplex:
-    """Build the complex of a parsed complex file; ``path`` names the file in error messages."""
+def _complex_from_raw(
+    raw: Any, path: str, counted: bool = False
+) -> SimplicialComplex | Collapsible:
+    """Build the complex of a parsed complex file; ``path`` names the file in error messages.
+
+    With ``counted``, a complex that collapses is counted, not listed
+    (``complexes._counted``).
+    """
     if not isinstance(raw, Mapping):
         raise CliError(f"{path}: complex file must be a JSON object")
     vertices = raw.get("vertices")
@@ -129,6 +138,8 @@ def _complex_from_raw(raw: Any, path: str) -> SimplicialComplex:
     ):
         raise CliError(f"{path}: 'facets' must be a list of lists of labels")
     try:
+        if counted:
+            return _counted(*_facet_groups(vertices, facets), None)
         return from_facets(vertices, facets)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
@@ -207,17 +218,23 @@ def _measure_to_json(measure: Mapping[str, Any], system: AgentSystem) -> dict[st
 
 
 def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
-    """Assemble the full check report and its exit code; the overlap complex is listed to depth 2.
+    """Assemble the full check report and its exit code; the overlap complex is read to depth 2.
 
     The decision is ``compat._decision``'s. On a yes from star links it
-    builds no overlap table, so the complex is listed from the groups of
-    agents that hold an outcome; the ur-prior is printed from the
-    verified integer weights, one gcd per outcome.
+    builds no overlap table, and the complex is the one the groups of
+    agents that weight an outcome generate. When, for every agent i, one
+    group's members above i hold every agent above i that shares a group
+    with i, that complex collapses onto the agents with no such neighbour
+    (see ``urprior.complexes``): the counts are sums of binomials, the
+    components are those agents and H1 = 0, with no simplex listed, no
+    spanning forest and no reduction. Otherwise it is listed from the
+    groups. The ur-prior is printed from the verified integer weights,
+    one gcd per outcome. The components are n - rank delta_0.
     """
-    compatibility, X, found = _decision(system, max_dim=2)
-    if X is None:
-        X = build_overlap_complex(system, max_dim=2)
+    compatibility, source, found = _decision(system, max_dim=2)
     exists = isinstance(found, tuple)
+    # on a yes the source is the weighting groups, which generate the complex
+    X = _counted(system.names, source.values(), 2) if exists else source
     report: dict[str, Any] = {
         "valid": True,
         "agents": len(system.agents),
@@ -228,7 +245,7 @@ def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
         },
         "asymmetries": [_certificate_to_json(a) for a in compatibility.asymmetries],
         "complex": {"counts": X.counts(2)},
-        "components": len(connected_components(X)),
+        "components": len(X.vertices) - coboundary_rank(X, 0),
         "h1": cohomology_dim(X, 1),
         "verdict": "exists" if exists else "none",
         "ur_prior": _weights_to_json(*found, system) if exists else None,
@@ -369,16 +386,21 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             system = validate(raw)
         except ValidationError as exc:
             raise CliError("invalid system file: " + "; ".join(exc.violations)) from exc
-        X = build_overlap_complex(system, max_dim=args.dim + 1)
+        # a system with weighting groups is counted when it collapses, as check counts it
+        groups = None if args.dump_matrices else _weighting_groups(system)
+        if groups is None:
+            X = build_overlap_complex(system, max_dim=args.dim + 1)
+        else:
+            X = _counted(system.names, groups.values(), args.dim + 1)
     elif complex_file:
-        X = _complex_from_raw(raw, args.file)
+        X = _complex_from_raw(raw, args.file, counted=not args.dump_matrices)
     else:
         raise CliError(f"{args.file}: neither a system file (agents) nor a complex file (facets)")
 
     k = args.dim
     rank_below = coboundary_rank(X, k - 1)
     rank_at = coboundary_rank(X, k)
-    cocycles = len(X.simplices(k)) - rank_at
+    cocycles = X.counts(k)[k] - rank_at
     coboundaries = rank_below
     h = cocycles - coboundaries
 

@@ -19,6 +19,12 @@ read the complex's cached spanning forest (``spanning_forest``):
   and no delta_1 column is ever reduced;
 - degrees 2 and up reduce the columns of ``coboundary_columns``.
 
+A ``Collapsible`` complex is never reduced. It collapses onto its c
+vertices with an empty upper link (see ``urprior.complexes``), so it has
+c components and H^k = 0 for every k >= 1. Then rank delta_0 = n - c, and
+each rank above follows from the exactness at H^k = 0 alone:
+rank delta_k = X_k - rank delta_(k-1), read off its counts.
+
 ``cohomology_dim(X, k)`` is the number of k-simplices less rank delta_k
 and rank delta_(k-1). A cochain is a plain map from simplices to values;
 the one this module returns, the cocycle of ``noncoboundary_cocycle``, is
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from urprior.complexes import Simplex, SimplicialComplex, spanning_forest
+from urprior.complexes import Collapsible, Simplex, SimplicialComplex, spanning_forest
 from urprior.numerics import Column, _left_kernel_vector, _reduce, matrix_rank
 
 __all__ = [
@@ -58,10 +64,18 @@ def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:
     return columns
 
 
-def coboundary_rank(X: SimplicialComplex, k: int) -> int:
-    """rank delta_k: by the forest for k = 0 and 1 (see the module notes), else by reduction."""
+def coboundary_rank(X: SimplicialComplex | Collapsible, k: int) -> int:
+    """rank delta_k: off a collapsible X's counts, or by the forest for k = 0 and 1, or by reduction.
+
+    See the module notes.
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    if isinstance(X, Collapsible):
+        rank = len(X.vertices) - X.links.count(0)
+        for count in X.counts(k)[1:]:
+            rank = count - rank
+        return rank
     if k == 0:
         return len(spanning_forest(X).parent)
     if k == 1:
@@ -92,11 +106,11 @@ def _cycle_space_reduction(X: SimplicialComplex) -> tuple[tuple[Simplex, ...], d
     return non_tree, _reduce(boundaries(), len(non_tree))
 
 
-def cohomology_dim(X: SimplicialComplex, k: int) -> int:
+def cohomology_dim(X: SimplicialComplex | Collapsible, k: int) -> int:
     """dim H^k over the rationals. Degree 0 is out of scope here."""
     if k < 1:
         raise ValueError("cohomology_dim supports k >= 1 only")
-    return len(X.simplices(k)) - coboundary_rank(X, k) - coboundary_rank(X, k - 1)
+    return X.counts(k)[k] - coboundary_rank(X, k) - coboundary_rank(X, k - 1)
 
 
 def noncoboundary_cocycle(X: SimplicialComplex) -> dict[Simplex, int] | None:

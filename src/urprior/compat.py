@@ -433,15 +433,16 @@ _COMPATIBLE = CompatibilityReport(True, (), ())
 
 def _decision(
     system: AgentSystem, max_dim: int
-) -> tuple[CompatibilityReport, SimplicialComplex | None, Certificate | _Glued]:
+) -> tuple[CompatibilityReport, SimplicialComplex | dict[str, list[int]], Certificate | _Glued]:
     """The pairwise report, the overlap complex and the certificate or verified weights.
 
     Every yes is read off star links (``_star_units``), which never build
     the pairwise overlap table: the cost follows the number of (agent,
     outcome) entries, not the number of overlapping pairs. Where a common
     prior exists every pair is compatible and no overlap is one-sided, so
-    the report is ``_COMPATIBLE``, and no complex is built: None stands in
-    its place. The star links are the cross-multiplications
+    the report is ``_COMPATIBLE``, and no complex is built: the weighting
+    groups the star links were read from, which generate it
+    (``build_overlap_complex``), stand in its place. The star links are the cross-multiplications
     ``glue_urprior`` makes, so the weights come straight from ``_weigh``,
     and ``_verify`` re-checks them. When the star links decline, no common
     prior exists: the pairwise scan and the overlap complex to ``max_dim``
@@ -451,11 +452,12 @@ def _decision(
     """
     star = _star_units(system)
     if star is not None:
-        weights, total = _weigh(*star)
+        units, first, groups = star
+        weights, total = _weigh(units, first)
         check = _verify(system, weights, total)
         if not check.ok:
             raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))
-        return _COMPATIBLE, None, (weights, total)
+        return _COMPATIBLE, groups, (weights, total)
     report = pairwise_compatibility(system)
     X = build_overlap_complex(system, max_dim=max_dim)
     return report, X, _decide(system, report, X)
@@ -463,7 +465,7 @@ def _decision(
 
 def _star_units(
     system: AgentSystem,
-) -> tuple[list[tuple[int, int]], dict[str, tuple[int, int]]] | None:
+) -> tuple[list[tuple[int, int]], dict[str, tuple[int, int]], dict[str, list[int]]] | None:
     """Every agent's unit g_i from star links, or None when no common prior exists.
 
     An outcome held at 0 by one agent and weighted by another declines at
@@ -482,7 +484,8 @@ def _star_units(
     and a component's units are fixed by its root's, so they are the
     units the forest propagation gives. The links are those
     ``glue_urprior`` would cross-multiply again, so the units are
-    returned with each outcome's first holder and n_x, for ``_weigh``.
+    returned with each outcome's first holder and n_x, for ``_weigh``,
+    and with the groups (``_weighting_groups``).
     """
     groups = _weighting_groups(system)
     if groups is None:
@@ -526,7 +529,7 @@ def _star_units(
                     walk.append(v)
                 elif unit[0] * s * q != p * r * unit[1]:  # g_v / g_u != r / s
                     return None
-    return units, first
+    return units, first, groups
 
 
 def _decide(system: AgentSystem, report: CompatibilityReport, X: SimplicialComplex) -> Certificate:

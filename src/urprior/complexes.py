@@ -21,6 +21,22 @@ A complex file and an overlap complex are both listed by one routine,
 agents that weight one outcome), or, on a system with a sign-split edge,
 from the edges up, each level from the one below, tested against the
 definition of the overlap complex.
+
+A complex that a family generates is counted instead of listed when it
+collapses (``_counted``), a vertex-elimination argument in the spirit of
+Mrozek and Batko's coreductions ("Coreduction homology algorithm", DCG
+2009). Let B_i be the vertices above i that share a set with i. Suppose
+that for every i one set's members above i hold all of B_i. Then
+{i} + B_i is a simplex, and the simplices with lowest vertex i are
+exactly {i} + S for the subsets S of B_i. Deleting the vertices in
+increasing order therefore removes each one along a full simplex, its
+link in what is left, or as an isolated point when B_i is empty. So the
+complex is homotopy-equivalent to the points with B_i empty: it has that
+many components, H^k = 0 for every k >= 1, and X_k = sum_i C(|B_i|, k).
+A ``Collapsible`` keeps only the sizes |B_i|, so no simplex is listed
+and no spanning forest is built. The test is the per-vertex pass that
+``_generated`` reads too (``_tails``), so a complex that fails it at
+some vertex is listed with no pass repeated.
 """
 
 from __future__ import annotations
@@ -28,7 +44,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
+from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from urprior.credence import AgentSystem
@@ -36,6 +53,7 @@ from urprior.credence import AgentSystem
 Simplex = tuple[int, ...]
 
 __all__ = [
+    "Collapsible",
     "Simplex",
     "SimplicialComplex",
     "SpanningForest",
@@ -125,6 +143,17 @@ class SimplicialComplex:
 
 def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> SimplicialComplex:
     """Smallest downward-closed complex containing the facets and all vertices."""
+    verts, groups = _facet_groups(vertices, facets)
+    if not verts:
+        return SimplicialComplex._canonical((), ())
+    n = len(verts)
+    return _generated(verts, (tuple((i,) for i in range(n)),), _tails(n, groups, 1), None)
+
+
+def _facet_groups(
+    vertices: Sequence[str], facets: Iterable[Iterable[str]]
+) -> tuple[tuple[str, ...], list[list[int]]]:
+    """The vertex labels and each facet as a sorted set of indices; ValueError on a rule break."""
     verts = tuple(vertices)
     index = {label: i for i, label in enumerate(verts)}
     if len(index) != len(verts):
@@ -138,10 +167,7 @@ def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> Sim
         if unknown:
             raise ValueError(f"facet mentions unknown vertex {unknown[0]!r}")
         groups.append(sorted({index[x] for x in labels}))
-    if not verts:
-        return SimplicialComplex._canonical((), ())
-    n = len(verts)
-    return _generated(verts, (tuple((i,) for i in range(n)),), _above(n, groups), None)
+    return verts, groups
 
 
 def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> SimplicialComplex:
@@ -179,7 +205,7 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     if max_dim is not None and max_dim < 1:
         return SimplicialComplex._canonical(system.names, (vertices,))
     if "overlaps" not in vars(system) and (groups := _weighting_groups(system)) is not None:
-        return _generated(system.names, (vertices,), _above(n, groups.values()), max_dim)
+        return _generated(system.names, (vertices,), _tails(n, groups.values(), 1), max_dim)
 
     overlaps = system.overlaps
     edges = tuple(pair for pair, (_, sum_i, sum_j) in overlaps.items() if sum_i > 0 and sum_j > 0)
@@ -208,7 +234,7 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
 
         return _generated(system.names, (vertices, edges), (), max_dim, keep)
 
-    return _generated(system.names, (vertices, edges), _above(n, weighting.values()), max_dim)
+    return _generated(system.names, (vertices, edges), _tails(n, weighting.values(), 2), max_dim)
 
 
 def _weighting_groups(system: AgentSystem) -> dict[str, list[int]] | None:
@@ -234,35 +260,72 @@ def _weighting_groups(system: AgentSystem) -> dict[str, list[int]] | None:
     return groups
 
 
-def _above(n: int, groups: Iterable[Sequence[int]]) -> list[list[Simplex]]:
-    """``_generated``'s ``above`` for a family of sorted sets of the vertices 0 .. n - 1."""
-    above: list[list[Simplex]] = [[] for _ in range(n)]
-    for members in groups:
-        for p in range(len(members) - 1):
-            above[members[p]].append(tuple(members[p + 1 :]))
-    return above
+# Vertex i's tail in a sorted vertex set s, s[p] == i: (s, p), standing for s[p + 1 :].
+_Tail = tuple[Sequence[int], int]
+
+
+def _tails(
+    n: int, groups: Iterable[Sequence[int]], k: int
+) -> list[tuple[int, int, list[_Tail]]]:
+    """Per vertex i of 0 .. n - 1: (i, the size of its largest tail, its tails).
+
+    Only tails of at least k members are kept, and a vertex with none is
+    left out. When the largest tail holds every other, it is kept alone:
+    the collapse test of the module notes, at k = 1. A tail is never
+    sliced. Whether set h's tail lies in set g is tested from h's top
+    down, and how far down it is known to lie in g is kept per pair, so
+    each pair of sets that meet is walked once, not once per vertex they
+    share: two outcomes that every agent of a hub holds cost one walk.
+    """
+    tails: list[list[_Tail]] = [[] for _ in range(n)]
+    for s in groups:
+        for p in range(len(s) - k):
+            tails[s[p]].append((s, p))
+    inside: dict[tuple[int, int], int] = {}  # (id(h), id(g)) -> r with h[r:] known inside g
+    members: dict[int, set[int]] = {}
+    out = []
+    for i, mine in enumerate(tails):
+        if not mine:
+            continue
+        g, p = max(mine, key=lambda t: len(t[0]) - t[1])
+        if len(mine) > 1:
+            in_g = members.get(id(g))
+            if in_g is None:
+                in_g = members[id(g)] = set(g)
+            for h, q in mine:
+                if h is g:
+                    continue
+                r = inside.get((id(h), id(g)), len(h))
+                while r > q + 1 and h[r - 1] in in_g:
+                    r -= 1
+                inside[id(h), id(g)] = r
+                if r > q + 1:
+                    break
+            else:
+                mine = [(g, p)]
+        out.append((i, len(g) - p - 1, mine))
+    return out
 
 
 def _generated(
     names: tuple[str, ...],
     levels: tuple[tuple[Simplex, ...], ...],
-    above: Sequence[Iterable[Simplex]],
+    tails: Sequence[tuple[int, int, Sequence[_Tail]]],
     max_dim: int | None,
     keep: Callable[[Simplex], bool] | None = None,
 ) -> SimplicialComplex:
     """``levels`` extended, through ``max_dim``, up to the first empty level.
 
     Without ``keep``, the new levels are those of the complex a family of
-    vertex sets generates. ``above[i]`` holds, for each set that contains
-    vertex i, its members above i, sorted; sets too small to reach the
-    first new level are ignored. Level k lists, for each lowest vertex i
-    in order, ``(i,) +`` the sorted k-subsets of those sets: canonical
-    order by construction, with no facet test and no set but one per
-    vertex and level, and none when one set holds all the others, whose
-    combinations are then taken alone.
+    vertex sets generates, read from its ``_tails`` of at least as many
+    members as ``levels`` has levels. Level k lists, for each lowest
+    vertex i in order, ``(i,) +`` the sorted k-subsets of i's tails:
+    canonical order by construction, with no facet test and no set but
+    one per vertex and level, and none when one tail holds all the
+    others, whose combinations are then taken alone.
 
     With ``keep`` (closed downward, and the last given level exactly its
-    simplices of that dimension), ``above`` is not read: level k joins
+    simplices of that dimension), ``tails`` is not read: level k joins
     each two simplices of level k - 1 that differ only in their last
     vertex and lists the joins ``keep`` accepts. Both of those faces of a
     simplex are accepted, so none is missed, and the joins come in
@@ -271,33 +334,66 @@ def _generated(
     """
     k = len(levels)
     found = list(levels)
-    offers: list[tuple[int, Simplex, set[Simplex]]] = []
-    for i, sets in enumerate(above):
-        mine = {t for t in sets if len(t) >= k}
-        if mine:
-            big = max(mine, key=len)
-            if len(mine) > 1 and set(big).issuperset(chain.from_iterable(mine)):
-                mine = {big}
-            offers.append((i, big, mine))
     while max_dim is None or k <= max_dim:
         level: list[Simplex] = []
         if keep is not None:
             for head, faces in groupby(found[-1], key=lambda s: s[:-1]):
                 pairs = combinations([s[-1] for s in faces], 2)
                 level.extend(filter(keep, (head + pair for pair in pairs)))
-        for i, big, mine in offers:
-            if len(big) < k:
+        for i, size, mine in tails:
+            if size < k:
                 continue
             if len(mine) == 1:
-                tails: Iterable[Simplex] = combinations(big, k)
+                s, p = mine[0]
+                subsets: Iterable[Simplex] = combinations(s[p + 1 :], k)
             else:
-                tails = sorted(set().union(*(combinations(t, k) for t in mine)))
-            level.extend(map((i,).__add__, tails))
+                subsets = sorted(set().union(*(combinations(s[p + 1 :], k) for s, p in mine)))
+            level.extend(map((i,).__add__, subsets))
         if not level:
             break
         found.append(tuple(level))
         k += 1
     return SimplicialComplex._canonical(names, tuple(found))
+
+
+@dataclass(frozen=True)
+class Collapsible:
+    """A complex that collapses onto its vertices with no upper link, counted, not listed.
+
+    ``links[i]`` is |B_i|, the number of vertices above i that share a
+    generating set with i (see the module notes). ``dim`` is the
+    complex's dimension, or the depth it was counted to when that is
+    lower: ``counts()`` stops there, as a listing to that depth would.
+    """
+
+    vertices: tuple[str, ...]
+    links: tuple[int, ...]
+    dim: int
+
+    def counts(self, upto: int | None = None) -> list[int]:
+        """Simplex counts per dimension, X_k = sum_i C(|B_i|, k), through ``upto`` or ``dim``."""
+        top = self.dim if upto is None else upto
+        return [sum([comb(b, k) for b in self.links]) for k in range(top + 1)]
+
+
+def _counted(
+    names: tuple[str, ...], groups: Iterable[Sequence[int]], max_dim: int | None
+) -> SimplicialComplex | Collapsible:
+    """The complex a family of sorted vertex sets generates, counted when it collapses, else listed.
+
+    It collapses when every vertex keeps one tail (see the module notes).
+    Otherwise it is listed through ``max_dim`` from the tails the test
+    found.
+    """
+    n = len(names)
+    tails = _tails(n, groups, 1)
+    if any(len(mine) > 1 for _, _, mine in tails):
+        return _generated(names, (tuple((i,) for i in range(n)),), tails, max_dim)
+    links = [0] * n
+    for i, size, _ in tails:
+        links[i] = size
+    top = max(links, default=-1)
+    return Collapsible(names, tuple(links), top if max_dim is None else min(top, max_dim))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from urprior import cli, compat
+from urprior import cli, compat, complexes
 from urprior.cohomology import cohomology_dim
 from urprior.complexes import build_overlap_complex, connected_components
 from urprior.witness import generate_counterexample
@@ -675,6 +675,30 @@ class TestCheckStarPath:
             path = tmp_path / "system.json"
             path.write_text(json.dumps(cli.system_to_dict(system)))
             assert run(capsys, "check", str(path), "--json") == (0, cli._dumps(report) + "\n", "")
+
+    def test_a_collapsing_yes_lists_nothing(self, data_dir, tmp_path, capsys, monkeypatch):
+        # every agent's neighbours above it share one group with it, so the
+        # overlap complex is counted: no simplex listed, no forest built
+        rng = random.Random(29)
+        systems = (hub_system(rng, 40)[0], hub_system(rng, 40, held_at_zero=True)[0],
+                   window_chain(rng, 16, growth=1000)[0])
+        paths = [data_dir / "ex1.json"]
+        for k, system in enumerate(systems):
+            paths.append(tmp_path / f"system-{k}.json")
+            paths[-1].write_text(json.dumps(cli.system_to_dict(system)))
+        runs = [("check", path, "--json") for path in paths] + [("check", paths[0])]
+        runs += [("cohomology", path, "--dim", "2") for path in paths]
+        runs += [("cohomology", data_dir / "tri_filled.json", "--json")]
+        expected = [run(capsys, command, str(path), *flags) for command, path, *flags in runs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a collapsing complex was listed")
+
+        monkeypatch.setattr(complexes, "_generated", forbidden)
+        monkeypatch.setattr(complexes, "_build_forest", forbidden)
+        for (command, path, *flags), before in zip(runs, expected):
+            assert run(capsys, command, str(path), *flags) == before
+            assert before[0] == 0 and before[2] == ""
 
     def test_a_no_takes_the_pairwise_path(self, data_dir, c4):
         # an outcome held at 0 and weighted (gap), and a failing star link (a counterexample)

@@ -1,25 +1,35 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from urprior import cli, complexes
-from urprior.cohomology import coboundary_columns, cohomology_dim, noncoboundary_cocycle
+from urprior.cohomology import (
+    coboundary_columns,
+    coboundary_rank,
+    cohomology_dim,
+    noncoboundary_cocycle,
+)
 from urprior.complexes import (
+    Collapsible,
     SimplicialComplex,
     build_overlap_complex,
     connected_components,
     from_facets,
     spanning_forest,
 )
+from urprior.credence import validate
 
 from .dense_reference import coboundary_matrix
 from .overlap_reference import overlap_mass
 from .generators import (
     annulus,
     closure,
+    differential_systems,
     facets,
     hub_system,
     random_complex,
@@ -331,14 +341,18 @@ class TestForestCache:
             assert spanning_forest(fresh) == forest
 
     def test_every_stage_of_a_report_reads_the_same_forest(self, monkeypatch, data_dir, capsys):
+        # ex4 (a hollow tetrahedron), gap (a no) and tri_unfilled do not
+        # collapse and are listed: one forest each. ex1 and tri_filled
+        # collapse, so their reports are counted and build no forest.
         built = []
         build = complexes._build_forest
         monkeypatch.setattr(complexes, "_build_forest", lambda X: built.append(X) or build(X))
-        for name in ("ex1.json", "ex4.json", "gap.json", "tri_unfilled.json"):
+        forests = {"ex1.json": 0, "ex4.json": 1, "gap.json": 1, "tri_filled.json": 0, "tri_unfilled.json": 1}
+        for name, expected in forests.items():
             command = "cohomology" if name.startswith("tri") else "check"
             built.clear()
             cli.main([command, str(data_dir / name)])
-            assert len(built) == 1, name
+            assert len(built) == expected, name
         capsys.readouterr()
         # components, rank delta_0, the cycle-space rank and the canonical cocycle
         X = from_facets(tuple("abcde"), [("a", "b", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
@@ -347,3 +361,64 @@ class TestForestCache:
         assert cohomology_dim(X, 1) == 1
         assert noncoboundary_cocycle(X) is not None
         assert len(built) == 1
+
+
+def _counted_overlap_complex(system, max_dim):
+    """``complexes._counted`` on the system's weighting groups, or None when it has none."""
+    groups = complexes._weighting_groups(system)
+    return None if groups is None else complexes._counted(system.names, groups.values(), max_dim)
+
+
+def _reads_as(C, X):
+    """Whether a counted complex reads as its listing X: 'counted', or 'listed' when C is X."""
+    if isinstance(C, SimplicialComplex):
+        assert C == X
+        return "listed"
+    assert isinstance(C, Collapsible)
+    assert (C.dim, C.counts()) == (X.dim, X.counts())
+    assert len(X.vertices) - coboundary_rank(C, 0) == len(connected_components(X))
+    for k in (1, 2):
+        assert coboundary_rank(C, k) == coboundary_rank(X, k), k
+        assert cohomology_dim(C, k) == cohomology_dim(X, k) == 0
+    return "counted"
+
+
+class TestCollapsible:
+    """A collapsing complex is counted with the counts, components, ranks and H^k of its listing."""
+
+    def test_overlap_complexes(self, data_dir):
+        # listed through depth 3, for rank delta_2; hubs no larger than 9
+        # agents keep that listing small
+        rng = random.Random(29)
+        systems = differential_systems(data_dir, hubs=(5, 9))
+        systems += [hub_system(rng, n, held_at_zero=True)[0] for n in (3, 9)]
+        seen = {"counted": 0, "listed": 0, "split": 0}
+        for system in systems:
+            C = _counted_overlap_complex(system, 3)
+            if C is None:
+                seen["split"] += 1
+                continue
+            seen[_reads_as(C, build_overlap_complex(system, max_dim=3))] += 1
+        assert seen["counted"] > 2500 and seen["listed"] > 300, seen
+
+    def test_golden_files(self, data_dir):
+        # the data files of both golden files, and each system the
+        # counterexample golden file holds
+        golden = Path(__file__).parent / "golden"
+        names = set(json.loads((golden / "cohomology.json").read_text()))
+        seen = {"counted": 0, "listed": 0}
+        for name in sorted(names):
+            raw = json.loads((data_dir / name).read_text())
+            if "facets" in raw:
+                C = complexes._counted(*complexes._facet_groups(raw["vertices"], raw["facets"]), None)
+                seen[_reads_as(C, from_facets(raw["vertices"], raw["facets"]))] += 1
+                continue
+            system = cli.load_system(str(data_dir / name))
+            C = _counted_overlap_complex(system, 3)
+            if C is not None:
+                seen[_reads_as(C, build_overlap_complex(system, max_dim=3))] += 1
+        for name, run in json.loads((golden / "counterexample.json").read_text()).items():
+            if run["exit"] == 0:
+                system = validate(json.loads(run["stdout"]))
+                seen[_reads_as(_counted_overlap_complex(system, 3), build_overlap_complex(system, max_dim=3))] += 1
+        assert seen == {"counted": 2, "listed": 12}, seen

@@ -108,3 +108,42 @@ def test_decide_on_a_2000_agent_hub_builds_no_pairwise_table():
             tracemalloc.stop()
         assert result.verdict == "exists" and result.measure == hidden
         assert peak < 16 * 2**20, f"peak {peak} bytes"
+
+
+def test_check_on_a_2000_agent_hub_lists_no_triangle():
+    # the overlap complex is the full simplex, 1,331,334,000 triangles, but
+    # it collapses (every agent's neighbours above it share the hub with it),
+    # so the report counts them: its memory follows the agents, not the
+    # simplices; the same with an outcome every agent holds at 0
+    for held_at_zero in (False, True):
+        system, _ = hub_system(random.Random(2000), 2000, held_at_zero)
+        tracemalloc.start()
+        try:
+            report, code = cli.build_check_report(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["complex"]["counts"] == [2000, 1999000, 1331334000]
+        assert (report["components"], report["h1"]) == (1, 0)
+        assert peak < 4 * 2**20, f"peak {peak} bytes"
+
+
+def test_cohomology_dim_2_on_a_hub_reduces_nothing(tmp_path):
+    # rank delta_2 of a 36-agent hub took 19 s and 892 MB when it was reduced;
+    # the hub collapses, so the ranks are read off its counts; a 300-agent
+    # hub has 330,791,175 tetrahedra
+    for n, expected in ((36, [36, 630, 7140, 58905]), (300, [300, 44850, 4455100, 330791175])):
+        path = tmp_path / f"hub-{n}.json"
+        path.write_text(json.dumps(cli.system_to_dict(hub_system(random.Random(n), n)[0])))
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out):
+                code = cli.main(["cohomology", str(path), "--dim", "2", "--json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = json.loads(out.getvalue())
+        assert code == 0 and report["counts"] == expected and report["h"] == 0
+        assert report["ranks"] == {"delta_1": expected[1] - n + 1, "delta_2": expected[2] - expected[1] + n - 1}
+        assert peak < 4 * 2**20, f"peak {peak} bytes"
