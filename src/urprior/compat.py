@@ -442,12 +442,12 @@ def _decision(
     prior exists every pair is compatible and no overlap is one-sided, so
     the report is ``_COMPATIBLE``, and no complex is built: the weighting
     groups the star links were read from, which generate it
-    (``build_overlap_complex``), stand in its place. The star links are the cross-multiplications
-    ``glue_urprior`` makes, so the weights come straight from ``_weigh``,
-    and ``_verify`` re-checks them. When the star links decline, no common
-    prior exists: the pairwise scan and the overlap complex to ``max_dim``
-    (at least 1) find the certificate through ``_decide``, and are
-    returned with it. ``decide_urprior`` and the CLI's ``check`` both
+    (``build_overlap_complex``), stand in its place. The star links are
+    the cross-multiplications ``glue_urprior`` makes, so the weights come
+    straight from ``_weigh``, and ``_verify`` re-checks them. When the
+    star links decline, no common prior exists: the pairwise scan and the
+    overlap complex to ``max_dim`` (at least 1) find the certificate
+    through ``_decide``, and are returned with it. ``decide_urprior`` and the CLI's ``check`` both
     decide here.
     """
     star = _star_units(system)
