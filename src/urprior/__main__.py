@@ -6,7 +6,8 @@ catch anything. Any exception raised there exits 3 ("internal error")
 with one stderr line, as a crash inside ``main`` does, never 1 ("no
 ur-prior"); ``crashed`` reports both. Short of memory, that import fails
 with a ``MemoryError``, or with another error that Python raises while
-compiling the methods a dataclass generates. The package itself imports
+it compiles the source or the methods of the two dataclasses (a
+``SyntaxError`` on valid source, say). The package itself imports
 nothing of the library first. ``python -m urprior.cli`` runs the same
 commands without this guard.
 """

@@ -400,7 +400,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     k = args.dim
     rank_below = coboundary_rank(X, k - 1)
     rank_at = coboundary_rank(X, k)
-    cocycles = X.counts(k)[k] - rank_at
+    cocycles = X.count(k) - rank_at
     coboundaries = rank_below
     h = cocycles - coboundaries
 

@@ -23,7 +23,9 @@ A ``Collapsible`` complex is never reduced. It collapses onto its c
 vertices with an empty upper link (see ``urprior.complexes``), so it has
 c components and H^k = 0 for every k >= 1. Then rank delta_0 = n - c, and
 each rank above follows from the exactness at H^k = 0 alone:
-rank delta_k = X_k - rank delta_(k-1), read off its counts.
+rank delta_k = X_k - rank delta_(k-1), read off its counts, up to its
+dimension, the largest link. From there up there is no (k+1)-simplex
+and rank delta_k = 0, so a degree far past the dimension costs nothing.
 
 ``cohomology_dim(X, k)`` is the number of k-simplices less rank delta_k
 and rank delta_(k-1). A cochain is a plain map from simplices to values;
@@ -72,6 +74,8 @@ def coboundary_rank(X: SimplicialComplex | Collapsible, k: int) -> int:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if isinstance(X, Collapsible):
+        if k >= max(X.links, default=0):
+            return 0  # no (k + 1)-simplex, whatever depth X was counted to
         rank = len(X.vertices) - X.links.count(0)
         for count in X.counts(k)[1:]:
             rank = count - rank
@@ -110,7 +114,7 @@ def cohomology_dim(X: SimplicialComplex | Collapsible, k: int) -> int:
     """dim H^k over the rationals. Degree 0 is out of scope here."""
     if k < 1:
         raise ValueError("cohomology_dim supports k >= 1 only")
-    return X.counts(k)[k] - coboundary_rank(X, k) - coboundary_rank(X, k - 1)
+    return X.count(k) - coboundary_rank(X, k) - coboundary_rank(X, k - 1)
 
 
 def noncoboundary_cocycle(X: SimplicialComplex) -> dict[Simplex, int] | None:

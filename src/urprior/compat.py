@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from urprior.complexes import SimplicialComplex, _weighting_groups, build_overlap_complex, spanning_forest
-from urprior.credence import AgentSystem
+from urprior.credence import AgentSystem, _Record
 from urprior.numerics import common_denominator, format_rational
 
 __all__ = [
@@ -66,8 +66,7 @@ class Violation:
     conditional_right: Fraction
 
 
-@dataclass(frozen=True)
-class Asymmetry:
+class Asymmetry(_Record):
     """A nonempty overlap that exactly one of the two agents weights positively.
 
     Such a pair passes the conditional check vacuously, yet no common
@@ -80,8 +79,7 @@ class Asymmetry:
     overlap_mass_right: Fraction
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(_Record):
     """A closed cycle of agents whose edge-ratio product is not 1.
 
     The cycle starts at its smallest vertex and is traversed in the
@@ -98,15 +96,15 @@ class CycleCertificate:
 Certificate = Violation | Asymmetry | CycleCertificate
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(_Record):
+    """The pairwise scan: compatible when it found no violation and no asymmetry."""
+
     compatible: bool
     violations: tuple[Violation, ...]
     asymmetries: tuple[Asymmetry, ...]
 
 
-@dataclass(frozen=True)
-class RatioCochain:
+class RatioCochain(_Record):
     """Multiplicative cochain of overlap-mass ratios on the 1-skeleton.
 
     Ratios must be ``int`` or ``Fraction`` values; a float, bool or string
@@ -130,8 +128,9 @@ class RatioCochain:
             raise ValueError("edge ratios must be strictly positive")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
+    """The check of a measure against every agent, with its diagnostic lines."""
+
     ok: bool
     diagnostics: tuple[str, ...]
 

@@ -42,13 +42,12 @@ some vertex is listed with no pass repeated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from urprior.credence import AgentSystem
+from urprior.credence import AgentSystem, _Record
 
 Simplex = tuple[int, ...]
 
@@ -64,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Record):
     """Finite abstract simplicial complex on labeled, ordered vertices."""
 
     vertices: tuple[str, ...]
@@ -127,10 +125,14 @@ class SimplicialComplex:
             return self.by_dim[k]
         return ()
 
+    def count(self, k: int) -> int:
+        """The number of k-simplices."""
+        return len(self.simplices(k))
+
     def counts(self, upto: int | None = None) -> list[int]:
         """Simplex counts per dimension, zero-padded through ``upto``."""
         top = self.dim if upto is None else upto
-        return [len(self.simplices(k)) for k in range(top + 1)]
+        return [self.count(k) for k in range(top + 1)]
 
     @cached_property
     def _forest(self) -> SpanningForest:
@@ -356,8 +358,7 @@ def _generated(
     return SimplicialComplex._canonical(names, tuple(found))
 
 
-@dataclass(frozen=True)
-class Collapsible:
+class Collapsible(_Record):
     """A complex that collapses onto its vertices with no upper link, counted, not listed.
 
     ``links[i]`` is |B_i|, the number of vertices above i that share a
@@ -370,10 +371,14 @@ class Collapsible:
     links: tuple[int, ...]
     dim: int
 
+    def count(self, k: int) -> int:
+        """The number of k-simplices, X_k = sum_i C(|B_i|, k), at any depth."""
+        return sum([comb(b, k) for b in self.links])
+
     def counts(self, upto: int | None = None) -> list[int]:
-        """Simplex counts per dimension, X_k = sum_i C(|B_i|, k), through ``upto`` or ``dim``."""
+        """Simplex counts per dimension, X_k, through ``upto`` or ``dim``."""
         top = self.dim if upto is None else upto
-        return [sum([comb(b, k) for b in self.links]) for k in range(top + 1)]
+        return [self.count(k) for k in range(top + 1)]
 
 
 def _counted(
@@ -396,8 +401,7 @@ def _counted(
     return Collapsible(names, tuple(links), top if max_dim is None else min(top, max_dim))
 
 
-@dataclass(frozen=True)
-class SpanningForest:
+class SpanningForest(_Record):
     """A breadth-first spanning forest of a complex's 1-skeleton.
 
     Edges are offered to a union-find in canonical order; an edge that

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,8 +25,58 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+class _Record:
+    """Base of the frozen record types: what ``@dataclass(frozen=True)`` gives, compiled once.
+
+    A subclass's fields are its own annotations, in order, less the
+    ``derived`` ones its ``__post_init__`` sets, which stay out of init,
+    repr, equality and hash. ``__init__`` takes the fields positionally
+    or by keyword, then calls ``__post_init__``; equality holds within
+    one type only; every assignment and deletion raises AttributeError.
+    A dataclass would compile six such methods for each class at import.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, derived: tuple[str, ...] = ()) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__annotations__ if name not in derived)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args) :] if name in kwargs)
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OutcomeSpace(_Record):
     """Finite set of outcome labels with a fixed presentation order."""
 
     outcomes: tuple[str, ...]
@@ -38,8 +87,7 @@ class OutcomeSpace:
             raise ValueError("outcome labels must be unique")
 
 
-@dataclass(frozen=True)
-class CredenceFunction:
+class CredenceFunction(_Record, derived=("masses", "counts", "support", "positive")):
     """One agent's probability mass function on its awareness set.
 
     The key set of ``pmf`` is the awareness set. An outcome carried with
@@ -63,10 +111,10 @@ class CredenceFunction:
 
     name: str
     pmf: Mapping[str, Fraction]
-    masses: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
-    counts: tuple[int, dict[str, int]] = field(init=False, repr=False, compare=False)
-    support: frozenset[str] = field(init=False, repr=False, compare=False)
-    positive: frozenset[str] = field(init=False, repr=False, compare=False)
+    masses: dict[str, tuple[int, int]]
+    counts: tuple[int, dict[str, int]]
+    support: frozenset[str]
+    positive: frozenset[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pmf", dict(self.pmf))
@@ -138,8 +186,7 @@ def _sum_error(name: str, counts: tuple[int, dict[str, int]]) -> str | None:
 Overlap = tuple[tuple[str, ...], int, int]
 
 
-@dataclass(frozen=True)
-class AgentSystem:
+class AgentSystem(_Record):
     """Validated collection of agents over a shared outcome space.
 
     The order of ``agents`` induces the total order used for simplex

@@ -25,6 +25,7 @@ from .generators import (
     seeded_systems,
     window_chain,
 )
+from .test_cohomology import counts_only_through_the_next_degree
 from .test_compat import _pairwise_decide
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -226,6 +227,25 @@ class TestCohomology:
         code, _, _ = run(capsys, "cohomology", path)
         assert code == 0
         assert calls == [path]
+
+    @pytest.mark.parametrize("name", ["c4.json", "ex1.json"])
+    def test_a_degree_far_past_the_dimension_is_answered_at_once(self, data_dir, capsys, monkeypatch, name):
+        # c4 is listed, ex1 counted: neither takes a count past dim + 1, so
+        # --dim 10^9 costs what --dim 1 does, where a list of 10^9 counts
+        # would not fit in memory
+        counts_only_through_the_next_degree(monkeypatch)
+        path = str(data_dir / name)
+        k = 10**9
+        code, report, err = run_json(capsys, "cohomology", path, "--dim", str(k), "--json")
+        assert (code, err) == (0, "")
+        assert report == {
+            "counts": run_json(capsys, "cohomology", path, "--json")[1]["counts"],
+            "dim": k,
+            "ranks": {f"delta_{k - 1}": 0, f"delta_{k}": 0},
+            "cocycles": 0,
+            "coboundaries": 0,
+            "h": 0,
+        }
 
     def test_invalid_system_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from urprior import complexes
 from urprior.cohomology import (
     coboundary_columns,
     coboundary_rank,
@@ -15,6 +16,8 @@ from urprior.cohomology import (
 )
 from urprior.compat import CycleCertificate, decide_urprior, pairwise_compatibility
 from urprior.complexes import (
+    Collapsible,
+    SimplicialComplex,
     build_overlap_complex,
     connected_components,
     from_facets,
@@ -70,6 +73,29 @@ class TestDimensions:
     def test_beyond_dimension_everything_vanishes(self, tri_unfilled):
         assert cohomology_dim(tri_unfilled, 2) == 0
         assert cohomology_dim(tri_unfilled, 7) == 0
+
+    def test_far_past_the_dimension_takes_no_count(self, tri_unfilled, ex1, monkeypatch):
+        # rank delta_k = 0 for k >= dim and X_k = 0 for k > dim, answered at
+        # once on a listed and on a counted complex
+        counted = complexes._counted(ex1.names, complexes._weighting_groups(ex1).values(), None)
+        assert isinstance(counted, Collapsible)
+        counts_only_through_the_next_degree(monkeypatch)
+        for X in (tri_unfilled, counted):
+            for k in (X.dim, X.dim + 1, 10**9):
+                assert coboundary_rank(X, k) == 0
+                assert cohomology_dim(X, k + 1) == 0
+
+
+def counts_only_through_the_next_degree(monkeypatch):
+    """Make ``counts(upto)`` of either kind of complex raise when asked past ``dim + 1``."""
+    for cls in (SimplicialComplex, Collapsible):
+
+        def guarded(X, upto=None, counts=cls.counts):
+            if upto is not None and upto > X.dim + 1:
+                raise AssertionError(f"counts asked through {upto}, dimension {X.dim}")
+            return counts(X, upto)
+
+        monkeypatch.setattr(cls, "counts", guarded)
 
 
 class TestCocycles:

@@ -134,3 +134,28 @@ def test_the_pipeline_does_not_import_the_oracle():
             reached.add(module)
             todo.append(module)
     assert reached and "urprior.oracle" not in reached
+
+
+def test_only_violation_and_urpriorresult_are_dataclasses():
+    """Every other record type is built on ``credence._Record``, which compiles nothing per class.
+
+    A frozen dataclass compiles six methods when its class is created,
+    at every import of the library. ``Violation`` and ``UrPriorResult``
+    stay dataclasses because ``bench/tests`` calls ``dataclasses.replace``
+    on them.
+    """
+    uses = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "id", getattr(node, "attr", None)) in ("dataclass", "make_dataclass")
+    ]
+    decorated = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list)
+    }
+    assert decorated == {"Violation", "UrPriorResult"}
+    assert len(uses) == len(decorated), uses
