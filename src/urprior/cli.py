@@ -31,6 +31,7 @@ import functools
 import json
 import sys
 from collections.abc import Callable, Mapping, Sequence
+from itertools import count, takewhile
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from pathlib import Path
@@ -46,15 +47,7 @@ from urprior.compat import (
     _decision,
     pairwise_compatibility,
 )
-from urprior.complexes import (
-    Collapsible,
-    SimplicialComplex,
-    _counted,
-    _facet_groups,
-    _weighting_groups,
-    build_overlap_complex,
-    from_facets,
-)
+from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets
 from urprior.credence import AgentSystem, ValidationError, validate
 from urprior.numerics import Column, _format_pair, format_rational, matrix_rank
 from urprior.oracle import feasibility_oracle
@@ -119,14 +112,8 @@ def load_complex(path: str) -> SimplicialComplex:
     return _complex_from_raw(_load_json(path), path)
 
 
-def _complex_from_raw(
-    raw: Any, path: str, counted: bool = False
-) -> SimplicialComplex | Collapsible:
-    """Build the complex of a parsed complex file; ``path`` names the file in error messages.
-
-    With ``counted``, a complex that collapses is counted, not listed
-    (``complexes._counted``).
-    """
+def _complex_from_raw(raw: Any, path: str) -> SimplicialComplex:
+    """Build the complex of a parsed complex file; ``path`` names the file in error messages."""
     if not isinstance(raw, Mapping):
         raise CliError(f"{path}: complex file must be a JSON object")
     vertices = raw.get("vertices")
@@ -138,8 +125,6 @@ def _complex_from_raw(
     ):
         raise CliError(f"{path}: 'facets' must be a list of lists of labels")
     try:
-        if counted:
-            return _counted(*_facet_groups(vertices, facets), None)
         return from_facets(vertices, facets)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
@@ -218,23 +203,22 @@ def _measure_to_json(measure: Mapping[str, Any], system: AgentSystem) -> dict[st
 
 
 def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
-    """Assemble the full check report and its exit code; the overlap complex is read to depth 2.
+    """Assemble the full check report and its exit code; no level of the complex above 2 is read.
 
-    The decision is ``compat._decision``'s. On a yes from star links it
-    builds no overlap table, and the complex is the one the groups of
-    agents that weight an outcome generate. When, for every agent i, one
-    group's members above i hold every agent above i that shares a group
-    with i, that complex collapses onto the agents with no such neighbour
-    (see ``urprior.complexes``): the counts are sums of binomials, the
-    components are those agents and H1 = 0, with no simplex listed, no
-    spanning forest and no reduction. Otherwise it is listed from the
-    groups. The ur-prior is printed from the verified integer weights,
-    one gcd per outcome. The components are n - rank delta_0.
+    The decision and the overlap complex are ``compat._decision``'s. On a
+    yes from star links it builds no overlap table, and the complex is
+    the one the groups of agents that weight an outcome generate. When,
+    for every agent i, one group's members above i hold every agent above
+    i that shares a group with i, that complex collapses onto the agents
+    with no such neighbour (see ``urprior.complexes``): the counts are
+    sums of binomials, the components are those agents and H1 = 0, with
+    no simplex listed, no spanning forest and no reduction. Otherwise its
+    edges and triangles are listed when the report reads them. The
+    ur-prior is printed from the verified integer weights, one gcd per
+    outcome. The components are n - rank delta_0.
     """
-    compatibility, source, found = _decision(system, max_dim=2)
+    compatibility, X, found = _decision(system)
     exists = isinstance(found, tuple)
-    # on a yes the source is the weighting groups, which generate the complex
-    X = _counted(system.names, source.values(), 2) if exists else source
     report: dict[str, Any] = {
         "valid": True,
         "agents": len(system.agents),
@@ -386,18 +370,15 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             system = validate(raw)
         except ValidationError as exc:
             raise CliError("invalid system file: " + "; ".join(exc.violations)) from exc
-        # a system with weighting groups is counted when it collapses, as check counts it
-        groups = None if args.dump_matrices else _weighting_groups(system)
-        if groups is None:
-            X = build_overlap_complex(system, max_dim=args.dim + 1)
-        else:
-            X = _counted(system.names, groups.values(), args.dim + 1)
+        X = build_overlap_complex(system)
     elif complex_file:
-        X = _complex_from_raw(raw, args.file, counted=not args.dump_matrices)
+        X = _complex_from_raw(raw, args.file)
     else:
         raise CliError(f"{args.file}: neither a system file (agents) nor a complex file (facets)")
 
     k = args.dim
+    # a system's counts stop at depth k + 1, all that delta_k reads; a complex file's run to its top
+    counts = list(takewhile(bool, map(X.count, range(k + 2) if system_file else count())))
     rank_below = coboundary_rank(X, k - 1)
     rank_at = coboundary_rank(X, k)
     cocycles = X.count(k) - rank_at
@@ -405,7 +386,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     h = cocycles - coboundaries
 
     payload = {
-        "counts": X.counts(),
+        "counts": counts,
         "dim": k,
         "ranks": {f"delta_{k - 1}": rank_below, f"delta_{k}": rank_at},
         "cocycles": cocycles,
@@ -415,7 +396,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
     def render() -> str:
         lines = [
-            "simplices: " + " ".join(f"X{d}={c}" for d, c in enumerate(X.counts())),
+            "simplices: " + " ".join(f"X{d}={c}" for d, c in enumerate(counts)),
             f"rank delta_{k - 1} = {rank_below}",
             f"rank delta_{k} = {rank_at}",
             f"cocycles {cocycles}, coboundaries {coboundaries}, H{k} = {h}",

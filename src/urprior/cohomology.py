@@ -19,9 +19,9 @@ read the complex's cached spanning forest (``spanning_forest``):
   and no delta_1 column is ever reduced;
 - degrees 2 and up reduce the columns of ``coboundary_columns``.
 
-A ``Collapsible`` complex is never reduced. It collapses onto its c
-vertices with an empty upper link (see ``urprior.complexes``), so it has
-c components and H^k = 0 for every k >= 1. Then rank delta_0 = n - c, and
+A complex that collapses (``urprior.complexes``) is never reduced. It
+collapses onto its c vertices with an empty upper link, so it has c
+components and H^k = 0 for every k >= 1. Then rank delta_0 = n - c, and
 each rank above follows from the exactness at H^k = 0 alone:
 rank delta_k = X_k - rank delta_(k-1), read off its counts, up to its
 dimension, the largest link. From there up there is no (k+1)-simplex
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from urprior.complexes import Collapsible, Simplex, SimplicialComplex, spanning_forest
+from urprior.complexes import Simplex, SimplicialComplex, spanning_forest
 from urprior.numerics import Column, _left_kernel_vector, _reduce, matrix_rank
 
 __all__ = [
@@ -66,17 +66,18 @@ def coboundary_columns(X: SimplicialComplex, k: int) -> list[Column]:
     return columns
 
 
-def coboundary_rank(X: SimplicialComplex | Collapsible, k: int) -> int:
-    """rank delta_k: off a collapsible X's counts, or by the forest for k = 0 and 1, or by reduction.
+def coboundary_rank(X: SimplicialComplex, k: int) -> int:
+    """rank delta_k: off the counts if X collapses, else from the forest (k <= 1) or by reduction.
 
     See the module notes.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if isinstance(X, Collapsible):
-        if k >= max(X.links, default=0):
-            return 0  # no (k + 1)-simplex, whatever depth X was counted to
-        rank = len(X.vertices) - X.links.count(0)
+    links = X._links
+    if links is not None:
+        if k >= max(links, default=0):
+            return 0  # no (k + 1)-simplex
+        rank = len(X.vertices) - links.count(0)
         for count in X.counts(k)[1:]:
             rank = count - rank
         return rank
@@ -110,7 +111,7 @@ def _cycle_space_reduction(X: SimplicialComplex) -> tuple[tuple[Simplex, ...], d
     return non_tree, _reduce(boundaries(), len(non_tree))
 
 
-def cohomology_dim(X: SimplicialComplex | Collapsible, k: int) -> int:
+def cohomology_dim(X: SimplicialComplex, k: int) -> int:
     """dim H^k over the rationals. Degree 0 is out of scope here."""
     if k < 1:
         raise ValueError("cohomology_dim supports k >= 1 only")

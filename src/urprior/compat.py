@@ -33,7 +33,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from urprior.complexes import SimplicialComplex, _weighting_groups, build_overlap_complex, spanning_forest
+from urprior.complexes import (
+    SimplicialComplex,
+    _generated,
+    _weighting_groups,
+    build_overlap_complex,
+    spanning_forest,
+)
 from urprior.credence import AgentSystem, _Record
 from urprior.numerics import common_denominator, format_rational
 
@@ -197,13 +203,13 @@ def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
 def ratio_cochain(system: AgentSystem) -> RatioCochain:
     """Edge ratios r[i,j] = mass_i(overlap) / mass_j(overlap) on the system's overlap complex.
 
-    The cochain lives on the depth-1 overlap complex, whose edges are
-    exactly the pairs that both weight their overlap positively. The
-    masses are read from the system's overlap table as M_i / d_i and
+    The cochain lives on the edges of the overlap complex, exactly the
+    pairs that both weight their overlap positively; no level above them
+    is listed. The masses are read from the system's overlap table as M_i / d_i and
     M_j / d_j, so each ratio is one ``Fraction(M_i * d_j, M_j * d_i)``.
     """
     agents, overlaps = system.agents, system.overlaps
-    X = build_overlap_complex(system, max_dim=1)
+    X = build_overlap_complex(system)
     ratios: dict[tuple[int, int], Fraction] = {}
     for i, j in X.simplices(1):
         _, sum_i, sum_j = overlaps[(i, j)]
@@ -415,12 +421,12 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     genuine blocker on its own. When none fires, the scaled credences
     glue into a measure, which is verified exactly before being returned.
 
-    The decision is ``_decision``'s, with the overlap complex to depth 1
-    for a no: a yes, read off star links, builds neither the pairwise
-    overlap table nor the complex. Either way the result is the one the
-    system's pairwise report and depth-1 overlap complex give.
+    The decision is ``_decision``'s: a yes, read off star links, builds
+    no pairwise overlap table and lists no simplex, and a no reads the
+    edges of the overlap complex only. Either way the result is the one
+    the system's pairwise report and overlap complex give.
     """
-    return _result(system, _decision(system, max_dim=1)[2])
+    return _result(system, _decision(system)[2])
 
 
 # The glued measure W_x / T in integers: W_x for each outcome some agent holds, T their sum.
@@ -431,22 +437,23 @@ _COMPATIBLE = CompatibilityReport(True, (), ())
 
 
 def _decision(
-    system: AgentSystem, max_dim: int
-) -> tuple[CompatibilityReport, SimplicialComplex | dict[str, list[int]], Certificate | _Glued]:
+    system: AgentSystem,
+) -> tuple[CompatibilityReport, SimplicialComplex, Certificate | _Glued]:
     """The pairwise report, the overlap complex and the certificate or verified weights.
 
     Every yes is read off star links (``_star_units``), which never build
     the pairwise overlap table: the cost follows the number of (agent,
     outcome) entries, not the number of overlapping pairs. Where a common
     prior exists every pair is compatible and no overlap is one-sided, so
-    the report is ``_COMPATIBLE``, and no complex is built: the weighting
-    groups the star links were read from, which generate it
-    (``build_overlap_complex``), stand in its place. The star links are
-    the cross-multiplications ``glue_urprior`` makes, so the weights come
+    the report is ``_COMPATIBLE``, and the complex is the one the
+    weighting groups the star links were read from generate
+    (``build_overlap_complex``); it lists nothing, and runs no collapse
+    test, until something reads it. The star links are the
+    cross-multiplications ``glue_urprior`` makes, so the weights come
     straight from ``_weigh``, and ``_verify`` re-checks them. When the
     star links decline, no common prior exists: the pairwise scan and the
-    overlap complex to ``max_dim`` (at least 1) find the certificate
-    through ``_decide``, and are returned with it. ``decide_urprior`` and the CLI's ``check`` both
+    overlap complex find the certificate through ``_decide``, and are
+    returned with it. ``decide_urprior`` and the CLI's ``check`` both
     decide here.
     """
     star = _star_units(system)
@@ -456,9 +463,9 @@ def _decision(
         check = _verify(system, weights, total)
         if not check.ok:
             raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))
-        return _COMPATIBLE, groups, (weights, total)
+        return _COMPATIBLE, _generated(system.names, groups.values()), (weights, total)
     report = pairwise_compatibility(system)
-    X = build_overlap_complex(system, max_dim=max_dim)
+    X = build_overlap_complex(system)
     return report, X, _decide(system, report, X)
 
 
@@ -534,8 +541,8 @@ def _star_units(
 def _decide(system: AgentSystem, report: CompatibilityReport, X: SimplicialComplex) -> Certificate:
     """The first obstruction of a system the star links decline: its certificate.
 
-    Only the 1-skeleton of ``X``, the overlap complex to any depth >= 1, is
-    read; the units step as g_j / g_i == M_i / M_j on the overlap sums of
+    Only the edges of ``X``, the overlap complex, are read; the units
+    step as g_j / g_i == M_i / M_j on the overlap sums of
     ``system.overlaps``. Finding no obstruction means an internal invariant
     broke, since a declined system has no common prior: GluingError.
     """

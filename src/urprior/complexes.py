@@ -3,9 +3,10 @@
 A complex stores, per dimension, the lexicographically sorted tuples of
 vertex indices. For overlap complexes the index order is the agent order
 of the system, which fixes every orientation downstream. A complex is
-immutable, so its spanning forest is built once, on first use, and
-cached on it: the components, the scaling solve, rank delta_0 and the
-degree-1 cohomology all read that one forest.
+immutable, so what it derives is built once, on first use, and cached on
+it: each level, the collapse test below, and the spanning forest, which
+the components, the scaling solve, rank delta_0 and the degree-1
+cohomology all read.
 
 A complex is built one of two ways. The public constructor
 ``SimplicialComplex(...)`` is the path for input from outside the
@@ -16,27 +17,30 @@ simplices strictly increasing over valid indices, every vertex a
 unique and closed by construction, so they return through
 ``SimplicialComplex._canonical``, which checks nothing again.
 
-A complex file and an overlap complex are both listed by one routine,
-``_generated``: from a family of vertex sets (the facets; the groups of
-agents that weight one outcome), or, on a system with a sign-split edge,
-from the edges up, each level from the one below, tested against the
-definition of the overlap complex.
+Such a complex keeps what it was generated from and lists level k the
+first time something reads level k (``simplices``): a family of vertex
+sets (the facets; the groups of agents that weight one outcome), read
+through its ``_tails``, or, on a system with a sign-split edge, the
+edges, each level above joined from the one below and tested against
+the definition of the overlap complex. ``by_dim`` reads every level.
+Whichever levels were read, every answer is the whole complex's.
 
-A complex that a family generates is counted instead of listed when it
-collapses (``_counted``), a vertex-elimination argument in the spirit of
-Mrozek and Batko's coreductions ("Coreduction homology algorithm", DCG
-2009). Let B_i be the vertices above i that share a set with i. Suppose
-that for every i one set's members above i hold all of B_i. Then
-{i} + B_i is a simplex, and the simplices with lowest vertex i are
-exactly {i} + S for the subsets S of B_i. Deleting the vertices in
-increasing order therefore removes each one along a full simplex, its
-link in what is left, or as an isolated point when B_i is empty. So the
-complex is homotopy-equivalent to the points with B_i empty: it has that
-many components, H^k = 0 for every k >= 1, and X_k = sum_i C(|B_i|, k).
-A ``Collapsible`` keeps only the sizes |B_i|, so no simplex is listed
-and no spanning forest is built. The test is the per-vertex pass that
-``_generated`` reads too (``_tails``), so a complex that fails it at
-some vertex is listed with no pass repeated.
+A complex that a family generates may collapse, a vertex-elimination
+argument in the spirit of Mrozek and Batko's coreductions ("Coreduction
+homology algorithm", DCG 2009). Let B_i be the vertices above i that
+share a set with i. Suppose that for every i one set's members above i
+hold all of B_i. Then {i} + B_i is a simplex, and the simplices with
+lowest vertex i are exactly {i} + S for the subsets S of B_i. Deleting
+the vertices in increasing order therefore removes each one along a full
+simplex, its link in what is left, or as an isolated point when B_i is
+empty. So the complex is homotopy-equivalent to the points with B_i
+empty: it has that many components, H^k = 0 for every k >= 1, and
+X_k = sum_i C(|B_i|, k). Such a complex is counted, not listed: it keeps
+the sizes |B_i| (``_links``), ``count`` and ``dim`` read them, and
+``urprior.cohomology`` reads its ranks off its counts, so no simplex is
+listed and no spanning forest is built unless something asks for them.
+The test is the per-vertex pass the listing reads too (``_tails``), so a
+complex that fails it at some vertex is listed with no pass repeated.
 """
 
 from __future__ import annotations
@@ -52,12 +56,10 @@ from urprior.credence import AgentSystem, _Record
 Simplex = tuple[int, ...]
 
 __all__ = [
-    "Collapsible",
     "Simplex",
     "SimplicialComplex",
     "SpanningForest",
     "build_overlap_complex",
-    "connected_components",
     "from_facets",
     "spanning_forest",
 ]
@@ -98,10 +100,14 @@ class SimplicialComplex(_Record):
                 for face in combinations(s, k):
                     if face not in lower:
                         raise ValueError(f"missing face {face} of {s}: complex is not closed downward")
+        self.__dict__.update(_levels=[*self.by_dim, ()], _source=None)
 
     @classmethod
     def _canonical(
-        cls, vertices: tuple[str, ...], by_dim: tuple[tuple[Simplex, ...], ...]
+        cls,
+        vertices: tuple[str, ...],
+        levels: tuple[tuple[Simplex, ...], ...],
+        source: Callable[[], tuple[list[_Tails], Callable[[Simplex], bool] | None]] | None = None,
     ) -> SimplicialComplex:
         """A complex from levels the caller guarantees canonical, built without checks.
 
@@ -109,30 +115,103 @@ class SimplicialComplex(_Record):
         throughout, unique vertex labels, every level sorted and unique,
         each simplex strictly increasing over valid indices, every vertex
         a 0-simplex, no trailing empty level, and the family closed
-        downward.
+        downward. Without ``source`` the levels are the whole complex.
+        With it they are its lowest levels, and ``source()`` returns what
+        the levels above are listed from (see ``_grow``); it runs when
+        one of them, or the collapse test, is first read.
         """
         X = object.__new__(cls)
-        object.__setattr__(X, "vertices", vertices)
-        object.__setattr__(X, "by_dim", by_dim)
+        # a complete listing ends in an empty level
+        listed = [*levels] if source else [*levels, ()]
+        X.__dict__.update(vertices=vertices, _levels=listed, _source=source)
         return X
+
+    @cached_property
+    def by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
+        # every level, listed; the public constructor's field shadows this
+        k = 0
+        while self.simplices(k):
+            k += 1
+        return tuple(self._levels[:k])
 
     @property
     def dim(self) -> int:
-        return len(self.by_dim) - 1
+        links = self._links
+        return len(self.by_dim) - 1 if links is None else max(links, default=-1)
 
     def simplices(self, k: int) -> tuple[Simplex, ...]:
-        if 0 <= k < len(self.by_dim):
-            return self.by_dim[k]
-        return ()
+        """The k-simplices in canonical order, listed the first time level k is read."""
+        levels = self._levels
+        while len(levels) <= k and levels[-1]:
+            levels.append(self._grow(len(levels)))
+        return levels[k] if 0 <= k < len(levels) else ()
 
     def count(self, k: int) -> int:
-        """The number of k-simplices."""
-        return len(self.simplices(k))
+        """The number of k-simplices; X_k = sum_i C(|B_i|, k) when the complex collapses."""
+        links = self._links
+        if links is None:
+            return len(self.simplices(k))
+        return sum([comb(b, k) for b in links])
 
     def counts(self, upto: int | None = None) -> list[int]:
         """Simplex counts per dimension, zero-padded through ``upto``."""
         top = self.dim if upto is None else upto
         return [self.count(k) for k in range(top + 1)]
+
+    @cached_property
+    def _family(self) -> tuple[list[_Tails], Callable[[Simplex], bool] | None]:
+        # (the family's _tails, None), or ([], keep) on a system with a sign-split edge
+        return self._source()
+
+    @cached_property
+    def _links(self) -> list[int] | None:
+        """|B_i| for every vertex i when the complex collapses (see the module notes), else None.
+
+        It collapses when its family keeps one tail at every vertex.
+        """
+        if self._source is None:
+            return None
+        tails, keep = self._family
+        if keep is not None or any(len(mine) > 1 for _, _, mine in tails):
+            return None
+        links = [0] * len(self.vertices)
+        for i, size, _ in tails:
+            links[i] = size
+        return links
+
+    def _grow(self, k: int) -> tuple[Simplex, ...]:
+        """Level k, listed from what the complex was generated from; level k - 1 is listed.
+
+        From a family: for each lowest vertex i in order, ``(i,) +`` the
+        sorted k-subsets of i's tails, canonical order by construction,
+        with no facet test and no set but one per vertex and level, and
+        none when one tail holds all the others, whose combinations are
+        then taken alone.
+
+        From ``keep`` (closed downward, and level k - 1 exactly its
+        simplices of that dimension): each two simplices of level k - 1
+        that differ only in their last vertex are joined, and the joins
+        ``keep`` accepts are listed. Both of those faces of a simplex are
+        accepted, so none is missed, and the joins come in canonical
+        order; the work follows the level below, not the size of the
+        groups a simplex could lie in.
+        """
+        tails, keep = self._family
+        level: list[Simplex] = []
+        if keep is not None:
+            for head, faces in groupby(self._levels[k - 1], key=lambda s: s[:-1]):
+                pairs = combinations([s[-1] for s in faces], 2)
+                level.extend(filter(keep, (head + pair for pair in pairs)))
+        for i, size, mine in tails:
+            if size < k:
+                continue
+            if len(mine) == 1:
+                s, p = mine[0]
+                subsets: Iterable[Simplex] = combinations(s[p + 1 :], k)
+            else:
+                subsets = sorted(set().union(*(combinations(s[p + 1 :], k) for s, p in mine)))
+            level.extend(map((i,).__add__, subsets))
+        return tuple(level)
 
     @cached_property
     def _forest(self) -> SpanningForest:
@@ -145,11 +224,7 @@ class SimplicialComplex(_Record):
 
 def from_facets(vertices: Sequence[str], facets: Iterable[Iterable[str]]) -> SimplicialComplex:
     """Smallest downward-closed complex containing the facets and all vertices."""
-    verts, groups = _facet_groups(vertices, facets)
-    if not verts:
-        return SimplicialComplex._canonical((), ())
-    n = len(verts)
-    return _generated(verts, (tuple((i,) for i in range(n)),), _tails(n, groups, 1), None)
+    return _generated(*_facet_groups(vertices, facets))
 
 
 def _facet_groups(
@@ -172,7 +247,14 @@ def _facet_groups(
     return verts, groups
 
 
-def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> SimplicialComplex:
+def _generated(names: tuple[str, ...], groups: Iterable[Sequence[int]]) -> SimplicialComplex:
+    """The complex a family of sorted vertex sets generates, its levels listed when read."""
+    n = len(names)
+    vertices = tuple((i,) for i in range(n))
+    return SimplicialComplex._canonical(names, (vertices,), lambda: (_tails(n, groups), None))
+
+
+def build_overlap_complex(system: AgentSystem) -> SimplicialComplex:
     """The complex of agent groups whose joint overlap every member weights.
 
     A group J is a simplex exactly when each member assigns positive mass
@@ -186,36 +268,40 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
     edge, so J lies in the set A_x of agents weighting x: the complex is
     the one the A_x generate. A split edge is always a pairwise violation
     (at the outcome in dispute one conditional is 0 and the other is
-    not), so every violation-free system has none. One index pass lists
-    each A_x and the agents aware of x without weighting it; a split edge
-    is a (weighting, non-weighting) pair of one outcome's holders that is
-    an edge. A system with one is listed from its edges up, each
-    candidate tested against the definition.
+    not), so every violation-free system has none.
 
     The edges are the pairs of the system's overlap table that both sides
     weight, read from the table when the system has one (something has
     read ``system.overlaps``) or when some outcome is held at 0 by one
-    agent and weighted by another. Otherwise every holder of a weighted
-    outcome weights it (``_weighting_groups``): no edge is split, and the
-    edges, the pairs that share a weighted outcome, are listed from the
-    A_x like the levels above, without the table. An outcome held only
-    at 0 joins no group.
+    agent and weighted by another. Only the edges are read then, and the
+    levels above come from ``_overlap_family`` when first read. Otherwise
+    every holder of a weighted outcome weights it (``_weighting_groups``):
+    no edge is split, and the complex is the one the A_x generate, edges
+    included, without the table. An outcome held only at 0 joins no
+    group.
     """
-    agents = system.agents
-    n = len(agents)
-    vertices: tuple[Simplex, ...] = tuple((i,) for i in range(n))
-    if max_dim is not None and max_dim < 1:
-        return SimplicialComplex._canonical(system.names, (vertices,))
     if "overlaps" not in vars(system) and (groups := _weighting_groups(system)) is not None:
-        return _generated(system.names, (vertices,), _tails(n, groups.values(), 1), max_dim)
-
+        return _generated(system.names, groups.values())
     overlaps = system.overlaps
     edges = tuple(pair for pair, (_, sum_i, sum_j) in overlaps.items() if sum_i > 0 and sum_j > 0)
-    if not edges:
-        return SimplicialComplex._canonical(system.names, (vertices,))
-    if max_dim == 1:
-        return SimplicialComplex._canonical(system.names, (vertices, edges))
+    vertices = tuple((i,) for i in range(len(system.agents)))
+    return SimplicialComplex._canonical(
+        system.names, (vertices, edges), lambda: _overlap_family(system)
+    )
 
+
+def _overlap_family(
+    system: AgentSystem,
+) -> tuple[list[_Tails], Callable[[Simplex], bool] | None]:
+    """What the levels of a system's overlap complex above its edges are listed from.
+
+    One index pass lists each A_x and the agents aware of x without
+    weighting it; a split edge is a (weighting, non-weighting) pair of
+    one outcome's holders that is an edge. With none, the ``_tails`` of
+    the A_x; with one, the test against the definition, each candidate
+    joined from the level below (see ``SimplicialComplex._grow``).
+    """
+    agents, overlaps = system.agents, system.overlaps
     weighting: dict[str, list[int]] = {}
     unweighting: dict[str, list[int]] = {}
     for i, agent in enumerate(agents):
@@ -234,9 +320,8 @@ def build_overlap_complex(system: AgentSystem, max_dim: int | None = None) -> Si
             shared = frozenset.intersection(*(supports[j] for j in J))
             return all(not shared.isdisjoint(positives[j]) for j in J)
 
-        return _generated(system.names, (vertices, edges), (), max_dim, keep)
-
-    return _generated(system.names, (vertices, edges), _tails(n, weighting.values(), 2), max_dim)
+        return [], keep
+    return _tails(len(agents), weighting.values()), None
 
 
 def _weighting_groups(system: AgentSystem) -> dict[str, list[int]] | None:
@@ -264,24 +349,24 @@ def _weighting_groups(system: AgentSystem) -> dict[str, list[int]] | None:
 
 # Vertex i's tail in a sorted vertex set s, s[p] == i: (s, p), standing for s[p + 1 :].
 _Tail = tuple[Sequence[int], int]
+# Per vertex: (the vertex, the size of its largest tail, its tails).
+_Tails = tuple[int, int, list[_Tail]]
 
 
-def _tails(
-    n: int, groups: Iterable[Sequence[int]], k: int
-) -> list[tuple[int, int, list[_Tail]]]:
+def _tails(n: int, groups: Iterable[Sequence[int]]) -> list[_Tails]:
     """Per vertex i of 0 .. n - 1: (i, the size of its largest tail, its tails).
 
-    Only tails of at least k members are kept, and a vertex with none is
-    left out. When the largest tail holds every other, it is kept alone:
-    the collapse test of the module notes, at k = 1. A tail is never
-    sliced. Whether set h's tail lies in set g is tested from h's top
-    down, and how far down it is known to lie in g is kept per pair, so
-    each pair of sets that meet is walked once, not once per vertex they
-    share: two outcomes that every agent of a hub holds cost one walk.
+    Only nonempty tails are kept, and a vertex with none is left out.
+    When the largest tail holds every other, it is kept alone: the
+    collapse test of the module notes. A tail is never sliced. Whether
+    set h's tail lies in set g is tested from h's top down, and how far
+    down it is known to lie in g is kept per pair, so each pair of sets
+    that meet is walked once, not once per vertex they share: two
+    outcomes that every agent of a hub holds cost one walk.
     """
     tails: list[list[_Tail]] = [[] for _ in range(n)]
     for s in groups:
-        for p in range(len(s) - k):
+        for p in range(len(s) - 1):
             tails[s[p]].append((s, p))
     inside: dict[tuple[int, int], int] = {}  # (id(h), id(g)) -> r with h[r:] known inside g
     members: dict[int, set[int]] = {}
@@ -307,98 +392,6 @@ def _tails(
                 mine = [(g, p)]
         out.append((i, len(g) - p - 1, mine))
     return out
-
-
-def _generated(
-    names: tuple[str, ...],
-    levels: tuple[tuple[Simplex, ...], ...],
-    tails: Sequence[tuple[int, int, Sequence[_Tail]]],
-    max_dim: int | None,
-    keep: Callable[[Simplex], bool] | None = None,
-) -> SimplicialComplex:
-    """``levels`` extended, through ``max_dim``, up to the first empty level.
-
-    Without ``keep``, the new levels are those of the complex a family of
-    vertex sets generates, read from its ``_tails`` of at least as many
-    members as ``levels`` has levels. Level k lists, for each lowest
-    vertex i in order, ``(i,) +`` the sorted k-subsets of i's tails:
-    canonical order by construction, with no facet test and no set but
-    one per vertex and level, and none when one tail holds all the
-    others, whose combinations are then taken alone.
-
-    With ``keep`` (closed downward, and the last given level exactly its
-    simplices of that dimension), ``tails`` is not read: level k joins
-    each two simplices of level k - 1 that differ only in their last
-    vertex and lists the joins ``keep`` accepts. Both of those faces of a
-    simplex are accepted, so none is missed, and the joins come in
-    canonical order; the work follows the level below, not the size of
-    the groups a simplex could lie in.
-    """
-    k = len(levels)
-    found = list(levels)
-    while max_dim is None or k <= max_dim:
-        level: list[Simplex] = []
-        if keep is not None:
-            for head, faces in groupby(found[-1], key=lambda s: s[:-1]):
-                pairs = combinations([s[-1] for s in faces], 2)
-                level.extend(filter(keep, (head + pair for pair in pairs)))
-        for i, size, mine in tails:
-            if size < k:
-                continue
-            if len(mine) == 1:
-                s, p = mine[0]
-                subsets: Iterable[Simplex] = combinations(s[p + 1 :], k)
-            else:
-                subsets = sorted(set().union(*(combinations(s[p + 1 :], k) for s, p in mine)))
-            level.extend(map((i,).__add__, subsets))
-        if not level:
-            break
-        found.append(tuple(level))
-        k += 1
-    return SimplicialComplex._canonical(names, tuple(found))
-
-
-class Collapsible(_Record):
-    """A complex that collapses onto its vertices with no upper link, counted, not listed.
-
-    ``links[i]`` is |B_i|, the number of vertices above i that share a
-    generating set with i (see the module notes). ``dim`` is the
-    complex's dimension, or the depth it was counted to when that is
-    lower: ``counts()`` stops there, as a listing to that depth would.
-    """
-
-    vertices: tuple[str, ...]
-    links: tuple[int, ...]
-    dim: int
-
-    def count(self, k: int) -> int:
-        """The number of k-simplices, X_k = sum_i C(|B_i|, k), at any depth."""
-        return sum([comb(b, k) for b in self.links])
-
-    def counts(self, upto: int | None = None) -> list[int]:
-        """Simplex counts per dimension, X_k, through ``upto`` or ``dim``."""
-        top = self.dim if upto is None else upto
-        return [self.count(k) for k in range(top + 1)]
-
-
-def _counted(
-    names: tuple[str, ...], groups: Iterable[Sequence[int]], max_dim: int | None
-) -> SimplicialComplex | Collapsible:
-    """The complex a family of sorted vertex sets generates, counted when it collapses, else listed.
-
-    It collapses when every vertex keeps one tail (see the module notes).
-    Otherwise it is listed through ``max_dim`` from the tails the test
-    found.
-    """
-    n = len(names)
-    tails = _tails(n, groups, 1)
-    if any(len(mine) > 1 for _, _, mine in tails):
-        return _generated(names, (tuple((i,) for i in range(n)),), tails, max_dim)
-    links = [0] * n
-    for i, size, _ in tails:
-        links[i] = size
-    top = max(links, default=-1)
-    return Collapsible(names, tuple(links), top if max_dim is None else min(top, max_dim))
 
 
 class SpanningForest(_Record):
@@ -467,13 +460,3 @@ def _build_forest(X: SimplicialComplex) -> SpanningForest:
                     queue.append(v)
     return SpanningForest(tuple(order), parent, tuple(non_tree))
 
-
-def connected_components(X: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Vertex sets of the 1-skeleton's components, each sorted, ordered by minimum."""
-    forest = spanning_forest(X)
-    components: list[list[int]] = []
-    for v in forest.order:
-        if v not in forest.parent:
-            components.append([])
-        components[-1].append(v)
-    return [tuple(sorted(c)) for c in components]

@@ -9,7 +9,9 @@ to equal the all-pairs ones.
 
 ``overlap_mass``, the mass one agent gives a group's joint overlap, is
 kept here too: the library never calls it, and tests recheck the overlap
-complex against it, group by group.
+complex against it, group by group. So is ``connected_components``, the
+components of a complex's 1-skeleton, read off its spanning forest, that
+tests compare with the library's component counts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from urprior.compat import Asymmetry, CompatibilityReport, RatioCochain, Violation
-from urprior.complexes import Simplex, SimplicialComplex
+from urprior.complexes import Simplex, SimplicialComplex, spanning_forest
 from urprior.credence import AgentSystem
 
 from .fraction_reference import mass
@@ -180,3 +182,14 @@ def overlap_mass(system: AgentSystem, agent_name: str, group: Iterable[str]) -> 
         support = agents[member].support
         overlap = support if overlap is None else overlap & support
     return mass(agents[agent_name], overlap or ())
+
+
+def connected_components(X: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Vertex sets of the 1-skeleton's components, each sorted, ordered by minimum."""
+    forest = spanning_forest(X)
+    components: list[list[int]] = []
+    for v in forest.order:
+        if v not in forest.parent:
+            components.append([])
+        components[-1].append(v)
+    return [tuple(sorted(c)) for c in components]

@@ -122,7 +122,7 @@ def test_06_round_trip_converse(tri_unfilled, c4, c5, wedge):
     detail = ""
     for X in (tri_unfilled, c4, c5, wedge):
         system = generate_counterexample(X)
-        rebuilt = build_overlap_complex(system, max_dim=max(X.dim, 1) + 1)
+        rebuilt = build_overlap_complex(system)
         compat = pairwise_compatibility(system).compatible
         decided = decide_urprior(system).verdict
         oracle = feasibility_oracle(system)
@@ -162,7 +162,7 @@ def test_08_cocycle_property():
         system = random_system(rng) if rng.random() < 0.5 else conditioned_system(rng)
         if not pairwise_compatibility(system).compatible:
             continue
-        X = build_overlap_complex(system, max_dim=2)
+        X = build_overlap_complex(system)
         r = ratio_cochain(system).ratios
         for (i, j, k) in X.simplices(2):
             triangles += 1

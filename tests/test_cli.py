@@ -12,7 +12,6 @@ import pytest
 
 from urprior import cli, compat, complexes
 from urprior.cohomology import cohomology_dim
-from urprior.complexes import build_overlap_complex, connected_components
 from urprior.witness import generate_counterexample
 
 from . import overlap_reference
@@ -206,7 +205,8 @@ class TestCohomology:
         hub = tmp_path / "hub-7.json"
         hub.write_text(json.dumps(cli.system_to_dict(hub_system(random.Random(7), 7)[0])))
         for path in systems + [hub]:
-            expected = build_overlap_complex(cli.load_system(str(path)), max_dim=depth).counts()
+            system = cli.load_system(str(path))
+            expected = overlap_reference.build_overlap_complex(system, max_dim=depth).counts()
             code, report, _ = run_json(capsys, "cohomology", str(path), "--dim", str(depth - 1), "--json")
             assert code == 0
             assert report["counts"] == expected, (path.name, depth)
@@ -646,7 +646,7 @@ def _reference_report(system):
         },
         "asymmetries": [cli._certificate_to_json(a) for a in pairwise.asymmetries],
         "complex": {"counts": X.counts(2)},
-        "components": len(connected_components(X)),
+        "components": len(overlap_reference.connected_components(X)),
         "h1": cohomology_dim(X, 1),
         "verdict": result.verdict,
         "ur_prior": cli._measure_to_json(result.measure, system) if exists else None,
@@ -714,7 +714,7 @@ class TestCheckStarPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("a collapsing complex was listed")
 
-        monkeypatch.setattr(complexes, "_generated", forbidden)
+        monkeypatch.setattr(complexes.SimplicialComplex, "_grow", forbidden)
         monkeypatch.setattr(complexes, "_build_forest", forbidden)
         for (command, path, *flags), before in zip(runs, expected):
             assert run(capsys, command, str(path), *flags) == before

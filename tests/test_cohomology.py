@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from urprior import complexes
 from urprior.cohomology import (
     coboundary_columns,
     coboundary_rank,
@@ -15,14 +14,7 @@ from urprior.cohomology import (
     noncoboundary_cocycle,
 )
 from urprior.compat import CycleCertificate, decide_urprior, pairwise_compatibility
-from urprior.complexes import (
-    Collapsible,
-    SimplicialComplex,
-    build_overlap_complex,
-    connected_components,
-    from_facets,
-    spanning_forest,
-)
+from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets, spanning_forest
 from urprior.numerics import _left_kernel_vector, _reduce
 from urprior.oracle import feasibility_oracle
 from urprior.witness import generate_counterexample
@@ -30,6 +22,7 @@ from urprior.witness import generate_counterexample
 from . import dense_reference as dense
 from .dense_reference import Matrix, coboundary_matrix
 from .generators import annulus, holonomy_from_pmfs, hub_system, random_complex
+from .overlap_reference import connected_components
 
 
 def _edge_values(X, c):
@@ -53,7 +46,7 @@ class TestDimensions:
         assert cohomology_dim(plugged, 1) == 0
 
     def test_hollow_tetrahedron(self, ex4):
-        X = build_overlap_complex(ex4, max_dim=3)
+        X = build_overlap_complex(ex4)
         assert cohomology_dim(X, 1) == 0
         assert cohomology_dim(X, 2) == 1
 
@@ -77,8 +70,8 @@ class TestDimensions:
     def test_far_past_the_dimension_takes_no_count(self, tri_unfilled, ex1, monkeypatch):
         # rank delta_k = 0 for k >= dim and X_k = 0 for k > dim, answered at
         # once on a listed and on a counted complex
-        counted = complexes._counted(ex1.names, complexes._weighting_groups(ex1).values(), None)
-        assert isinstance(counted, Collapsible)
+        counted = build_overlap_complex(ex1)
+        assert counted._links is not None
         counts_only_through_the_next_degree(monkeypatch)
         for X in (tri_unfilled, counted):
             for k in (X.dim, X.dim + 1, 10**9):
@@ -87,15 +80,14 @@ class TestDimensions:
 
 
 def counts_only_through_the_next_degree(monkeypatch):
-    """Make ``counts(upto)`` of either kind of complex raise when asked past ``dim + 1``."""
-    for cls in (SimplicialComplex, Collapsible):
+    """Make ``counts(upto)`` of a complex, counted or listed, raise when asked past ``dim + 1``."""
 
-        def guarded(X, upto=None, counts=cls.counts):
-            if upto is not None and upto > X.dim + 1:
-                raise AssertionError(f"counts asked through {upto}, dimension {X.dim}")
-            return counts(X, upto)
+    def guarded(X, upto=None, counts=SimplicialComplex.counts):
+        if upto is not None and upto > X.dim + 1:
+            raise AssertionError(f"counts asked through {upto}, dimension {X.dim}")
+        return counts(X, upto)
 
-        monkeypatch.setattr(cls, "counts", guarded)
+    monkeypatch.setattr(SimplicialComplex, "counts", guarded)
 
 
 class TestCocycles:
@@ -197,7 +189,7 @@ class TestAgainstDenseReference:
                 continue
             holed += 1
             system = generate_counterexample(X)
-            assert build_overlap_complex(system, max_dim=max(X.dim, 1) + 1) == X
+            assert build_overlap_complex(system) == X
             assert pairwise_compatibility(system).compatible
             certificate = decide_urprior(system).certificate
             assert isinstance(certificate, CycleCertificate)
@@ -268,9 +260,12 @@ class TestCycleSpaceRank:
 
     def test_overlap_complexes_of_hubs(self):
         # every pair and triple overlaps: the boundaries of the triangles
-        # through vertex 0 alone fill the cycle space
+        # through vertex 0 alone fill the cycle space; the hub's complex
+        # collapses and is counted, the 2-skeleton is listed
         for n in (3, 5, 9):
-            X = build_overlap_complex(hub_system(random.Random(n), n)[0], max_dim=2)
-            assert X.by_dim == _full_skeleton(n).by_dim
-            assert coboundary_rank(X, 1) == dense.rank(coboundary_matrix(X, 1)) == (n - 1) * (n - 2) // 2
-            assert cohomology_dim(X, 1) == 0
+            X = build_overlap_complex(hub_system(random.Random(n), n)[0])
+            skeleton = _full_skeleton(n)
+            assert tuple(map(X.simplices, range(3))) == skeleton.by_dim
+            for Y in (X, skeleton):
+                assert coboundary_rank(Y, 1) == dense.rank(coboundary_matrix(Y, 1)) == (n - 1) * (n - 2) // 2
+                assert cohomology_dim(Y, 1) == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from urprior import cli, compat
+from urprior import cli, compat, complexes
 from urprior.compat import (
     Asymmetry,
     Certificate,
@@ -35,6 +35,7 @@ from .generators import (
     hub_system,
     random_system,
     seeded_systems,
+    window_chain,
 )
 
 
@@ -123,7 +124,7 @@ class TestRatioCochain:
         found_triangle = False
         for _ in range(60):
             system = conditioned_system(rng)
-            X = build_overlap_complex(system, max_dim=2)
+            X = build_overlap_complex(system)
             r = ratio_cochain(system)
             for (i, j, k) in X.simplices(2):
                 found_triangle = True
@@ -144,7 +145,7 @@ class TestRatioCochain:
             r = ratio_cochain(system)
             two_sided = {e for e, (_, left, right) in system.overlaps.items() if left > 0 and right > 0}
             assert set(r.complex.simplices(1)) == set(r.ratios) == two_sided
-            assert r.complex == build_overlap_complex(system, max_dim=1)
+            assert r.complex == build_overlap_complex(system)
 
     @pytest.mark.parametrize("ratio", [0, -1, Fraction(-1, 2)])
     def test_rejects_nonpositive_ratios(self, ratio):
@@ -385,6 +386,37 @@ class TestStarPath:
         system = hub_system(random.Random(5), 50)[0]
         assert decide_urprior(system).verdict == "exists"
         assert "overlaps" not in vars(system)
+
+    def test_decide_runs_no_collapse_test_and_lists_no_triangle(self, data_dir, monkeypatch, c4):
+        # a yes builds the overlap complex and reads none of it; a no reads
+        # its edges only: a pairwise violation planted in a growth-1000
+        # window chain, a one-sided overlap (gap) and a failing cycle
+        rng = random.Random(31)
+        chain = window_chain(rng, 128, growth=1000)[0]
+        agents = list(chain.agents)
+        pmf = dict(agents[64].pmf)
+        a, b = list(pmf)[1:3]
+        pmf[a], pmf[b] = pmf[b], pmf[a]
+        agents[64] = CredenceFunction(agents[64].name, pmf)
+        yes = [hub_system(rng, 40)[0], hub_system(rng, 40, held_at_zero=True)[0]]
+        yes += [window_chain(rng, n, growth=growth)[0] for n, growth in ((16, 1), (64, 1000))]
+        no = [AgentSystem(chain.space, tuple(agents)), cli.load_system(str(data_dir / "gap.json"))]
+        no.append(generate_counterexample(c4))
+
+        def forbidden(*args):
+            raise AssertionError("decide ran the collapse test")
+
+        grow = complexes.SimplicialComplex._grow
+
+        def edges_only(X, k):
+            if k >= 2:
+                raise AssertionError(f"decide listed level {k}")
+            return grow(X, k)
+
+        monkeypatch.setattr(complexes, "_tails", forbidden)
+        monkeypatch.setattr(complexes.SimplicialComplex, "_grow", edges_only)
+        assert [decide_urprior(system).verdict for system in yes] == ["exists"] * 4
+        assert [decide_urprior(system).verdict for system in no] == ["none"] * 3
 
     def test_an_outcome_held_at_zero_and_positively_takes_the_pairwise_path(self):
         system = validate(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,18 +15,12 @@ from urprior.cohomology import (
     cohomology_dim,
     noncoboundary_cocycle,
 )
-from urprior.complexes import (
-    Collapsible,
-    SimplicialComplex,
-    build_overlap_complex,
-    connected_components,
-    from_facets,
-    spanning_forest,
-)
-from urprior.credence import validate
+from urprior.compat import ratio_cochain
+from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets, spanning_forest
+from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, validate
 
 from .dense_reference import coboundary_matrix
-from .overlap_reference import overlap_mass
+from .overlap_reference import connected_components, overlap_mass
 from .generators import (
     annulus,
     closure,
@@ -173,8 +168,7 @@ class TestBuildersPassThePublicChecks:
         systems += [hub_system(random.Random(n), n)[0] for n in (1, 2, 7)]
         systems += [window_chain(random.Random(n), n)[0] for n in (1, 9)]
         for system in systems:
-            for max_dim in (None, 1, 2, 3):
-                self._checked(build_overlap_complex(system, max_dim=max_dim))
+            self._checked(build_overlap_complex(system))
 
     def test_complexes_from_facets(self):
         rng = random.Random(26)
@@ -202,13 +196,40 @@ class TestOverlapComplex:
         assert X.counts(2) == [3, 3, 0]
 
     def test_hollow_tetrahedron(self, ex4):
-        X = build_overlap_complex(ex4, max_dim=3)
+        X = build_overlap_complex(ex4)
         assert X.counts(3) == [4, 6, 4, 0]
 
-    def test_max_dim_truncates(self, ex1):
-        X = build_overlap_complex(ex1, max_dim=1)
-        assert X.counts(2) == [3, 3, 0]
-        assert X.dim == 1
+    def test_a_complex_read_to_a_depth_answers_for_the_whole(self, data_dir):
+        # ex1 is a filled triangle: its edges alone hold a cycle, which the
+        # triangle fills. The path b-a-c has its middle vertex lowest, so it
+        # is listed, not counted. Each complex read only through level d,
+        # and the complex of a ratio cochain, which reads its edges only,
+        # answer at every degree as the whole complex does.
+        half = Fraction(1, 2)
+        path = AgentSystem(
+            OutcomeSpace(("x", "y", "p", "q")),
+            (
+                CredenceFunction("a", {"x": half, "y": half}),
+                CredenceFunction("b", {"x": half, "p": half}),
+                CredenceFunction("c", {"y": half, "q": half}),
+            ),
+        )
+        ex1 = cli.load_system(str(data_dir / "ex1.json"))
+        for system, counts in ((ex1, [3, 3, 1]), (path, [3, 2])):
+            whole = build_overlap_complex(system)
+            listing = SimplicialComplex(whole.vertices, whole.by_dim)
+            assert listing.counts() == counts
+            read = []
+            for d in range(listing.dim + 2):
+                X = build_overlap_complex(system)
+                X.simplices(d)
+                read.append((X, (d, d + 1)))
+            read.append((ratio_cochain(system).complex, (1, 2)))
+            for X, degrees in read:
+                for k in degrees:
+                    assert coboundary_rank(X, k) == coboundary_rank(listing, k), k
+                    if k:
+                        assert cohomology_dim(X, k) == cohomology_dim(listing, k) == 0, k
 
     def test_membership_matches_bruteforce(self):
         # a group spans a simplex iff every member gives the common
@@ -216,7 +237,7 @@ class TestOverlapComplex:
         rng = random.Random(21)
         for _ in range(40):
             system = random_system(rng)
-            X = build_overlap_complex(system, max_dim=3)
+            X = build_overlap_complex(system)
             names = system.names
             for k in range(1, 4):
                 expected = []
@@ -250,7 +271,7 @@ class TestCoboundaryMatrix:
         ]
 
     def test_hollow_tetra_shapes(self, ex4):
-        X = build_overlap_complex(ex4, max_dim=3)
+        X = build_overlap_complex(ex4)
         assert len(coboundary_columns(X, 0)) == 4
         d1 = coboundary_columns(X, 1)
         assert (len(X.simplices(2)), len(d1)) == (4, 6)
@@ -341,13 +362,14 @@ class TestForestCache:
             assert spanning_forest(fresh) == forest
 
     def test_every_stage_of_a_report_reads_the_same_forest(self, monkeypatch, data_dir, capsys):
-        # ex4 (a hollow tetrahedron), gap (a no) and tri_unfilled do not
-        # collapse and are listed: one forest each. ex1 and tri_filled
-        # collapse, so their reports are counted and build no forest.
+        # ex4 (a hollow tetrahedron) and tri_unfilled do not collapse and
+        # are listed: one forest each. ex1, tri_filled and gap (a no with
+        # no edge) collapse, so their reports are counted and build no
+        # forest.
         built = []
         build = complexes._build_forest
         monkeypatch.setattr(complexes, "_build_forest", lambda X: built.append(X) or build(X))
-        forests = {"ex1.json": 0, "ex4.json": 1, "gap.json": 1, "tri_filled.json": 0, "tri_unfilled.json": 1}
+        forests = {"ex1.json": 0, "ex4.json": 1, "gap.json": 0, "tri_filled.json": 0, "tri_unfilled.json": 1}
         for name, expected in forests.items():
             command = "cohomology" if name.startswith("tri") else "check"
             built.clear()
@@ -363,42 +385,59 @@ class TestForestCache:
         assert len(built) == 1
 
 
-def _counted_overlap_complex(system, max_dim):
-    """``complexes._counted`` on the system's weighting groups, or None when it has none."""
-    groups = complexes._weighting_groups(system)
-    return None if groups is None else complexes._counted(system.names, groups.values(), max_dim)
+def _reads_as(make):
+    """Whether a complex reads as its listing at every depth: "counted" when it collapses, else "listed".
 
-
-def _reads_as(C, X):
-    """Whether a counted complex reads as its listing X: 'counted', or 'listed' when C is X."""
-    if isinstance(C, SimplicialComplex):
-        assert C == X
+    ``make()`` builds the complex afresh, so depth d is read on a complex
+    of which no level above d was listed. Its counts and ranks from
+    d - 1 to d + 1, and so its H^k at d and d + 1, equal those of its
+    explicit listing ``SimplicialComplex(X.vertices, X.by_dim)``, which
+    is never counted.
+    """
+    X = make()
+    listing = SimplicialComplex(X.vertices, X.by_dim)
+    assert X == listing
+    ranks = [coboundary_rank(listing, k) for k in range(listing.dim + 3)]
+    for d in range(listing.dim + 2):
+        Y = make()
+        Y.simplices(d)
+        # H^k at d and d + 1 is made of these counts and ranks
+        for k in range(max(d - 1, 0), d + 2):
+            assert Y.count(k) == listing.count(k), (d, k)
+            assert coboundary_rank(Y, k) == ranks[k], (d, k)
+    C = make()
+    if C._links is None:
         return "listed"
-    assert isinstance(C, Collapsible)
-    assert (C.dim, C.counts()) == (X.dim, X.counts())
-    assert len(X.vertices) - coboundary_rank(C, 0) == len(connected_components(X))
+    assert (C.dim, C.counts()) == (listing.dim, listing.counts())
+    assert len(X.vertices) - coboundary_rank(C, 0) == len(connected_components(listing))
     for k in (1, 2):
-        assert coboundary_rank(C, k) == coboundary_rank(X, k), k
-        assert cohomology_dim(C, k) == cohomology_dim(X, k) == 0
+        assert cohomology_dim(C, k) == 0
     return "counted"
+
+
+def _maker(system):
+    """A maker of the complex the system's weighting groups generate, or None when it has none."""
+    groups = complexes._weighting_groups(system)
+    return None if groups is None else lambda: complexes._generated(system.names, groups.values())
 
 
 class TestCollapsible:
     """A collapsing complex is counted with the counts, components, ranks and H^k of its listing."""
 
     def test_overlap_complexes(self, data_dir):
-        # listed through depth 3, for rank delta_2; hubs no larger than 9
-        # agents keep that listing small
+        # read at every depth; hubs no larger than 9 agents keep the
+        # listings small
         rng = random.Random(29)
         systems = differential_systems(data_dir, hubs=(5, 9))
         systems += [hub_system(rng, n, held_at_zero=True)[0] for n in (3, 9)]
         seen = {"counted": 0, "listed": 0, "split": 0}
         for system in systems:
-            C = _counted_overlap_complex(system, 3)
-            if C is None:
+            make = _maker(system)
+            if make is None:
                 seen["split"] += 1
                 continue
-            seen[_reads_as(C, build_overlap_complex(system, max_dim=3))] += 1
+            assert make() == build_overlap_complex(system)
+            seen[_reads_as(make)] += 1
         assert seen["counted"] > 2500 and seen["listed"] > 300, seen
 
     def test_golden_files(self, data_dir):
@@ -410,15 +449,12 @@ class TestCollapsible:
         for name in sorted(names):
             raw = json.loads((data_dir / name).read_text())
             if "facets" in raw:
-                C = complexes._counted(*complexes._facet_groups(raw["vertices"], raw["facets"]), None)
-                seen[_reads_as(C, from_facets(raw["vertices"], raw["facets"]))] += 1
+                seen[_reads_as(lambda: from_facets(raw["vertices"], raw["facets"]))] += 1
                 continue
-            system = cli.load_system(str(data_dir / name))
-            C = _counted_overlap_complex(system, 3)
-            if C is not None:
-                seen[_reads_as(C, build_overlap_complex(system, max_dim=3))] += 1
+            make = _maker(cli.load_system(str(data_dir / name)))
+            if make is not None:
+                seen[_reads_as(make)] += 1
         for name, run in json.loads((golden / "counterexample.json").read_text()).items():
             if run["exit"] == 0:
-                system = validate(json.loads(run["stdout"]))
-                seen[_reads_as(_counted_overlap_complex(system, 3), build_overlap_complex(system, max_dim=3))] += 1
+                seen[_reads_as(_maker(validate(json.loads(run["stdout"]))))] += 1
         assert seen == {"counted": 2, "listed": 12}, seen

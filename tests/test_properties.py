@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from urprior.compat import decide_urprior, verify_urprior
-from urprior.complexes import build_overlap_complex, connected_components
+from urprior.complexes import build_overlap_complex
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 from urprior.oracle import feasibility_oracle
 
 from .generators import conditioned_system, random_system, window_chain
+from .overlap_reference import connected_components
 
 
 def _planted(rng: random.Random) -> AgentSystem:
@@ -94,7 +95,7 @@ def _permute_agents(system: AgentSystem, rng: random.Random) -> AgentSystem:
 
 
 def _connected(system: AgentSystem) -> bool:
-    return len(connected_components(build_overlap_complex(system, max_dim=1))) == 1
+    return len(connected_components(build_overlap_complex(system))) == 1
 
 
 @pytest.mark.parametrize("kind, system", LARGE, ids=IDS)

@@ -21,7 +21,7 @@ from urprior.compat import (
     RatioCochain,
     VerificationReport,
 )
-from urprior.complexes import Collapsible, SimplicialComplex, SpanningForest, spanning_forest
+from urprior.complexes import SimplicialComplex, SpanningForest, spanning_forest
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, _Record
 
 
@@ -47,7 +47,6 @@ FIELDS = {
     CredenceFunction: ("1", {"a": Fraction(1, 4), "b": 0, "c": Fraction(3, 4)}),
     AgentSystem: (SPACE, list(AGENTS)),
     SimplicialComplex: (["x", "y", "z"], [[(0,), (1,), (2,)], [(0, 1), (1, 2)]]),
-    Collapsible: (("x", "y", "z"), (2, 1, 0), 2),
     SpanningForest: ((0, 1, 2), {1: 0, 2: 1}, ()),
     Asymmetry: (("1", "2"), Fraction(1, 2), Fraction(0)),
     CycleCertificate: (("1", "2", "3"), Fraction(2), ("1", "3")),

@@ -19,9 +19,10 @@ on 4 vertices (114) and on a seeded sample of those on 5 (6,894):
   its system has overlap complex X and is pairwise compatible, yet
   ``decide_urprior`` and the oracle both find no prior.
 - A family of faces that generates X (its facets, and its facets with
-  random extra faces) is counted by ``complexes._counted`` with X's
-  counts, components, ranks and H^1 and H^2 when it collapses, and is
-  listed as X otherwise.
+  random extra faces) gives, through ``complexes._generated``, a complex
+  equal to X that answers at every depth as X's explicit listing does,
+  and, when it collapses, is counted with X's counts, components, ranks
+  and H^1 and H^2.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from urprior.compat import (
     pairwise_compatibility,
     verify_urprior,
 )
-from urprior.complexes import (
-    SimplicialComplex,
-    build_overlap_complex,
-    connected_components,
-    from_facets,
-)
+from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets
 from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
@@ -60,6 +56,7 @@ from .generators import (
     random_cocycle,
     random_weights,
 )
+from .overlap_reference import connected_components
 
 LABELS = "abcde"
 SAMPLE = 300  # of the 6,894 complexes on 5 vertices
@@ -194,22 +191,31 @@ def test_a_collapsing_family_is_counted_as_its_listing_reads():
     counted = {4: 0, 5: 0}
     listed = 0
     for name, X in _complexes():
+        listing = SimplicialComplex(X.vertices, X.by_dim)
         maximal = facets(X)
         faces = [s for level in X.by_dim for s in level]
         for family in (maximal, maximal + rng.sample(faces, min(3, len(faces)))):
             rng.shuffle(family)
-            C = complexes._counted(X.vertices, [list(s) for s in family], None)
-            if isinstance(C, SimplicialComplex):
-                assert C == X, name
+            groups = [list(s) for s in family]
+            C = complexes._generated(X.vertices, groups)
+            assert C == listing, name
+            # read through depth d only, at d and d + 1 it answers as its listing
+            for d in range(listing.dim + 2):
+                Y = complexes._generated(X.vertices, groups)
+                Y.simplices(d)
+                for k in (d, d + 1):
+                    assert Y.count(k) == listing.count(k), (name, d, k)
+                    assert coboundary_rank(Y, k) == coboundary_rank(listing, k), (name, d, k)
+                    if k:
+                        assert cohomology_dim(Y, k) == cohomology_dim(listing, k), (name, d, k)
+            if C._links is None:
                 listed += 1
                 continue
             counted[len(X.vertices)] += 1
-            assert (C.dim, C.counts()) == (X.dim, X.counts()), name
-            assert len(X.vertices) - coboundary_rank(C, 0) == len(connected_components(X)), name
-            for k in (1, 2, 3):
-                assert coboundary_rank(C, k) == coboundary_rank(X, k), (name, k)
+            assert (C.dim, C.counts()) == (listing.dim, listing.counts()), name
+            assert len(X.vertices) - coboundary_rank(C, 0) == len(connected_components(listing)), name
             for k in (1, 2):
-                assert cohomology_dim(C, k) == cohomology_dim(X, k) == dense.cohomology_dim(X, k) == 0
+                assert cohomology_dim(C, k) == dense.cohomology_dim(listing, k) == 0
     # of the 228 families on 4 vertices and the 600 of the sample on 5; extra
     # faces change no verdict, since a face's tail lies in its facet's
     assert (counted, listed) == ({4: 78, 5: 24}, 726)

@@ -80,7 +80,7 @@ class TestRoundTrip:
     def test_overlap_complex_recovers_input(self, tri_unfilled, c4, c5, wedge):
         for X in (tri_unfilled, c4, c5, wedge):
             system = generate_counterexample(X)
-            rebuilt = build_overlap_complex(system, max_dim=X.dim + 1)
+            rebuilt = build_overlap_complex(system)
             assert rebuilt == X
 
     def test_pairwise_compatible_but_no_prior(self, c4, c5, wedge):
@@ -100,7 +100,7 @@ class TestRoundTrip:
             except NoHoleError:
                 continue
             tried += 1
-            assert build_overlap_complex(system, max_dim=max(X.dim, 1) + 1) == X
+            assert build_overlap_complex(system) == X
             assert pairwise_compatibility(system).compatible
             assert decide_urprior(system).verdict == "none"
             if tried >= 25:
@@ -120,7 +120,7 @@ class TestRoundTrip:
             tried += 1
             assert noncoboundary_cocycle(X) == dense.noncoboundary_cocycle(X)
             system = generate_counterexample(X)
-            assert build_overlap_complex(system, max_dim=max(X.dim, 1) + 1) == X
+            assert build_overlap_complex(system) == X
             assert pairwise_compatibility(system).compatible
             certificate = decide_urprior(system).certificate
             assert isinstance(certificate, CycleCertificate)
