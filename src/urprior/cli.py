@@ -206,16 +206,17 @@ def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
     """Assemble the full check report and its exit code; no level of the complex above 2 is read.
 
     The decision and the overlap complex are ``compat._decision``'s. On a
-    yes from star links it builds no overlap table, and the complex is
-    the one the groups of agents that weight an outcome generate. When,
-    for every agent i, one group's members above i hold every agent above
-    i that shares a group with i, that complex collapses onto the agents
-    with no such neighbour (see ``urprior.complexes``): the counts are
-    sums of binomials, the components are those agents and H1 = 0, with
-    no simplex listed, no spanning forest and no reduction. Otherwise its
-    edges and triangles are listed when the report reads them. The
-    ur-prior is printed from the verified integer weights, one gcd per
-    outcome. The components are n - rank delta_0.
+    yes from star links it builds no overlap table. Unless an edge is
+    sign-split, the complex is the one the groups of agents that weight
+    an outcome generate. When, for every agent i, one group's members
+    above i hold every agent above i that shares a group with i, that
+    complex collapses onto the agents with no such neighbour (see
+    ``urprior.complexes``): the counts are sums of binomials, the
+    components are those agents and H1 = 0, with no simplex listed, no
+    spanning forest and no reduction. Otherwise its edges and triangles
+    are listed when the report reads them. The ur-prior is printed from
+    the verified integer weights, one gcd per outcome. The components are
+    n - rank delta_0.
     """
     compatibility, X, found = _decision(system)
     exists = isinstance(found, tuple)

@@ -422,9 +422,9 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     glue into a measure, which is verified exactly before being returned.
 
     The decision is ``_decision``'s: a yes, read off star links, builds
-    no pairwise overlap table and lists no simplex, and a no reads the
-    edges of the overlap complex only. Either way the result is the one
-    the system's pairwise report and overlap complex give.
+    no pairwise overlap table and lists no simplex, and a no lists the
+    edges of the overlap complex only, to seek a cycle. Either way the
+    result is the one the system's pairwise report and overlap complex give.
     """
     return _result(system, _decision(system)[2])
 
@@ -452,9 +452,10 @@ def _decision(
     cross-multiplications ``glue_urprior`` makes, so the weights come
     straight from ``_weigh``, and ``_verify`` re-checks them. When the
     star links decline, no common prior exists: the pairwise scan and the
-    overlap complex find the certificate through ``_decide``, and are
-    returned with it. ``decide_urprior`` and the CLI's ``check`` both
-    decide here.
+    overlap complex, read off the weighting groups as on a yes, find the
+    certificate through ``_decide``, and are returned with it; only a
+    cycle lists the complex's edges. ``decide_urprior`` and the CLI's
+    ``check`` both decide here.
     """
     star = _star_units(system)
     if star is not None:
@@ -493,8 +494,8 @@ def _star_units(
     returned with each outcome's first holder and n_x, for ``_weigh``,
     and with the groups (``_weighting_groups``).
     """
-    groups = _weighting_groups(system)
-    if groups is None:
+    groups, zeros = _weighting_groups(system)
+    if any(groups[x] for x in zeros):
         return None
     agents = system.agents
     first: dict[str, tuple[int, int]] = {}  # outcome -> (its first holder, n_x)

@@ -1,4 +1,4 @@
-"""Simplicial complexes from agent overlaps or explicit facet lists.
+"""Simplicial complexes from agent systems or explicit facet lists.
 
 A complex stores, per dimension, the lexicographically sorted tuples of
 vertex indices. For overlap complexes the index order is the agent order
@@ -20,10 +20,11 @@ unique and closed by construction, so they return through
 Such a complex keeps what it was generated from and lists level k the
 first time something reads level k (``simplices``): a family of vertex
 sets (the facets; the groups of agents that weight one outcome), read
-through its ``_tails``, or, on a system with a sign-split edge, the
-edges, each level above joined from the one below and tested against
-the definition of the overlap complex. ``by_dim`` reads every level.
-Whichever levels were read, every answer is the whole complex's.
+through its ``_tails``; on a system with a sign-split edge it lists the
+edges only, each level above joined from the one below and tested
+against the definition of the overlap complex, which is never read off
+the pairwise overlap table. ``by_dim`` reads every level. Whichever
+levels were read, every answer is the whole complex's.
 
 A complex that a family generates may collapse, a vertex-elimination
 argument in the spirit of Mrozek and Batko's coreductions ("Coreduction
@@ -54,6 +55,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 from urprior.credence import AgentSystem, _Record
 
 Simplex = tuple[int, ...]
+# A simplex test, and outcomes mapped to agents in order.
+_Keep = Callable[[Simplex], bool]
+_Groups = dict[str, list[int]]
 
 __all__ = [
     "Simplex",
@@ -107,7 +111,7 @@ class SimplicialComplex(_Record):
         cls,
         vertices: tuple[str, ...],
         levels: tuple[tuple[Simplex, ...], ...],
-        source: Callable[[], tuple[list[_Tails], Callable[[Simplex], bool] | None]] | None = None,
+        source: Callable[[], tuple[list[_Tails], _Keep | None]] | None = None,
     ) -> SimplicialComplex:
         """A complex from levels the caller guarantees canonical, built without checks.
 
@@ -159,8 +163,8 @@ class SimplicialComplex(_Record):
         return [self.count(k) for k in range(top + 1)]
 
     @cached_property
-    def _family(self) -> tuple[list[_Tails], Callable[[Simplex], bool] | None]:
-        # (the family's _tails, None), or ([], keep) on a system with a sign-split edge
+    def _family(self) -> tuple[list[_Tails], _Keep | None]:
+        # (the family's _tails, None), or (the _tails of its edges, keep) on a sign-split system
         return self._source()
 
     @cached_property
@@ -188,20 +192,21 @@ class SimplicialComplex(_Record):
         none when one tail holds all the others, whose combinations are
         then taken alone.
 
-        From ``keep`` (closed downward, and level k - 1 exactly its
-        simplices of that dimension): each two simplices of level k - 1
-        that differ only in their last vertex are joined, and the joins
-        ``keep`` accepts are listed. Both of those faces of a simplex are
-        accepted, so none is missed, and the joins come in canonical
-        order; the work follows the level below, not the size of the
-        groups a simplex could lie in.
+        Above level 1, from ``keep`` (closed downward, and level k - 1
+        exactly its simplices of that dimension): each two simplices of
+        level k - 1 that differ only in their last vertex are joined, and
+        the joins ``keep`` accepts are listed. Both of those faces of a
+        simplex are accepted, so none is missed, and the joins come in
+        canonical order; the work follows the level below, not the size
+        of the groups a simplex could lie in.
         """
         tails, keep = self._family
         level: list[Simplex] = []
-        if keep is not None:
+        if keep is not None and k > 1:
             for head, faces in groupby(self._levels[k - 1], key=lambda s: s[:-1]):
                 pairs = combinations([s[-1] for s in faces], 2)
                 level.extend(filter(keep, (head + pair for pair in pairs)))
+            return tuple(level)
         for i, size, mine in tails:
             if size < k:
                 continue
@@ -247,92 +252,59 @@ def _facet_groups(
     return verts, groups
 
 
-def _generated(names: tuple[str, ...], groups: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """The complex a family of sorted vertex sets generates, its levels listed when read."""
+def _generated(
+    names: tuple[str, ...], groups: Iterable[Sequence[int]], keep: _Keep | None = None
+) -> SimplicialComplex:
+    """The complex a family of sorted vertex sets generates, or its edges and what ``keep`` joins."""
     n = len(names)
     vertices = tuple((i,) for i in range(n))
-    return SimplicialComplex._canonical(names, (vertices,), lambda: (_tails(n, groups), None))
+    return SimplicialComplex._canonical(names, (vertices,), lambda: (_tails(n, groups), keep))
 
 
 def build_overlap_complex(system: AgentSystem) -> SimplicialComplex:
     """The complex of agent groups whose joint overlap every member weights.
 
     A group J is a simplex exactly when each member assigns positive mass
-    to the intersection of all awareness sets of J.
+    to the intersection of all awareness sets of J. The complex is read
+    off one pass over the (agent, outcome) entries, never off the overlap
+    table: the set A_x of agents that weight each outcome x, and its
+    holders at 0 (``_weighting_groups``).
 
     The lowest member i of a simplex J weights some outcome x of the
     joint overlap, and each other member j holds x. On a system with no
     sign-split edge, an edge (i, j) on whose shared outcomes the two
     agents disagree about which carry mass (``positive[i] & support[j] !=
-    positive[j] & support[i]``), j then weights x too, since (i, j) is an
-    edge, so J lies in the set A_x of agents weighting x: the complex is
-    the one the A_x generate. A split edge is always a pairwise violation
-    (at the outcome in dispute one conditional is 0 and the other is
-    not), so every violation-free system has none.
-
-    The edges are the pairs of the system's overlap table that both sides
-    weight, read from the table when the system has one (something has
-    read ``system.overlaps``) or when some outcome is held at 0 by one
-    agent and weighted by another. Only the edges are read then, and the
-    levels above come from ``_overlap_family`` when first read. Otherwise
-    every holder of a weighted outcome weights it (``_weighting_groups``):
-    no edge is split, and the complex is the one the A_x generate, edges
-    included, without the table. An outcome held only at 0 joins no
-    group.
+    positive[j] & support[i]``), j then weights x too, so J lies in A_x:
+    the complex is the one the A_x generate, Dowker's nerve of the
+    relation "agent weights outcome" (Ann. of Math. 1952). A split edge
+    is always a pairwise violation (at the outcome in dispute one
+    conditional is 0 and the other is not). Every other edge lies in some
+    A_x, so the A_x and the split edges (``_split_pairs``) list the edges
+    of any system, and on a split one each level above is joined from the
+    one below and tested against the definition.
     """
-    if "overlaps" not in vars(system) and (groups := _weighting_groups(system)) is not None:
+    groups, zeros = _weighting_groups(system)
+    split = _split_pairs(system, groups, zeros)
+    if not split:
         return _generated(system.names, groups.values())
-    overlaps = system.overlaps
-    edges = tuple(pair for pair, (_, sum_i, sum_j) in overlaps.items() if sum_i > 0 and sum_j > 0)
-    vertices = tuple((i,) for i in range(len(system.agents)))
-    return SimplicialComplex._canonical(
-        system.names, (vertices, edges), lambda: _overlap_family(system)
-    )
+    supports = [agent.support for agent in system.agents]
+    positives = [agent.positive for agent in system.agents]
+
+    def keep(J: Simplex) -> bool:
+        shared = frozenset.intersection(*(supports[j] for j in J))
+        return all(not shared.isdisjoint(positives[j]) for j in J)
+
+    return _generated(system.names, [*groups.values(), *split], keep)
 
 
-def _overlap_family(
-    system: AgentSystem,
-) -> tuple[list[_Tails], Callable[[Simplex], bool] | None]:
-    """What the levels of a system's overlap complex above its edges are listed from.
+def _weighting_groups(system: AgentSystem) -> tuple[_Groups, _Groups]:
+    """Each outcome an agent holds, mapped to the agents that weight it; each held at 0, to those.
 
-    One index pass lists each A_x and the agents aware of x without
-    weighting it; a split edge is a (weighting, non-weighting) pair of
-    one outcome's holders that is an edge. With none, the ``_tails`` of
-    the A_x; with one, the test against the definition, each candidate
-    joined from the level below (see ``SimplicialComplex._grow``).
+    Agents are listed in order. An outcome held only at 0 maps to no
+    weighting agent.
     """
-    agents, overlaps = system.agents, system.overlaps
-    weighting: dict[str, list[int]] = {}
-    unweighting: dict[str, list[int]] = {}
-    for i, agent in enumerate(agents):
-        for x, c in agent.counts[1].items():
-            (weighting if c > 0 else unweighting).setdefault(x, []).append(i)
-    if any(
-        min(overlaps[(i, j) if i < j else (j, i)][1:]) > 0
-        for x, zeros in unweighting.items()
-        for i in weighting.get(x, ())
-        for j in zeros
-    ):
-        supports = [agent.support for agent in agents]
-        positives = [agent.positive for agent in agents]
-
-        def keep(J: Simplex) -> bool:
-            shared = frozenset.intersection(*(supports[j] for j in J))
-            return all(not shared.isdisjoint(positives[j]) for j in J)
-
-        return [], keep
-    return _tails(len(agents), weighting.values()), None
-
-
-def _weighting_groups(system: AgentSystem) -> dict[str, list[int]] | None:
-    """Each outcome an agent holds, mapped to the agents that weight it, in order; or None.
-
-    None when some outcome is held at 0 by one agent and weighted by
-    another, a pairwise violation or a one-sided overlap. An outcome held
-    only at 0 maps to no agent.
-    """
-    groups: dict[str, list[int]] = {}
-    zeros: list[str] = []
+    groups: _Groups = {}
+    zeros: _Groups = {}
     for i, agent in enumerate(system.agents):
         for x, c in agent.counts[1].items():
             holders = groups.get(x)
@@ -341,10 +313,25 @@ def _weighting_groups(system: AgentSystem) -> dict[str, list[int]] | None:
             if c:
                 holders.append(i)
             else:
-                zeros.append(x)
-    if any(groups[x] for x in zeros):
-        return None
-    return groups
+                zeros.setdefault(x, []).append(i)
+    return groups, zeros
+
+
+def _split_pairs(system: AgentSystem, groups: _Groups, zeros: _Groups) -> set[Simplex]:
+    """The sign-split edges (i, j), i < j, from the maps of ``_weighting_groups``.
+
+    One agent weights an outcome the other holds at 0, so it weights the
+    overlap; the pair is an edge when the other weights some outcome the
+    first holds.
+    """
+    agents = system.agents
+    return {
+        (i, j) if i < j else (j, i)
+        for x, held in zeros.items()
+        for i in groups[x]
+        for j in held
+        if not agents[j].positive.isdisjoint(agents[i].support)
+    }
 
 
 # Vertex i's tail in a sorted vertex set s, s[p] == i: (s, p), standing for s[p + 1 :].

@@ -235,8 +235,8 @@ class AgentSystem(_Record):
         its two integer sums M_i, M_j of ``Overlap`` run alongside, so the
         cost follows the number of (pair, shared outcome) incidences, not
         the number of pairs, and no fraction is reduced. The pairwise scan,
-        the overlap complex and the ratio cochain all read this one table,
-        the sign of a mass being the sign of its M.
+        the ratio cochain and the cycle certificate read this one table
+        (the overlap complex does not), a mass's sign being its M's.
         """
         aware: dict[str, list[tuple[int, int]]] = {}
         for i, agent in enumerate(self.agents):

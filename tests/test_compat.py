@@ -388,9 +388,11 @@ class TestStarPath:
         assert "overlaps" not in vars(system)
 
     def test_decide_runs_no_collapse_test_and_lists_no_triangle(self, data_dir, monkeypatch, c4):
-        # a yes builds the overlap complex and reads none of it; a no reads
-        # its edges only: a pairwise violation planted in a growth-1000
-        # window chain, a one-sided overlap (gap) and a failing cycle
+        # a yes builds the overlap complex and reads none of it, and so do a
+        # pairwise violation planted in a growth-1000 window chain and a
+        # one-sided overlap (gap): no tails pass, no level above the
+        # vertices. A failing cycle reads the edges only, which the
+        # weighting groups' tails list.
         rng = random.Random(31)
         chain = window_chain(rng, 128, growth=1000)[0]
         agents = list(chain.agents)
@@ -401,22 +403,36 @@ class TestStarPath:
         yes = [hub_system(rng, 40)[0], hub_system(rng, 40, held_at_zero=True)[0]]
         yes += [window_chain(rng, n, growth=growth)[0] for n, growth in ((16, 1), (64, 1000))]
         no = [AgentSystem(chain.space, tuple(agents)), cli.load_system(str(data_dir / "gap.json"))]
-        no.append(generate_counterexample(c4))
+        cycle = generate_counterexample(c4)
 
         def forbidden(*args):
-            raise AssertionError("decide ran the collapse test")
+            raise AssertionError("decide ran the tails pass or the collapse test")
 
         grow = complexes.SimplicialComplex._grow
+        top = [0]
 
-        def edges_only(X, k):
-            if k >= 2:
+        def below(X, k):
+            if k > top[0]:
                 raise AssertionError(f"decide listed level {k}")
             return grow(X, k)
 
-        monkeypatch.setattr(complexes, "_tails", forbidden)
-        monkeypatch.setattr(complexes.SimplicialComplex, "_grow", edges_only)
-        assert [decide_urprior(system).verdict for system in yes] == ["exists"] * 4
-        assert [decide_urprior(system).verdict for system in no] == ["none"] * 3
+        built = []
+
+        def build(system):
+            built.append(build_overlap_complex(system))
+            return built[-1]
+
+        monkeypatch.setattr(compat, "build_overlap_complex", build)
+        monkeypatch.setattr(complexes.SimplicialComplex, "_grow", below)
+        monkeypatch.setattr(complexes.SimplicialComplex, "_links", property(forbidden))
+        with monkeypatch.context() as patched:
+            patched.setattr(complexes, "_tails", forbidden)
+            assert [decide_urprior(system).verdict for system in yes] == ["exists"] * 4
+            assert [decide_urprior(system).verdict for system in no] == ["none"] * 2
+        top[0] = 1
+        assert isinstance(decide_urprior(cycle).certificate, CycleCertificate)
+        # what each no built is listed through the level it read, and no further
+        assert [len(X._levels) for X in built] == [1, 1, 2]
 
     def test_an_outcome_held_at_zero_and_positively_takes_the_pairwise_path(self):
         system = validate(

@@ -416,9 +416,11 @@ def _reads_as(make):
 
 
 def _maker(system):
-    """A maker of the complex the system's weighting groups generate, or None when it has none."""
-    groups = complexes._weighting_groups(system)
-    return None if groups is None else lambda: complexes._generated(system.names, groups.values())
+    """A maker of the complex the weighting groups generate; None if an outcome is held at 0 and weighted."""
+    groups, zeros = complexes._weighting_groups(system)
+    if any(groups[x] for x in zeros):
+        return None
+    return lambda: complexes._generated(system.names, groups.values())
 
 
 class TestCollapsible:

@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, takewhile
+from itertools import combinations, count, islice, takewhile
 from pathlib import Path
 
 import pytest
 
+from urprior import complexes
 from urprior.compat import pairwise_compatibility, ratio_cochain
 from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets
 from urprior.credence import AgentSystem, validate
 from urprior.oracle import feasibility_oracle
+from urprior.witness import NoHoleError, generate_counterexample
 
 from . import overlap_reference as reference
 from .fraction_reference import mass
-from .generators import EDGE_CASES, conditioned_system, hub_system, seeded_systems, split_hub_system
+from .generators import (
+    EDGE_CASES,
+    conditioned_system,
+    hub_system,
+    random_system,
+    seeded_systems,
+    split_hub_system,
+)
 
 # Each test draws its own systems from seeded_systems(), so that no table an
 # earlier test read decides which listing a complex test runs.
@@ -131,7 +141,7 @@ def test_without_a_zero_mass_the_complex_is_listed_without_the_table(max_dim):
         X = _read_to(build_overlap_complex(system), max_dim)
         assert "overlaps" not in vars(system)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
-        assert system.overlaps is not None  # once the table is built, its edges are read
+        assert system.overlaps is not None  # a table read first changes nothing
         assert _read_to(build_overlap_complex(system), max_dim) == X
     assert listed > 100
 
@@ -155,6 +165,37 @@ def test_outcomes_held_only_at_zero_are_listed_without_the_table(max_dim):
         assert "overlaps" not in vars(system)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
     assert listed > 200
+
+
+def _no_table(system):
+    raise AssertionError("the overlap complex read the pairwise overlap table")
+
+
+def test_the_overlap_complex_never_reads_the_table(data_dir, monkeypatch):
+    # the seeded systems, split hubs, every system file, and the
+    # counterexample of every complex file with a hole
+    systems = seeded_systems() + [split_hub_system(agents) for agents in (3, 12, 40)]
+    for path in sorted(data_dir.glob("*.json")):
+        raw = json.loads(path.read_text())
+        if "agents" in raw:
+            systems.append(validate(raw))
+            continue
+        try:
+            systems.append(generate_counterexample(from_facets(raw["vertices"], raw["facets"])))
+        except NoHoleError:
+            pass
+    split = 0
+    for system in systems:
+        # the full simplex on a 40-agent hub is read to a bounded depth only
+        depths = [0, 1, 2, 3] + ([None] if len(system.agents) < 20 else [])
+        with monkeypatch.context() as patched:
+            patched.setattr(AgentSystem, "overlaps", property(_no_table))
+            listed = [_read_to(build_overlap_complex(system), depth) for depth in depths]
+        assert listed == [reference.build_overlap_complex(system, max_dim=depth) for depth in depths]
+        assert system.overlaps is not None
+        assert [_read_to(build_overlap_complex(system), depth) for depth in depths] == listed
+        split += bool(_split_edges(system))
+    assert split >= 50
 
 
 def test_systems_with_a_split_edge_equal_the_reference():
@@ -230,10 +271,21 @@ def test_a_split_star_stops_at_its_edges(others, clique, counts):
 
 
 def test_every_split_edge_is_a_pairwise_violation():
-    for system in seeded_systems():
+    # and the split pairs read off the weighting groups, without the
+    # table, are exactly the split edges of the reference complex
+    rng = random.Random(33)
+    drawn = (random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9) for k in count())
+    zeros = (s for s in drawn if any(agent.positive != agent.support for agent in s.agents))
+    split = 0
+    for system in seeded_systems() + list(islice(zeros, 500)):
         violated = {v.pair for v in pairwise_compatibility(system).violations}
         names = system.names
-        assert {(names[i], names[j]) for i, j in _split_edges(system)} <= violated
+        edges = _split_edges(system)
+        assert {(names[i], names[j]) for i, j in edges} <= violated
+        groups, held_at_zero = complexes._weighting_groups(system)
+        assert sorted(complexes._split_pairs(system, groups, held_at_zero)) == edges
+        split += bool(edges)
+    assert split > 200
 
 
 def test_hub_complex_is_the_full_2_skeleton():
