@@ -205,8 +205,9 @@ def _measure_to_json(measure: Mapping[str, Any], system: AgentSystem) -> dict[st
 def build_check_report(system: AgentSystem) -> tuple[dict[str, Any], int]:
     """Assemble the full check report and its exit code; no level of the complex above 2 is read.
 
-    The decision and the overlap complex are ``compat._decision``'s. On a
-    yes from star links it builds no overlap table. Unless an edge is
+    The decision and the overlap complex are ``compat._decision``'s: a
+    yes is read off star links, and the pairwise section of a no off the
+    complex's edges. Unless an edge is
     sign-split, the complex is the one the groups of agents that weight
     an outcome generate. When, for every agent i, one group's members
     above i hold every agent above i that shares a group with i, that

@@ -7,18 +7,17 @@ disagreement, a one-sided overlap, or a cycle whose ratio product is
 not 1), and every positive answer is re-verified before it is returned.
 
 The decision (``_decision``, behind ``decide_urprior`` and the CLI's
-``check``) reads every yes off star links, without the overlap table:
-unless some outcome is held at 0 by one agent and weighted by another,
-each weighted outcome links its first holder to every later one, and
-agent i's unit g_i = scale_i / d_i, d_i its own denominator
-(``CredenceFunction.counts``), is walked along those links as a reduced
-integer pair from each component's lowest agent. If every link holds,
-the masses are put over one lcm and verified on those integers. A yes
-costs memory in proportion to the (agent, outcome) entries, not to the
-overlapping pairs, whose number grows with the square of the agents on
-a shared outcome. Otherwise no common prior exists, and the pairwise
-scan and the forest propagation on the overlap sums M of
-``system.overlaps`` find the certificate. ``solve_scaling``,
+``check``) reads every yes off star links: unless some outcome is held
+at 0 by one agent and weighted by another, each weighted outcome links
+its first holder to every later one, and agent i's unit g_i = scale_i /
+d_i, d_i its own denominator (``CredenceFunction.counts``), is walked
+along those links as a reduced integer pair from each component's lowest
+agent. If every link holds, the masses are put over one lcm and verified
+on those integers. A yes costs memory in proportion to the (agent,
+outcome) entries, not to the overlapping pairs, whose number grows with
+the square of the agents on a shared outcome. Otherwise no common prior
+exists, and the pairwise scan and the forest propagation find the
+certificate on the edges of the overlap complex. ``solve_scaling``,
 ``glue_urprior`` and ``verify_urprior`` run the same propagation,
 weighing and verification code. Every equality is an integer
 cross-multiplication; a reduced ``Fraction`` is built only for what is
@@ -31,16 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from urprior.complexes import (
     SimplicialComplex,
-    _generated,
+    _overlap_complex,
     _weighting_groups,
     build_overlap_complex,
     spanning_forest,
 )
-from urprior.credence import AgentSystem, _Record
+from urprior.credence import AgentSystem, CredenceFunction, _Record
 from urprior.numerics import common_denominator, format_rational
 
 __all__ = [
@@ -157,47 +156,58 @@ class GluingError(RuntimeError):
 def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
     """Check every pair of agents on their shared outcomes.
 
-    A pair is tested only when both sides give the overlap positive mass.
-    With agent i's pmf written as n_x / d over its own denominator, the
-    conditionals of the two sides agree at x exactly when
-    n_x(left) * M(right) == n_x(right) * M(left), M being the sum of n_x
-    over the overlap, read from the system's overlap table: an integer
-    cross-multiplication. A pair where exactly one side weights the
-    overlap is recorded as an asymmetry instead. Pairs come in canonical
-    order from the overlap table, so pairs that share nothing cost
-    nothing. The witness outcome of a violation is the alphabetically
-    first failing one. A certificate's fractions are built only when it
-    fires.
+    A pair is tested only when both sides give the overlap positive mass:
+    the edges of the overlap complex, read in canonical order. With agent
+    i's pmf written as n_x / d over its own denominator, the conditionals
+    of the two sides agree at x exactly when n_x(left) * M(right) ==
+    n_x(right) * M(left), M being the sum of n_x over the overlap: an
+    integer cross-multiplication. A pair where exactly one side weights
+    the overlap, so holds at 0 an outcome the other weights, is recorded
+    as an asymmetry instead (``complexes._sign_pairs``). The witness
+    outcome of a violation is the alphabetically first failing one.
     """
+    return _pairwise_scan(system, *_overlap_complex(system, *_weighting_groups(system)))
+
+
+def _pairwise_scan(
+    system: AgentSystem, X: SimplicialComplex, one_sided: Iterable[tuple[int, int]]
+) -> CompatibilityReport:
+    """``pairwise_compatibility`` on the overlap complex X and the one-sided pairs (i, j), i < j."""
     agents = system.agents
     violations: list[Violation] = []
-    asymmetries: list[Asymmetry] = []
-    for (i, j), (shared, sum_left, sum_right) in system.overlaps.items():
+    for i, j in X.simplices(1):
         left, right = agents[i], agents[j]
-        if sum_left > 0 and sum_right > 0:
-            counts_left, counts_right = left.counts[1], right.counts[1]
-            # Both sides' conditionals sum to 1, so a disagreement shows at
-            # two outcomes at least: the last outcome never comes first.
-            for x in shared[:-1]:
-                if counts_left[x] * sum_right != counts_right[x] * sum_left:
-                    violations.append(
-                        Violation(
-                            (left.name, right.name),
-                            x,
-                            Fraction(counts_left[x], sum_left),
-                            Fraction(counts_right[x], sum_right),
-                        )
+        shared = left.support & right.support
+        # On one shared outcome both conditionals are 1, and a disagreement
+        # shows at two outcomes at least: the last outcome never comes first.
+        if len(shared) < 2:
+            continue
+        counts_left, counts_right = left.counts[1], right.counts[1]
+        sum_left, sum_right = _sums(left, right, shared)
+        for x in sorted(shared)[:-1]:
+            if counts_left[x] * sum_right != counts_right[x] * sum_left:
+                violations.append(
+                    Violation(
+                        (left.name, right.name),
+                        x,
+                        Fraction(counts_left[x], sum_left),
+                        Fraction(counts_right[x], sum_right),
                     )
-                    break
-        elif sum_left > 0 or sum_right > 0:
-            asymmetries.append(
-                Asymmetry(
-                    (left.name, right.name),
-                    Fraction(sum_left, left.counts[0]),
-                    Fraction(sum_right, right.counts[0]),
                 )
-            )
+                break
+    asymmetries: list[Asymmetry] = []
+    for i, j in sorted(one_sided):
+        left, right = agents[i], agents[j]
+        sums = _sums(left, right, left.support & right.support)
+        masses = Fraction(sums[0], left.counts[0]), Fraction(sums[1], right.counts[0])
+        asymmetries.append(Asymmetry((left.name, right.name), *masses))
     return CompatibilityReport(not violations, tuple(violations), tuple(asymmetries))
+
+
+def _sums(left: CredenceFunction, right: CredenceFunction, shared: Iterable[str]) -> tuple[int, int]:
+    """M_left and M_right, each agent's counts summed over the shared outcomes: masses M_k / d_k."""
+    counts_left, counts_right = left.counts[1], right.counts[1]
+    return sum([counts_left[x] for x in shared]), sum([counts_right[x] for x in shared])
 
 
 def ratio_cochain(system: AgentSystem) -> RatioCochain:
@@ -205,15 +215,17 @@ def ratio_cochain(system: AgentSystem) -> RatioCochain:
 
     The cochain lives on the edges of the overlap complex, exactly the
     pairs that both weight their overlap positively; no level above them
-    is listed. The masses are read from the system's overlap table as M_i / d_i and
-    M_j / d_j, so each ratio is one ``Fraction(M_i * d_j, M_j * d_i)``.
+    is listed. Each edge's masses are the two agents' counts summed over
+    their shared outcomes, M_i / d_i and M_j / d_j, so each ratio is one
+    ``Fraction(M_i * d_j, M_j * d_i)``.
     """
-    agents, overlaps = system.agents, system.overlaps
+    agents = system.agents
     X = build_overlap_complex(system)
     ratios: dict[tuple[int, int], Fraction] = {}
     for i, j in X.simplices(1):
-        _, sum_i, sum_j = overlaps[(i, j)]
-        ratios[(i, j)] = Fraction(sum_i * agents[j].counts[0], sum_j * agents[i].counts[0])
+        left, right = agents[i], agents[j]
+        sum_i, sum_j = _sums(left, right, left.support & right.support)
+        ratios[(i, j)] = Fraction(sum_i * right.counts[0], sum_j * left.counts[0])
     return RatioCochain(X, ratios)
 
 
@@ -230,27 +242,27 @@ def solve_scaling(
     """
     X = ratios.complex
     pairs = {e: (r.numerator, r.denominator) for e, r in ratios.ratios.items()}
-    units, cycle = _propagate(X, pairs)
+    units, cycle = _propagate(X, pairs.__getitem__)
     if cycle is not None:
         return None, cycle
     return {X.vertices[v]: Fraction(p, q) for v, (p, q) in enumerate(units)}, None
 
 
 def _propagate(
-    X: SimplicialComplex, edges: Mapping[tuple[int, int], tuple]
+    X: SimplicialComplex, ratio: Callable[[tuple[int, int]], tuple[int, int]]
 ) -> tuple[list[tuple[int, int]] | None, CycleCertificate | None]:
     """Per-vertex units g_v as reduced pairs (p, q), or the first failing cycle.
 
-    ``edges`` maps each edge (i, j), i < j, of X to a tuple ending in
-    (a, b) with g_j / g_i == a / b. Over X's cached spanning forest each
+    ``ratio`` maps each edge (i, j), i < j, of X to a pair (a, b), not
+    always reduced, with g_j / g_i == a / b. Over X's spanning forest each
     root gets (1, 1) (no cross-multiplication depends on it) and a tree
     step costs one gcd; every non-tree edge is then cross-multiplied, and
     the first that fails closes the cycle.
     """
 
     def step(u: int, v: int) -> tuple[int, int]:  # g_v / g_u
-        t = edges[(u, v) if u < v else (v, u)]
-        return (t[-2], t[-1]) if u < v else (t[-1], t[-2])
+        a, b = ratio((u, v) if u < v else (v, u))
+        return (a, b) if u < v else (b, a)
 
     forest = spanning_forest(X)
     units: list[tuple[int, int]] = [(1, 1)] * len(X.vertices)
@@ -264,8 +276,8 @@ def _propagate(
         units[v] = (p // k, q // k)
 
     for i, j in forest.non_tree:
-        (p_i, q_i), (p_j, q_j), t = units[i], units[j], edges[(i, j)]
-        if p_i * t[-2] * q_j == p_j * t[-1] * q_i:
+        (p_i, q_i), (p_j, q_j), (a, b) = units[i], units[j], ratio((i, j))
+        if p_i * a * q_j == p_j * b * q_i:
             continue
         path = _forest_path(j, i, forest.parent)
         cycle = [i, j] + path[1:-1]
@@ -421,10 +433,10 @@ def decide_urprior(system: AgentSystem) -> UrPriorResult:
     genuine blocker on its own. When none fires, the scaled credences
     glue into a measure, which is verified exactly before being returned.
 
-    The decision is ``_decision``'s: a yes, read off star links, builds
-    no pairwise overlap table and lists no simplex, and a no lists the
-    edges of the overlap complex only, to seek a cycle. Either way the
-    result is the one the system's pairwise report and overlap complex give.
+    The decision is ``_decision``'s: a yes, read off star links, lists
+    no simplex, and a no lists the edges of the overlap complex only.
+    Either way the result is the one the system's pairwise report and
+    overlap complex give.
     """
     return _result(system, _decision(system)[2])
 
@@ -441,38 +453,35 @@ def _decision(
 ) -> tuple[CompatibilityReport, SimplicialComplex, Certificate | _Glued]:
     """The pairwise report, the overlap complex and the certificate or verified weights.
 
-    Every yes is read off star links (``_star_units``), which never build
-    the pairwise overlap table: the cost follows the number of (agent,
-    outcome) entries, not the number of overlapping pairs. Where a common
-    prior exists every pair is compatible and no overlap is one-sided, so
-    the report is ``_COMPATIBLE``, and the complex is the one the
-    weighting groups the star links were read from generate
-    (``build_overlap_complex``); it lists nothing, and runs no collapse
-    test, until something reads it. The star links are the
-    cross-multiplications ``glue_urprior`` makes, so the weights come
+    The overlap complex and the star links are both read off one pass
+    over the (agent, outcome) entries (``_weighting_groups``); the complex
+    lists nothing, and runs no collapse test, until something reads it.
+    Every yes is read off star links (``_star_units``), at a cost that
+    follows the (agent, outcome) entries, not the overlapping pairs.
+    Where a common prior exists every pair is compatible and no overlap
+    is one-sided, so the report is ``_COMPATIBLE``. The star links are
+    the cross-multiplications ``glue_urprior`` makes, so the weights come
     straight from ``_weigh``, and ``_verify`` re-checks them. When the
-    star links decline, no common prior exists: the pairwise scan and the
-    overlap complex, read off the weighting groups as on a yes, find the
-    certificate through ``_decide``, and are returned with it; only a
-    cycle lists the complex's edges. ``decide_urprior`` and the CLI's
-    ``check`` both decide here.
+    star links decline, no common prior exists: the pairwise scan reads
+    the complex's edges and the one-sided pairs, and ``_decide`` the
+    certificate. ``decide_urprior`` and the CLI's ``check`` decide here.
     """
-    star = _star_units(system)
+    groups, zeros = _weighting_groups(system)
+    X, one_sided = _overlap_complex(system, groups, zeros)
+    star = _star_units(system, groups, zeros)
     if star is not None:
-        units, first, groups = star
-        weights, total = _weigh(units, first)
+        weights, total = _weigh(*star)
         check = _verify(system, weights, total)
         if not check.ok:
             raise GluingError("glued measure failed verification: " + "; ".join(check.diagnostics))
-        return _COMPATIBLE, _generated(system.names, groups.values()), (weights, total)
-    report = pairwise_compatibility(system)
-    X = build_overlap_complex(system)
+        return _COMPATIBLE, X, (weights, total)
+    report = _pairwise_scan(system, X, one_sided)
     return report, X, _decide(system, report, X)
 
 
 def _star_units(
-    system: AgentSystem,
-) -> tuple[list[tuple[int, int]], dict[str, tuple[int, int]], dict[str, list[int]]] | None:
+    system: AgentSystem, groups: Mapping[str, list[int]], zeros: Mapping[str, list[int]]
+) -> tuple[list[tuple[int, int]], dict[str, tuple[int, int]]] | None:
     """Every agent's unit g_i from star links, or None when no common prior exists.
 
     An outcome held at 0 by one agent and weighted by another declines at
@@ -491,10 +500,8 @@ def _star_units(
     and a component's units are fixed by its root's, so they are the
     units the forest propagation gives. The links are those
     ``glue_urprior`` would cross-multiply again, so the units are
-    returned with each outcome's first holder and n_x, for ``_weigh``,
-    and with the groups (``_weighting_groups``).
+    returned with each outcome's first holder and n_x, for ``_weigh``.
     """
-    groups, zeros = _weighting_groups(system)
     if any(groups[x] for x in zeros):
         return None
     agents = system.agents
@@ -536,22 +543,31 @@ def _star_units(
                     walk.append(v)
                 elif unit[0] * s * q != p * r * unit[1]:  # g_v / g_u != r / s
                     return None
-    return units, first, groups
+    return units, first
 
 
 def _decide(system: AgentSystem, report: CompatibilityReport, X: SimplicialComplex) -> Certificate:
     """The first obstruction of a system the star links decline: its certificate.
 
-    Only the edges of ``X``, the overlap complex, are read; the units
-    step as g_j / g_i == M_i / M_j on the overlap sums of
-    ``system.overlaps``. Finding no obstruction means an internal invariant
-    broke, since a declined system has no common prior: GluingError.
+    Only the edges of ``X``, the overlap complex, are read. With no
+    violation, an edge's agents weigh every shared outcome in the ratio
+    M_i / M_j, so the units step as g_j / g_i == n_i(x) / n_j(x) at a
+    shared outcome x that i weights. Finding no obstruction means an internal
+    invariant broke, since a declined system has no common prior:
+    GluingError.
     """
     if report.violations:
         return report.violations[0]
     if report.asymmetries:
         return report.asymmetries[0]
-    _, cycle = _propagate(X, system.overlaps)
+    agents = system.agents
+
+    def ratio(edge: tuple[int, int]) -> tuple[int, int]:
+        left, right = (agents[v].counts[1] for v in edge)
+        x = next(x for x in agents[edge[0]].positive if x in right)
+        return left[x], right[x]
+
+    _, cycle = _propagate(X, ratio)
     if cycle is None:
         raise GluingError("the star links declined, but no pair, overlap or cycle obstructs")
     return cycle

@@ -22,9 +22,8 @@ first time something reads level k (``simplices``): a family of vertex
 sets (the facets; the groups of agents that weight one outcome), read
 through its ``_tails``; on a system with a sign-split edge it lists the
 edges only, each level above joined from the one below and tested
-against the definition of the overlap complex, which is never read off
-the pairwise overlap table. ``by_dim`` reads every level. Whichever
-levels were read, every answer is the whole complex's.
+against the definition of the overlap complex. ``by_dim`` reads every
+level. Whichever levels were read, every answer is the whole complex's.
 
 A complex that a family generates may collapse, a vertex-elimination
 argument in the spirit of Mrozek and Batko's coreductions ("Coreduction
@@ -266,9 +265,9 @@ def build_overlap_complex(system: AgentSystem) -> SimplicialComplex:
 
     A group J is a simplex exactly when each member assigns positive mass
     to the intersection of all awareness sets of J. The complex is read
-    off one pass over the (agent, outcome) entries, never off the overlap
-    table: the set A_x of agents that weight each outcome x, and its
-    holders at 0 (``_weighting_groups``).
+    off one pass over the (agent, outcome) entries: the set A_x of agents
+    that weight each outcome x, and its holders at 0
+    (``_weighting_groups``).
 
     The lowest member i of a simplex J weights some outcome x of the
     joint overlap, and each other member j holds x. On a system with no
@@ -279,14 +278,23 @@ def build_overlap_complex(system: AgentSystem) -> SimplicialComplex:
     relation "agent weights outcome" (Ann. of Math. 1952). A split edge
     is always a pairwise violation (at the outcome in dispute one
     conditional is 0 and the other is not). Every other edge lies in some
-    A_x, so the A_x and the split edges (``_split_pairs``) list the edges
+    A_x, so the A_x and the split edges (``_sign_pairs``) list the edges
     of any system, and on a split one each level above is joined from the
     one below and tested against the definition.
     """
-    groups, zeros = _weighting_groups(system)
-    split = _split_pairs(system, groups, zeros)
+    return _overlap_complex(system, *_weighting_groups(system))[0]
+
+
+def _overlap_complex(
+    system: AgentSystem, groups: _Groups, zeros: _Groups
+) -> tuple[SimplicialComplex, set[Simplex]]:
+    """``build_overlap_complex`` from the maps of ``_weighting_groups``, and the one-sided pairs.
+
+    Both come from one walk (``_sign_pairs``).
+    """
+    split, one_sided = _sign_pairs(system, groups, zeros)
     if not split:
-        return _generated(system.names, groups.values())
+        return _generated(system.names, groups.values()), one_sided
     supports = [agent.support for agent in system.agents]
     positives = [agent.positive for agent in system.agents]
 
@@ -294,7 +302,7 @@ def build_overlap_complex(system: AgentSystem) -> SimplicialComplex:
         shared = frozenset.intersection(*(supports[j] for j in J))
         return all(not shared.isdisjoint(positives[j]) for j in J)
 
-    return _generated(system.names, [*groups.values(), *split], keep)
+    return _generated(system.names, [*groups.values(), *split], keep), one_sided
 
 
 def _weighting_groups(system: AgentSystem) -> tuple[_Groups, _Groups]:
@@ -317,21 +325,26 @@ def _weighting_groups(system: AgentSystem) -> tuple[_Groups, _Groups]:
     return groups, zeros
 
 
-def _split_pairs(system: AgentSystem, groups: _Groups, zeros: _Groups) -> set[Simplex]:
-    """The sign-split edges (i, j), i < j, from the maps of ``_weighting_groups``.
+def _sign_pairs(
+    system: AgentSystem, groups: _Groups, zeros: _Groups
+) -> tuple[set[Simplex], set[Simplex]]:
+    """The sign-split edges and the one-sided pairs (i, j), i < j, from ``_weighting_groups``'s maps.
 
-    One agent weights an outcome the other holds at 0, so it weights the
-    overlap; the pair is an edge when the other weights some outcome the
-    first holds.
+    Each comes from an agent that weights an outcome the other holds at
+    0, so that agent weights the overlap. The pair is a split edge when
+    the other weights some outcome the first holds, and the other gives
+    the overlap no mass otherwise. Every pair of which exactly one side
+    weights the overlap is met so.
     """
     agents = system.agents
-    return {
-        (i, j) if i < j else (j, i)
-        for x, held in zeros.items()
-        for i in groups[x]
-        for j in held
-        if not agents[j].positive.isdisjoint(agents[i].support)
-    }
+    split: set[Simplex] = set()
+    one_sided: set[Simplex] = set()
+    for x, held in zeros.items():
+        for i in groups[x]:
+            for j in held:
+                pairs = one_sided if agents[j].positive.isdisjoint(agents[i].support) else split
+                pairs.add((i, j) if i < j else (j, i))
+    return split, one_sided
 
 
 # Vertex i's tail in a sorted vertex set s, s[p] == i: (s, p), standing for s[p + 1 :].

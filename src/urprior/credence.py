@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import cached_property
 
 from urprior.numerics import _format_pair, _rational_pair, common_denominator, format_rational
 
@@ -180,12 +179,6 @@ def _sum_error(name: str, counts: tuple[int, dict[str, int]]) -> str | None:
     return f"pmf sum != 1 for agent {name} (sum {format_rational(Fraction(total, d))})"
 
 
-# The outcomes two agents i < j share, sorted by label, then M_i and M_j:
-# each agent's integer counts summed over them, so that agent k gives the
-# overlap mass M_k / d_k over its own denominator d_k (``counts``).
-Overlap = tuple[tuple[str, ...], int, int]
-
-
 class AgentSystem(_Record):
     """Validated collection of agents over a shared outcome space.
 
@@ -225,36 +218,6 @@ class AgentSystem(_Record):
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.agents)
-
-    @cached_property
-    def overlaps(self) -> dict[tuple[int, int], Overlap]:
-        """Every pair of agents (i, j), i < j, that shares an outcome, in canonical order.
-
-        Built in one pass over an outcome -> (agent, count) index, outcomes
-        taken in label order: each pair's shared outcomes arrive sorted and
-        its two integer sums M_i, M_j of ``Overlap`` run alongside, so the
-        cost follows the number of (pair, shared outcome) incidences, not
-        the number of pairs, and no fraction is reduced. The pairwise scan,
-        the ratio cochain and the cycle certificate read this one table
-        (the overlap complex does not), a mass's sign being its M's.
-        """
-        aware: dict[str, list[tuple[int, int]]] = {}
-        for i, agent in enumerate(self.agents):
-            for x, c in agent.counts[1].items():
-                aware.setdefault(x, []).append((i, c))
-        running: dict[tuple[int, int], list] = {}
-        for x in sorted(aware):
-            holders = aware[x]
-            for a, (i, c_i) in enumerate(holders):
-                for j, c_j in holders[a + 1 :]:
-                    entry = running.get((i, j))
-                    if entry is None:
-                        running[(i, j)] = [[x], c_i, c_j]
-                    else:
-                        entry[0].append(x)
-                        entry[1] += c_i
-                        entry[2] += c_j
-        return {pair: (tuple(xs), m_i, m_j) for pair, (xs, m_i, m_j) in sorted(running.items())}
 
     def union_support(self) -> frozenset[str]:
         out: set[str] = set()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from urprior.compat import (
@@ -36,11 +37,12 @@ def mass(agent: CredenceFunction, event: Iterable[str]) -> Fraction:
 
 
 def pairwise_compatibility(system: AgentSystem) -> CompatibilityReport:
-    agents = system.agents
     violations: list[Violation] = []
     asymmetries: list[Asymmetry] = []
-    for (i, j), (shared, _, _) in system.overlaps.items():
-        left, right = agents[i], agents[j]
+    for left, right in combinations(system.agents, 2):
+        shared = sorted(left.support & right.support)
+        if not shared:
+            continue
         mass_left, mass_right = mass(left, shared), mass(right, shared)
         if mass_left > 0 and mass_right > 0:
             for x in shared[:-1]:

@@ -151,6 +151,24 @@ def hub_system(
     }
 
 
+def no_hub_system(rng: random.Random, agents: int) -> AgentSystem:
+    """``hub_system`` and two more agents, listed last, that disagree on a second shared outcome.
+
+    Both weight the hub and "second", in the ratios 1 : 1 and 1 : 2, so
+    they violate pairwise and no common prior exists. Every group of the
+    agents + 2 agents still shares the hub, so the overlap complex is the
+    full simplex on them, and it collapses.
+    """
+    system = hub_system(rng, agents)[0]
+    third = Fraction(1, 3)
+    disagreeing = (
+        CredenceFunction("x0", {"hub": HALF, "second": HALF}),
+        CredenceFunction("x1", {"hub": third, "second": 2 * third}),
+    )
+    space = OutcomeSpace((*system.space.outcomes, "second"))
+    return AgentSystem(space, system.agents + disagreeing)
+
+
 def split_hub_system(agents: int) -> AgentSystem:
     """``agents`` agents weight one hub outcome; one more, listed last, holds it at mass 0.
 

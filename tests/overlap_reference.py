@@ -1,8 +1,10 @@
 """All-pairs overlap scans: the reference the indexed overlap table is tested against.
 
 These are the pairwise scan, overlap complex, ratio cochain and oracle
-link construction as they were before the library read every agent-pair
-overlap from ``AgentSystem.overlaps``. Each pair of agents is visited, and
+link construction as they were before the library read them off an
+outcome -> agents index: the pairwise scan and the ratio cochain now off
+the edges of the overlap complex, and the complex off the groups of
+agents that weight each outcome. Each pair of agents is visited, and
 each overlap is rebuilt and summed, on its own. They are kept here,
 unchanged in behaviour, so that tests can require the indexed results
 to equal the all-pairs ones.

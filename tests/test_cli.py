@@ -658,14 +658,22 @@ def _reference_report(system):
 class TestCheckStarPath:
     """``check`` reads a yes off the star links, with the bytes of the staged pipeline."""
 
-    def test_equals_the_report_without_star_links(self, data_dir):
+    def test_equals_the_report_without_star_links(self, data_dir, monkeypatch):
         systems = differential_systems(data_dir, hubs=(5, 60))
-        starred = [cli.build_check_report(system) for system in systems]
+        scan, scanned = compat._pairwise_scan, set()
+
+        def spy(system, *args):
+            scanned.add(id(system))
+            return scan(system, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(compat, "_pairwise_scan", spy)
+            starred = [cli.build_check_report(system) for system in systems]
         star = 0
         for system, (report, code) in zip(systems, starred):
-            if code == 0:
-                assert "overlaps" not in vars(system)
-                star += 1
+            # a yes runs no pairwise scan, and a no runs it
+            assert (id(system) in scanned) == (code != 0)
+            star += code == 0
             expected, expected_code = _reference_report(system)
             assert code == expected_code
             assert cli._dumps(report) == cli._dumps(expected)
@@ -675,7 +683,7 @@ class TestCheckStarPath:
     def test_a_yes_the_star_links_decline_exits_three(self, data_dir, capsys, monkeypatch):
         # the pairwise path finds certificates only: a feasible system it is
         # handed is an internal error, never a yes
-        monkeypatch.setattr(compat, "_star_units", lambda system: None)
+        monkeypatch.setattr(compat, "_star_units", lambda system, groups, zeros: None)
         for name in ("ex1.json", "ex4.json"):
             code, out, err = run(capsys, "check", str(data_dir / name))
             assert (code, out) == (3, "")
@@ -685,13 +693,12 @@ class TestCheckStarPath:
         def forbidden(system):
             raise AssertionError("check fell back to the pairwise scan")
 
-        monkeypatch.setattr(compat, "pairwise_compatibility", forbidden)
+        monkeypatch.setattr(compat, "_pairwise_scan", forbidden)
         rng = random.Random(27)
         systems = (hub_system(rng, 40)[0], window_chain(rng, 16, growth=1000)[0])
         for system in systems + (hub_system(rng, 40, held_at_zero=True)[0],):
             report, code = cli.build_check_report(system)
             assert code == 0 and report["h1"] == 0 and report["components"] == 1
-            assert "overlaps" not in vars(system)
             path = tmp_path / "system.json"
             path.write_text(json.dumps(cli.system_to_dict(system)))
             assert run(capsys, "check", str(path), "--json") == (0, cli._dumps(report) + "\n", "")
@@ -720,12 +727,20 @@ class TestCheckStarPath:
             assert run(capsys, command, str(path), *flags) == before
             assert before[0] == 0 and before[2] == ""
 
-    def test_a_no_takes_the_pairwise_path(self, data_dir, c4):
+    def test_a_no_takes_the_pairwise_path(self, data_dir, c4, monkeypatch):
         # an outcome held at 0 and weighted (gap), and a failing star link (a counterexample)
+        scan, scanned = compat._pairwise_scan, []
+
+        def spy(system, *args):
+            scanned.append(system)
+            return scan(system, *args)
+
+        monkeypatch.setattr(compat, "_pairwise_scan", spy)
         for system in (cli.load_system(str(data_dir / "gap.json")), generate_counterexample(c4)):
             report, code = cli.build_check_report(system)
             assert code == 1 and report["certificate"] is not None
-            assert "overlaps" in vars(system)
+            assert scanned == [system]
+            scanned.clear()
 
 
 class TestInputRobustness:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +28,7 @@ from urprior.credence import AgentSystem, CredenceFunction, OutcomeSpace, valida
 from urprior.oracle import feasibility_oracle
 from urprior.witness import generate_counterexample
 
+from .fraction_reference import mass
 from .generators import (
     annulus,
     conditioned_system,
@@ -143,7 +145,12 @@ class TestRatioCochain:
         # each pair that both weight their overlap positively, and no other
         for system in seeded_systems():
             r = ratio_cochain(system)
-            two_sided = {e for e, (_, left, right) in system.overlaps.items() if left > 0 and right > 0}
+            agents = system.agents
+            two_sided = {
+                (i, j)
+                for i, j in combinations(range(len(agents)), 2)
+                if all(mass(a, agents[i].support & agents[j].support) > 0 for a in (agents[i], agents[j]))
+            }
             assert set(r.complex.simplices(1)) == set(r.ratios) == two_sided
             assert r.complex == build_overlap_complex(system)
 
@@ -363,36 +370,34 @@ def _forbidden(*args, **kwargs):
 class TestStarPath:
     def test_equals_the_pairwise_decision(self, data_dir, monkeypatch):
         systems = differential_systems(data_dir, hubs=(5, 60, 300))
-        # decided on copies whose overlap table nothing has built
-        fresh = [AgentSystem(system.space, system.agents) for system in systems]
         expected = [_pairwise_decide(system) for system in systems]
-        for system, result in zip(fresh, expected):
+        for system, result in zip(systems, expected):
             if result.verdict == "none":
                 assert repr(decide_urprior(system)) == repr(result)
 
         # every feasible system, zero masses included, is decided on star links alone
-        monkeypatch.setattr(compat, "pairwise_compatibility", _forbidden)
+        monkeypatch.setattr(compat, "_pairwise_scan", _forbidden)
         monkeypatch.setattr(compat, "build_overlap_complex", _forbidden)
         exists = held_at_zero = 0
-        for system, result in zip(fresh, expected):
+        for system, result in zip(systems, expected):
             if result.verdict == "exists":
                 assert repr(decide_urprior(system)) == repr(result)
-                assert "overlaps" not in vars(system)
                 exists += 1
                 held_at_zero += any(0 in agent.counts[1].values() for agent in system.agents)
         assert exists > 2000 and held_at_zero > 1000
 
-    def test_the_yes_path_builds_no_overlap_table(self):
+    def test_the_yes_path_builds_no_overlap_table(self, monkeypatch):
+        # a yes runs no pairwise scan, which would list all 1,225 edges
+        monkeypatch.setattr(compat, "_pairwise_scan", _forbidden)
         system = hub_system(random.Random(5), 50)[0]
         assert decide_urprior(system).verdict == "exists"
-        assert "overlaps" not in vars(system)
 
     def test_decide_runs_no_collapse_test_and_lists_no_triangle(self, data_dir, monkeypatch, c4):
-        # a yes builds the overlap complex and reads none of it, and so do a
-        # pairwise violation planted in a growth-1000 window chain and a
-        # one-sided overlap (gap): no tails pass, no level above the
-        # vertices. A failing cycle reads the edges only, which the
-        # weighting groups' tails list.
+        # a yes builds the overlap complex and reads none of it: no tails
+        # pass, no level above the vertices. A pairwise violation planted in
+        # a growth-1000 window chain, a one-sided overlap (gap) and a failing
+        # cycle read the edges only, which the weighting groups' tails list,
+        # and none runs the collapse test.
         rng = random.Random(31)
         chain = window_chain(rng, 128, growth=1000)[0]
         agents = list(chain.agents)
@@ -417,22 +422,23 @@ class TestStarPath:
             return grow(X, k)
 
         built = []
+        overlap_complex = complexes._overlap_complex
 
-        def build(system):
-            built.append(build_overlap_complex(system))
+        def build(*args):
+            built.append(overlap_complex(*args))
             return built[-1]
 
-        monkeypatch.setattr(compat, "build_overlap_complex", build)
+        monkeypatch.setattr(compat, "_overlap_complex", build)
         monkeypatch.setattr(complexes.SimplicialComplex, "_grow", below)
         monkeypatch.setattr(complexes.SimplicialComplex, "_links", property(forbidden))
         with monkeypatch.context() as patched:
             patched.setattr(complexes, "_tails", forbidden)
             assert [decide_urprior(system).verdict for system in yes] == ["exists"] * 4
-            assert [decide_urprior(system).verdict for system in no] == ["none"] * 2
         top[0] = 1
+        assert [decide_urprior(system).verdict for system in no] == ["none"] * 2
         assert isinstance(decide_urprior(cycle).certificate, CycleCertificate)
-        # what each no built is listed through the level it read, and no further
-        assert [len(X._levels) for X in built] == [1, 1, 2]
+        # each yes is listed through its vertices, each no through its edges, and no further
+        assert [len(X._levels) for X, _ in built] == [1] * 4 + [2] * 3
 
     def test_an_outcome_held_at_zero_and_positively_takes_the_pairwise_path(self):
         system = validate(
@@ -444,7 +450,7 @@ class TestStarPath:
                 ],
             }
         )
-        assert _star_units(system) is None
+        assert _star_units(system, *complexes._weighting_groups(system)) is None
         assert decide_urprior(system) == _pairwise_decide(system)
 
     def test_an_outcome_held_only_at_zero_takes_the_star_path(self, monkeypatch):
@@ -461,9 +467,8 @@ class TestStarPath:
         expected = _pairwise_decide(AgentSystem(system.space, system.agents))
         quarter = Fraction(1, 4)
         assert expected.measure == {"a": quarter, "b": quarter, "c": 0, "d": Fraction(1, 2)}
-        monkeypatch.setattr(compat, "pairwise_compatibility", _forbidden)
+        monkeypatch.setattr(compat, "_pairwise_scan", _forbidden)
         assert repr(decide_urprior(system)) == repr(expected)
-        assert "overlaps" not in vars(system)
 
     def test_a_failing_star_link_falls_back_to_the_cycle_certificate(self, c4, c5):
         # a counterexample weights every outcome it names, so a failing
@@ -471,7 +476,7 @@ class TestStarPath:
         for X in (c4, c5, annulus(random.Random(6), 6)):
             system = generate_counterexample(X)
             assert all(agent.positive == agent.support for agent in system.agents)
-            assert _star_units(system) is None
+            assert _star_units(system, *complexes._weighting_groups(system)) is None
             result = decide_urprior(system)
             assert result.verdict == "none"
             assert isinstance(result.certificate, CycleCertificate)

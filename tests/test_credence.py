@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from urprior import cli
+from urprior.compat import pairwise_compatibility
 from urprior.credence import (
     AgentSystem,
     CredenceFunction,
@@ -277,7 +278,7 @@ def _assert_checked_once(system: AgentSystem) -> None:
         assert ours.counts == theirs.counts
         assert type(ours.support) is frozenset and ours.support == theirs.support
         assert type(ours.positive) is frozenset and ours.positive == theirs.positive
-    assert rebuilt.overlaps == system.overlaps
+    assert pairwise_compatibility(rebuilt) == pairwise_compatibility(system)
 
 
 class TestCheckedOnce:

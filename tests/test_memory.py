@@ -16,7 +16,7 @@ from pathlib import Path
 from urprior import cli
 from urprior.compat import decide_urprior
 
-from .generators import hub_system
+from .generators import hub_system, no_hub_system
 
 ROOT = Path(__file__).parent.parent
 
@@ -126,6 +126,26 @@ def test_check_on_a_2000_agent_hub_lists_no_triangle():
         assert code == 0 and report["complex"]["counts"] == [2000, 1999000, 1331334000]
         assert (report["components"], report["h1"]) == (1, 0)
         assert peak < 4 * 2**20, f"peak {peak} bytes"
+
+
+def test_a_no_beside_a_1000_agent_hub_keeps_no_pairwise_table():
+    # two agents that disagree on a second shared outcome make the hub a
+    # no: 501,501 agent pairs share the hub, and the certificate is read
+    # off the listed edges of the overlap complex, one tuple each (35 MiB
+    # peak measured), never off a table of every overlapping pair (220 MiB)
+    system = no_hub_system(random.Random(1000), 1000)
+    for decide in (decide_urprior, cli.build_check_report):
+        tracemalloc.start()
+        try:
+            decide(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"{decide.__name__}: peak {peak} bytes"
+    result = decide_urprior(system)
+    assert result.verdict == "none" and result.certificate.pair == ("x0", "x1")
+    report, code = cli.build_check_report(system)
+    assert code == 1 and report["complex"]["counts"] == [1002, 501501, 167167000]
 
 
 def test_cohomology_dim_2_on_a_hub_reduces_nothing(tmp_path):

@@ -1,4 +1,4 @@
-"""The indexed overlap table against the all-pairs reference scans."""
+"""The pairwise scan, overlap complex and ratio cochain against the all-pairs reference scans."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
-from itertools import combinations, count, islice, takewhile
+from itertools import count, islice, takewhile
 from pathlib import Path
 
 import pytest
@@ -16,67 +15,54 @@ import pytest
 from urprior import complexes
 from urprior.compat import pairwise_compatibility, ratio_cochain
 from urprior.complexes import SimplicialComplex, build_overlap_complex, from_facets
-from urprior.credence import AgentSystem, validate
+from urprior.credence import validate
 from urprior.oracle import feasibility_oracle
 from urprior.witness import NoHoleError, generate_counterexample
 
 from . import overlap_reference as reference
-from .fraction_reference import mass
 from .generators import (
-    EDGE_CASES,
     conditioned_system,
+    differential_systems,
+    disjoint_union,
     hub_system,
+    no_hub_system,
     random_system,
     seeded_systems,
     split_hub_system,
 )
 
-# Each test draws its own systems from seeded_systems(), so that no table an
-# earlier test read decides which listing a complex test runs.
+# Each test draws its own systems from seeded_systems(), so that no cache an
+# earlier test filled decides which listing a complex test runs.
 
 
 def test_enough_systems():
     assert len(seeded_systems()) >= 200
 
 
-def test_table_lists_every_sharing_pair_with_its_masses():
-    # each mass is the agent's integer counts summed over the overlap,
-    # over the agent's own denominator
-    for system in seeded_systems():
-        agents = system.agents
-        expected = {}
-        for i, j in combinations(range(len(agents)), 2):
-            shared = agents[i].support & agents[j].support
-            if shared:
-                expected[(i, j)] = (
-                    tuple(sorted(shared)),
-                    sum(agents[i].counts[1][x] for x in shared),
-                    sum(agents[j].counts[1][x] for x in shared),
-                )
-        assert system.overlaps == expected
-        assert list(system.overlaps) == sorted(expected)
-        for (i, j), (shared, sum_i, sum_j) in system.overlaps.items():
-            assert type(sum_i) is int and type(sum_j) is int
-            assert Fraction(sum_i, agents[i].counts[0]) == mass(agents[i], shared)
-            assert Fraction(sum_j, agents[j].counts[0]) == mass(agents[j], shared)
+def _zero_mass_systems(seed, size):
+    """``size`` seeded ``random_system`` draws in which some agent holds an outcome at 0."""
+    rng = random.Random(seed)
+    drawn = (random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9) for k in count())
+    return list(islice((s for s in drawn if any(a.positive != a.support for a in s.agents)), size))
 
 
-def test_table_and_supports_are_built_once():
-    shared = EDGE_CASES["zero-mass awareness"]
-    system = AgentSystem(shared.space, shared.agents)  # a copy whose table nothing has built
-    assert system.overlaps is system.overlaps
-    assert all(agent.support is agent.support for agent in system.agents)
-
-
-def test_pairwise_reports_equal_the_reference():
+def test_pairwise_reports_equal_the_reference(data_dir, c4):
+    # the report is read off the edges of the overlap complex and the
+    # outcomes held at 0; the reference visits every pair of agents
+    rng = random.Random(34)
+    systems = differential_systems(data_dir, hubs=(5, 60))
+    systems += [split_hub_system(agents) for agents in (3, 12, 40)]
+    systems += [no_hub_system(rng, agents) for agents in (5, 60)]
+    systems.append(disjoint_union(hub_system(rng, 30)[0], generate_counterexample(c4)))
+    systems += _zero_mass_systems(34, 500)
     fired = {"violations": 0, "asymmetries": 0}
-    for system in seeded_systems():
+    for system in systems:
         report = pairwise_compatibility(system)
         assert report == reference.pairwise_compatibility(system)
         fired["violations"] += bool(report.violations)
         fired["asymmetries"] += bool(report.asymmetries)
     # the sample reaches both kinds of pairwise certificate
-    assert fired["violations"] > 20 and fired["asymmetries"] > 20
+    assert fired["violations"] > 1000 and fired["asymmetries"] > 200
 
 
 def _read_to(X, depth):
@@ -90,7 +76,6 @@ def _read_to(X, depth):
 def test_overlap_complexes_equal_the_reference(max_dim):
     top = 0
     for system in seeded_systems():
-        assert "overlaps" not in vars(system)
         X = _read_to(build_overlap_complex(system), max_dim)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
         top = max(top, X.dim)
@@ -124,7 +109,6 @@ def test_without_a_split_edge_the_complex_is_generated_by_the_weighting_groups(m
         if _split_edges(system):
             continue
         unsplit += 1
-        assert "overlaps" not in vars(system)
         X = _read_to(build_overlap_complex(system), max_dim)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
         assert X == _generated_complex(system, max_dim)
@@ -139,9 +123,7 @@ def test_without_a_zero_mass_the_complex_is_listed_without_the_table(max_dim):
             continue
         listed += 1
         X = _read_to(build_overlap_complex(system), max_dim)
-        assert "overlaps" not in vars(system)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
-        assert system.overlaps is not None  # a table read first changes nothing
         assert _read_to(build_overlap_complex(system), max_dim) == X
     assert listed > 100
 
@@ -162,18 +144,15 @@ def test_outcomes_held_only_at_zero_are_listed_without_the_table(max_dim):
             continue
         listed += 1
         X = _read_to(build_overlap_complex(system), max_dim)
-        assert "overlaps" not in vars(system)
         assert X == reference.build_overlap_complex(system, max_dim=max_dim)
     assert listed > 200
 
 
-def _no_table(system):
-    raise AssertionError("the overlap complex read the pairwise overlap table")
-
-
-def test_the_overlap_complex_never_reads_the_table(data_dir, monkeypatch):
-    # the seeded systems, split hubs, every system file, and the
-    # counterexample of every complex file with a hole
+def test_the_overlap_complex_never_reads_the_table(data_dir):
+    # no table of overlapping pairs exists: the complex is read off the
+    # weighting groups alone, and is the reference's on the seeded systems,
+    # split hubs, every system file, and the counterexample of every
+    # complex file with a hole, at every depth, read once or twice
     systems = seeded_systems() + [split_hub_system(agents) for agents in (3, 12, 40)]
     for path in sorted(data_dir.glob("*.json")):
         raw = json.loads(path.read_text())
@@ -188,11 +167,8 @@ def test_the_overlap_complex_never_reads_the_table(data_dir, monkeypatch):
     for system in systems:
         # the full simplex on a 40-agent hub is read to a bounded depth only
         depths = [0, 1, 2, 3] + ([None] if len(system.agents) < 20 else [])
-        with monkeypatch.context() as patched:
-            patched.setattr(AgentSystem, "overlaps", property(_no_table))
-            listed = [_read_to(build_overlap_complex(system), depth) for depth in depths]
+        listed = [_read_to(build_overlap_complex(system), depth) for depth in depths]
         assert listed == [reference.build_overlap_complex(system, max_dim=depth) for depth in depths]
-        assert system.overlaps is not None
         assert [_read_to(build_overlap_complex(system), depth) for depth in depths] == listed
         split += bool(_split_edges(system))
     assert split >= 50
@@ -271,19 +247,20 @@ def test_a_split_star_stops_at_its_edges(others, clique, counts):
 
 
 def test_every_split_edge_is_a_pairwise_violation():
-    # and the split pairs read off the weighting groups, without the
-    # table, are exactly the split edges of the reference complex
-    rng = random.Random(33)
-    drawn = (random_system(rng, max_agents=1 + k % 9, max_outcomes=2 + k % 9) for k in count())
-    zeros = (s for s in drawn if any(agent.positive != agent.support for agent in s.agents))
+    # and the split pairs read off the weighting groups are exactly the
+    # split edges of the reference complex, and the one-sided pairs the
+    # reference's asymmetries
     split = 0
-    for system in seeded_systems() + list(islice(zeros, 500)):
-        violated = {v.pair for v in pairwise_compatibility(system).violations}
+    for system in seeded_systems() + _zero_mass_systems(33, 500):
+        expected = reference.pairwise_compatibility(system)
         names = system.names
         edges = _split_edges(system)
-        assert {(names[i], names[j]) for i, j in edges} <= violated
+        assert {(names[i], names[j]) for i, j in edges} <= {v.pair for v in expected.violations}
         groups, held_at_zero = complexes._weighting_groups(system)
-        assert sorted(complexes._split_pairs(system, groups, held_at_zero)) == edges
+        split_pairs, one_sided = complexes._sign_pairs(system, groups, held_at_zero)
+        assert sorted(split_pairs) == edges
+        pairs = [(names[i], names[j]) for i, j in sorted(one_sided)]
+        assert pairs == [a.pair for a in expected.asymmetries]
         split += bool(edges)
     assert split > 200
 
@@ -312,20 +289,3 @@ def test_oracle_equals_the_all_pairs_oracle():
             assert list(measure) == list(reference.feasibility_oracle(system))
             found += 1
     assert found > 100
-
-
-def test_shared_outcomes_are_sorted_by_label():
-    system = validate(
-        {
-            "outcomes": ["a", "b", "c"],
-            "agents": [
-                {"name": "x", "credence": {"c": "1/2", "a": "1/2"}},
-                {"name": "y", "credence": {"c": "1", "b": "0", "a": "0"}},
-            ],
-        }
-    )
-    # x counts 1/2 as 1 of 2 and y counts 1 as 1 of 1, so both overlaps weigh 1
-    assert system.overlaps == {(0, 1): (("a", "c"), 2, 1)}
-    x, y = system.agents
-    assert Fraction(2, x.counts[0]) == mass(x, ("a", "c")) == 1
-    assert Fraction(1, y.counts[0]) == mass(y, ("a", "c")) == 1

@@ -212,10 +212,6 @@ def test_derived_forms_stay_out_of_init_repr_and_equality():
 
 
 def test_cached_properties_are_cached():
-    system = AgentSystem(SPACE, AGENTS)
-    overlaps = system.overlaps
-    assert overlaps == {(0, 1): (("b",), 1, 1)}
-    assert system.overlaps is overlaps and vars(system)["overlaps"] is overlaps
     forest = spanning_forest(EDGE)
     assert forest == SpanningForest((0, 1), {1: 0}, ())
     assert spanning_forest(EDGE) is forest and vars(EDGE)["_forest"] is forest

@@ -109,14 +109,14 @@ def _urprior_modules(tree: ast.Module) -> set[str]:
 def test_the_oracle_shares_only_the_data_model():
     # the oracle cross-checks the main pipeline, so it may read agents and
     # their masses as reduced pairs, but neither the pipeline's modules nor
-    # the integer counts and the overlap table that the pipeline builds on
-    # the data model, nor the pmf, whose Fractions it has no need for
+    # the integer counts that the pipeline builds on the data model, nor
+    # the pmf, whose Fractions it has no need for
     path = next(p for p in SOURCES if p.name == "oracle.py")
     tree = ast.parse(path.read_text())
     assert _urprior_modules(tree) == {"urprior.credence"}
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
-    assert not {"pmf", "counts", "overlaps"} & (read | named)
+    assert not {"pmf", "counts"} & (read | named)
     assert "masses" in read
 
 
